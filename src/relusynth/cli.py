@@ -88,7 +88,8 @@ def verify_network(net, pwl, tol=VERIFY_TOL, activation_tol=ACTIVATION_TOL):
     """Re-verify a network against its target function, point by point.
 
     For every point: traced forward pass, residual against the subdomain's
-    affine target, and the activated-unit sets per layer.  The report's
+    affine target (clamped at zero when the output layer is a ReLU, as for
+    classifiers), and the activated-unit sets per layer.  The report's
     max_residual is recomputed from scratch; passing means at most ``tol``.
     """
     t0 = time.monotonic()
@@ -100,10 +101,13 @@ def verify_network(net, pwl, tol=VERIFY_TOL, activation_tol=ACTIVATION_TOL):
         raise InputError(
             f"network expects {net.input_dim}-dimensional input but the "
             f"function has dim {pwl.dim}")
+    relu_output = bool(net.layers) and net.layers[-1].activation == "relu"
     point_checks = []
     worst = 0.0
     for si, (pts, amap) in enumerate(pwl.subdomains):
         targets = amap.apply(pts)
+        if relu_output:
+            targets = np.maximum(targets, 0.0)
         for x, y in zip(pts, np.atleast_2d(targets)):
             out, patterns = forward_traced(net, x, activation_tol)
             residual = float(np.max(np.abs(out - y)))

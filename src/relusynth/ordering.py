@@ -10,6 +10,7 @@ lets the shallow synthesizer solve output weights stage by stage.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ from .core import MARGIN, Hyperplane
 from .simplex import OPTIMAL, solve_lp
 
 SEPARABLE_THRESHOLD = 1e-7
+# Largest C(k+1, n) whose touch sets maximum_hyperplane enumerates; above it
+# the greedy fallback runs.  The candidate arrays grow with C(k+1, n) * k
+# (about 50 MB at the cap with n = 2), and C(41, 6) = 4.5M subsets would
+# need over 1 GB for the SVD input alone.  The largest tested instance,
+# n = 4 with 25 samples, has 14,950.
+MAX_TOUCH_SUBSETS = 20_000
 
 
 class InseparableError(ValueError):
@@ -123,12 +130,12 @@ def check_distinguishable(sets_in_order, hyperplanes, margin=MARGIN):
     return len(failures) == 0, failures
 
 
-def _suspicion_order(delta, star):
-    """Rank sample indices by how hard they make the full zero-side cover.
+def _greedy_removal(delta, star):
+    """Greedy largest-violation removal from the full zero-side cover.
 
-    Greedy largest-violation removal: repeatedly drop the zero-side point
-    that sticks out worst (under the failed LP's best direction) until the
-    remaining cover separates.  Returns (ranked indices, greedy deficit).
+    Repeatedly drop the zero-side point that sticks out worst (under the
+    failed LP's best direction) until the remaining cover separates.
+    Returns the remaining sample indices.
     """
     k = delta.shape[0]
     remaining = list(range(k))
@@ -142,65 +149,68 @@ def _suspicion_order(delta, star):
         worst = remaining[int(np.argmax(vals))]
         removed.append(worst)
         remaining.remove(worst)
-    return removed + remaining, len(removed)
+    return remaining
 
 
 def _vertex_candidate_covers(delta, star):
-    """Best zero-side cover over all hyperplanes touching n points.
+    """Candidate zero-side covers from hyperplanes touching n points, largest first.
 
-    The maximizing hyperplane can always be perturbed until it touches n
-    of the samples (or the star), so enumerating those touch sets and
-    counting the samples strictly below the star's projection finds the
-    optimum for points in generic position.  Returns covers in decreasing
-    size, deduplicated.
+    A maximum cover's hyperplane can be translated and rotated, keeping its
+    cover, until it touches n of the samples or the star.  So for points in
+    generic position one of the touch-set normals (taken with either sign)
+    puts a maximum cover strictly below the star's projection.  The counts
+    of every normal come from one vectorised pass; the covers are then
+    yielded lazily in decreasing size, deduplicated, so the caller stops
+    at the first one its LP verifies.  Touch sets that do not span a
+    hyperplane give no normal.  The caller bounds C(k+1, n) by
+    ``MAX_TOUCH_SUBSETS`` before calling.
     """
     pts = np.vstack([delta, star[None, :]])
     n = pts.shape[1]
     if n == 1:
-        normals = np.array([[1.0], [-1.0]])
+        normals = np.ones((1, 1))
     else:
         subsets = np.array(list(itertools.combinations(range(pts.shape[0]), n)))
         A = pts[subsets[:, 1:]] - pts[subsets[:, :1]]
         _, s, vt = np.linalg.svd(A)
-        unique_normal = s[:, -1] <= 1e-9 * np.maximum(s[:, 0], 1.0)
-        cands = vt[unique_normal, -1, :]
-        if cands.shape[0] == 0:
-            return []
-        normals = np.vstack([cands, -cands])
+        normals = vt[s[:, -1] > 1e-9 * np.maximum(s[:, 0], 1.0), -1, :]
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(pts))))
     proj = delta @ normals.T
-    star_proj = star @ normals.T
-    scale = 1.0 + float(np.max(np.abs(pts)))
-    below = proj < star_proj[None, :] - 1e-9 * scale
+    star_proj = (star @ normals.T)[None, :]
+    # columns: each normal, then its negation
+    below = np.hstack([proj < star_proj - tol, proj > star_proj + tol])
     counts = below.sum(axis=0)
-    order = np.argsort(-counts)
-    covers = []
     seen = set()
-    for idx in order:
-        cover = tuple(np.flatnonzero(below[:, idx]))
-        if cover and cover not in seen:
-            seen.add(cover)
-            covers.append(cover)
-    return covers
+    for idx in np.argsort(-counts):
+        if counts[idx] == 0:
+            return
+        key = below[:, idx].tobytes()
+        if key not in seen:
+            seen.add(key)
+            yield tuple(np.flatnonzero(below[:, idx]).tolist())
 
 
-def maximum_hyperplane(delta_samples, star, exhaustive_limit=20, trace=None):
+def maximum_hyperplane(delta_samples, star, trace=None):
     """Hyperplane with star strictly plus and a maximum zero-side cover.
 
-    The full cover is tried first; otherwise candidate covers come from the
-    touching-hyperplane enumeration, each verified by the separation LP
-    (exact for samples in generic position).  If the verification fails on
-    degenerate inputs, small sample sets fall back to exhaustive exclusion
-    subsets in increasing size, larger ones to greedy largest-violation
-    removal with a translation-improvement fixpoint.  Returns
-    (hyperplane, covered) with covered a tuple of sample indices placed on
-    the zero side.
+    The full cover is tried first.  Otherwise the touch-set candidates of
+    ``_vertex_candidate_covers`` are verified by the separation LP, largest
+    first, over every candidate of the largest size; the first that
+    separates is returned (exact for samples in generic position).  When
+    none of them verifies, or C(k+1, n) exceeds ``MAX_TOUCH_SUBSETS``, the
+    one fallback runs: greedy largest-violation removal with a
+    translation-improvement fixpoint, or the empty cover when nothing can
+    be covered.  It records a ``maximum_hyperplane_fallback`` trace event
+    with its reason (``cap`` or ``unverified``).  Returns (hyperplane,
+    covered) with covered a tuple of sample indices placed on the zero
+    side.
     """
     delta = np.atleast_2d(np.asarray(delta_samples, dtype=float))
     star = np.asarray(star, dtype=float)
-    k = delta.shape[0]
+    k, n = delta.shape
     if k == 0:
         raise ValueError("need at least one zero-side sample")
-    if any(np.allclose(star, d) for d in delta):
+    if (delta.round(decimals=12) == star.round(decimals=12)).all(axis=1).any():
         raise ValueError("star must not be one of the zero-side samples")
 
     full = separate(star[None, :], delta)
@@ -208,36 +218,24 @@ def maximum_hyperplane(delta_samples, star, exhaustive_limit=20, trace=None):
         _check_translation_property(full, delta, list(range(k)), star)
         return full.hyperplane, tuple(range(k))
 
-    best_size = None
-    for cover in _vertex_candidate_covers(delta, star):
-        if best_size is not None and len(cover) < best_size:
-            break
-        excl = [i for i in range(k) if i not in cover]
-        res = separate(np.vstack([star[None, :], delta[excl]]), delta[list(cover)])
-        if res.separable:
-            _check_translation_property(res, delta, list(cover), star)
-            return res.hyperplane, cover
-        best_size = len(cover)  # keep trying equal-size candidates only
+    reason = "cap"
+    if math.comb(k + 1, n) <= MAX_TOUCH_SUBSETS:
+        reason = "unverified"
+        best_size = None
+        for cover in _vertex_candidate_covers(delta, star):
+            if best_size is not None and len(cover) < best_size:
+                break
+            excl = [i for i in range(k) if i not in cover]
+            res = separate(np.vstack([star[None, :], delta[excl]]), delta[list(cover)])
+            if res.separable:
+                _check_translation_property(res, delta, list(cover), star)
+                return res.hyperplane, cover
+            best_size = len(cover)  # keep trying equal-size candidates only
 
     if trace is not None:
-        trace.append({"event": "maximum_hyperplane_fallback", "samples": k})
-    suspicion, greedy_deficit = _suspicion_order(delta, star)
-
-    if k <= exhaustive_limit:
-        # the greedy deficit upper-bounds the optimum, so stop there
-        for deficit in range(1, min(greedy_deficit, k - 1) + 1):
-            for excl in itertools.combinations(suspicion, deficit):
-                covered = [i for i in range(k) if i not in excl]
-                res = separate(np.vstack([star[None, :], delta[list(excl)]]),
-                               delta[covered])
-                if res.separable:
-                    _check_translation_property(res, delta, covered, star)
-                    return res.hyperplane, tuple(covered)
-        h = _cover_nothing(delta, star, trace)
-        return h, ()
-
-    # greedy path with translation-improvement fixpoint
-    covered = set(suspicion[greedy_deficit:])
+        trace.append({"event": "maximum_hyperplane_fallback", "samples": k,
+                      "reason": reason})
+    covered = set(_greedy_removal(delta, star))
     while True:
         if not covered:
             return _cover_nothing(delta, star, trace), ()
@@ -321,7 +319,6 @@ def distinguishable_order(
     subdomains,
     seed=0,
     margin=MARGIN,
-    exhaustive_limit=20,
     hyperplanes=None,
     order=None,
     max_perturb_rounds=30,
@@ -332,7 +329,9 @@ def distinguishable_order(
 
     Construction route: every subdomain must be a singleton; points are
     processed in index order, each via its maximum hyperplane over the
-    already-placed points.  Points left stranded on the new plus side are
+    already-placed points (``maximum_hyperplane``: the LP-verified
+    touch-set cover, or the greedy fallback on degenerate inputs and above
+    ``MAX_TOUCH_SUBSETS``).  Points left stranded on the new plus side are
     reprocessed by translating the new hyperplane past them one at a time
     (boundary at the midpoint between consecutive points along the normal),
     with a seeded random weight perturbation whenever several of them tie
@@ -379,9 +378,7 @@ def distinguishable_order(
             continue
         delta_idx = list(order_list)
         delta = points[delta_idx]
-        h, covered = maximum_hyperplane(
-            delta, p, exhaustive_limit=exhaustive_limit, trace=trace
-        )
+        h, covered = maximum_hyperplane(delta, p, trace=trace)
         covered_global = {delta_idx[c] for c in covered}
         uncovered_global = [j for j in order_list if j not in covered_global]
 

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from relusynth.cli import main, verify_network
 from relusynth.core import DiscretePWL, Network
+from relusynth.shallow import classifier_build
 
 
 @pytest.fixture
@@ -44,6 +46,14 @@ def test_verify_fails_on_perturbed_weight(workdir):
     net_path.write_text(json.dumps(net))
     assert main(["verify", "--net", str(net_path),
                  "--pwl", str(workdir / "pwl.json")]) == 1
+
+
+def test_verify_classifier_compares_clamped_targets():
+    # relu outputs reach max(target, 0), not the raw -1 of other categories
+    build = classifier_build(np.array([[0.0, 0], [1, 0], [5, 5], [6, 5]]), [0, 0, 1, 1])
+    report, code = verify_network(build.network, build.pwl)
+    assert code == 0
+    assert report.max_residual <= 1e-8
 
 
 def test_schema_violation_exits_2(workdir):

@@ -3,13 +3,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from relusynth import ordering
+from relusynth.core import Hyperplane, forward_batch
 from relusynth.ordering import (
     check_distinguishable,
     distinguishable_order,
     maximum_hyperplane,
     separate,
 )
-from relusynth.core import Hyperplane
+from relusynth.shallow import interpolation_build
 
 
 def test_separate_1d():
@@ -56,12 +58,18 @@ def test_maximum_hyperplane_single_sample():
 
 
 def test_maximum_hyperplane_matches_exhaustive_oracle(rng):
-    for _ in range(15):
+    for trial in range(30):
+        inside_hull = trial % 2 == 1
         n = int(rng.integers(1, 4))
-        k = int(rng.integers(2, 9))
+        # a star inside the hull of k <= n samples is affinely degenerate
+        k = int(rng.integers(n + 1 if inside_hull else 2, 11))
         delta = rng.normal(size=(k, n))
-        star = rng.normal(size=n)
-        h, covered = maximum_hyperplane(delta, star)
+        if inside_hull:
+            star = rng.dirichlet(np.ones(k)) @ delta
+        else:
+            star = rng.normal(size=n)
+        trace = []
+        h, covered = maximum_hyperplane(delta, star, trace=trace)
         best = 0
         for size in range(k, 0, -1):
             hit = False
@@ -76,8 +84,62 @@ def test_maximum_hyperplane_matches_exhaustive_oracle(rng):
             if hit:
                 break
         assert len(covered) == best
+        # generic inputs never need the fallback
+        assert trace == []
         assert h.value(star) > 0
         assert (h.value(delta[list(covered)]) < 0).all()
+
+
+def test_maximum_hyperplane_fallback_keeps_guarantees(rng, monkeypatch):
+    def check(delta, star, reason):
+        trace = []
+        h, covered = maximum_hyperplane(delta, star, trace=trace)
+        assert trace[0] == {"event": "maximum_hyperplane_fallback",
+                            "samples": len(delta), "reason": reason}
+        star_val = h.value(star)
+        assert star_val > 0
+        assert (h.value(delta[list(covered)]) < 0).all()
+        # translation property: no uncovered sample between boundary and star
+        uncovered = [i for i in range(len(delta)) if i not in covered]
+        assert (h.value(delta[uncovered])
+                >= star_val - 1e-6 * max(1.0, star_val)).all()
+        return covered
+
+    # star between two samples: every touch-set normal ties all three points
+    assert len(check(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 0.0]),
+                     "unverified")) == 1
+
+    monkeypatch.setattr(ordering, "MAX_TOUCH_SUBSETS", 0)
+    delta = rng.normal(size=(9, 2))
+    check(delta, delta.mean(axis=0), "cap")
+
+    pts = rng.normal(size=(10, 2))
+    trace = []
+    result = distinguishable_order([p[None, :] for p in pts], seed=2, trace=trace)
+    assert any(e["event"] == "maximum_hyperplane_fallback" for e in trace)
+    ok, failures = check_distinguishable(
+        [pts[j][None, :] for j in result.order], result.hyperplanes)
+    assert ok, failures
+
+
+def test_order_lp_count_on_criterion_3_trial_14(monkeypatch):
+    # the 2-D, 24-point instance once cost 58,301 ordering LPs
+    calls = []
+    solve = ordering.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ordering, "solve_lp", counting)
+    r = np.random.default_rng(314)
+    n, nu = int(r.integers(1, 5)), int(r.integers(2, 26))
+    assert (n, nu) == (2, 24)
+    pts = r.normal(size=(nu, n)) * 3
+    vals = r.normal(size=nu)
+    build = interpolation_build(pts, vals, seed=14)
+    assert len(calls) <= 100
+    assert np.abs(forward_batch(build.network, pts)[:, 0] - vals).max() <= 1e-8
 
 
 def test_maximum_hyperplane_collinear_full_cover():

@@ -172,6 +172,14 @@ def test_interpolate_duplicate_x_conflicting_y():
     assert forward(net, pts[0])[0] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_interpolate_points_closer_than_allclose():
+    # 3 and 3 + 1e-6 are distinct points, though np.allclose calls them equal
+    pts = np.array([[0.0], [3.0], [3.0 + 1e-6]])
+    vals = np.array([0.0, 1.0, 2.0])
+    build = interpolation_build(pts, vals)
+    assert np.abs(forward_batch(build.network, pts)[:, 0] - vals).max() <= 1e-8
+
+
 def test_interpolate_extra_units_widen_first_stage(rng):
     pts = rng.normal(size=(4, 2))
     vals = rng.normal(size=4)
