@@ -189,17 +189,23 @@ def lift_hyperplane(target, emb, free_values=None):
 
 
 def transform_hyperplane(h, amap):
-    """Rewrite a hyperplane in the coordinates x' = W x + b of an invertible map.
+    """Rewrite a hyperplane, or a list of them, in the coordinates x' = W x + b
+    of an invertible map.
 
     Preactivations are invariant: the new hyperplane takes the same value
-    at W x + b as the old one takes at x.
+    at W x + b as the old one takes at x.  A list is rewritten with one
+    nonsingularity check and one inverse and comes back as a list; each
+    row keeps its own matrix-vector product, so its bytes do not depend on
+    the rest of the list.
     """
     if not amap.is_nonsingular():
         raise ValueError("coordinate change must be nonsingular")
     W_inv = np.linalg.inv(amap.W)
-    w_new = W_inv.T @ h.w
-    b_new = h.b - float(w_new @ amap.b)
-    return Hyperplane(w_new, b_new)
+    out = []
+    for t in [h] if isinstance(h, Hyperplane) else h:
+        w_new = W_inv.T @ t.w
+        out.append(Hyperplane(w_new, t.b - float(w_new @ amap.b)))
+    return out[0] if isinstance(h, Hyperplane) else out
 
 
 def interference_avoiding_weights(fixed_weights, bias, off_dims, D2_images,
@@ -212,21 +218,39 @@ def interference_avoiding_weights(fixed_weights, bias, off_dims, D2_images,
     positive there.  The weight is one below the feasibility bound, which
     pushes every foreign preactivation to at most minus the sum of its off
     coordinates.
+
+    One row: ``fixed_weights`` is an m-vector with a scalar ``bias``,
+    ``off_dims`` one foreign group's dimensions and ``D2_images`` its
+    images; the weight comes back as a float.  Block: ``fixed_weights`` is
+    an (r, m) block of rows with r biases, ``off_dims`` a list of F foreign
+    groups' dimensions and ``D2_images`` the list of their images, each
+    zero outside its own group's dimensions; the result is (r, F), column
+    j the weight on group j's dimensions.  The block is solved with one
+    product over the stacked foreign points and a segment minimum per
+    group, and equals the row-by-row calls bit for bit.
     """
-    images = np.atleast_2d(np.asarray(D2_images, dtype=float))
-    off = np.asarray(off_dims, dtype=int)
-    if off.size == 0:
-        raise ValueError("need at least one off dimension")
-    off_coords = images[:, off]
-    if np.min(off_coords) <= tol:
-        raise ValueError(
-            "a foreign image has a nonpositive coordinate on an off dimension"
-        )
-    w_fixed = np.asarray(fixed_weights, dtype=float).copy()
-    w_fixed[off] = 0.0
-    C = images @ w_fixed + bias
-    sums = off_coords.sum(axis=1)
-    return float(np.min(-C / sums) - 1.0)
+    single = np.ndim(fixed_weights) == 1
+    if single:
+        fixed_weights, bias = [fixed_weights], [bias]
+        off_dims, D2_images = [off_dims], [D2_images]
+    W = np.array(fixed_weights, dtype=float)
+    offs = [np.asarray(d, dtype=int) for d in off_dims]
+    imgs = [np.asarray(x, dtype=float).reshape(-1, W.shape[1]) for x in D2_images]
+    sums = []
+    for off, images in zip(offs, imgs):
+        if off.size == 0:
+            raise ValueError("need at least one off dimension")
+        off_coords = images[:, off]
+        if off_coords.min() <= tol:
+            raise ValueError(
+                "a foreign image has a nonpositive coordinate on an off dimension"
+            )
+        sums.append(off_coords.sum(axis=1))
+    W[:, np.concatenate(offs)] = 0.0
+    C = np.vstack(imgs) @ W.T + np.asarray(bias, dtype=float)
+    starts = np.cumsum([0] + [x.shape[0] for x in imgs[:-1]])
+    weights = np.minimum.reduceat(-C / np.concatenate(sums)[:, None], starts).T - 1.0
+    return float(weights[0, 0]) if single else weights
 
 
 def rank_condition_check(W, n=None, tol=RANK_TOL):
@@ -262,19 +286,15 @@ def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None,
     anchor = p - float(base.value(p)) * base.w / float(base.w @ base.w)
     bundle = common_point_bundle(base, anchor, x_prime, cfg, trace, count=count)
 
-    rows = []
-    biases = []
-    for t in bundle:
-        lifted = lift_hyperplane(t, emb, free_values=np.zeros(len(emb.free_rows)))
-        w = lifted.w.copy()
-        b = lifted.b
-        for dims, images in foreign:
-            w[np.asarray(dims, dtype=int)] = interference_avoiding_weights(
-                w, b, dims, images
-            )
-        rows.append(w)
-        biases.append(b)
-    layer = Layer(np.array(rows), np.array(biases), "relu")
+    lifted = [lift_hyperplane(t, emb, free_values=np.zeros(len(emb.free_rows)))
+              for t in bundle]
+    W = np.array([t.w for t in lifted])
+    b = np.array([t.b for t in lifted])
+    if foreign:
+        dims = [d for d, _ in foreign]
+        weights = interference_avoiding_weights(W, b, dims, [x for _, x in foreign])
+        W[:, np.concatenate(dims)] = np.repeat(weights, [len(d) for d in dims], axis=1)
+    layer = Layer(W, b, "relu")
 
     own_out = np.maximum(D_images @ layer.weights.T + layer.biases, 0.0)
     fit, resid = affine_fit(D_images, own_out[:, : emb.n])

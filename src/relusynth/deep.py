@@ -6,6 +6,12 @@ and every new unit receives interference weights on the other groups'
 exclusive dimensions so it stays dark for them.  The last hidden layer
 gives each leaf a full-rank bundle of dim+1 units and the linear output
 layer solves each leaf's affine target independently.
+
+The work runs per bundle and per layer: a bundle is lifted into its
+group's frame with one pivot inverse and gets all its interference weights
+from one block solve against every foreign group of the layer, and each
+layer is audited with one product over the previous layer's images stacked
+in input row order.
 """
 
 from __future__ import annotations
@@ -103,7 +109,14 @@ class _NeedRefine(Exception):
 
 
 def _candidate_direction_cuts(sets, group, rng, tries=40):
-    """Direction-projection splits for large groups, best gaps first."""
+    """Direction-projection splits for large groups, best gaps first.
+
+    All points go through one product with all unit directions; each set's
+    extent on a direction is a segment min and max over its rows, and the
+    gap of every cut along the sorted order is the next set's low end minus
+    the running max of the high ends so far.  Each left side comes once,
+    and cuts are yielded lazily, so only the ones tried are built.
+    """
     pts = np.vstack([sets[i] for i in group])
     n = pts.shape[1]
     dirs = [np.eye(n)[i] for i in range(n)]
@@ -112,32 +125,23 @@ def _candidate_direction_cuts(sets, group, rng, tries=40):
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         dirs.extend(vt)
     dirs.extend(rng.normal(size=(tries, n)))
-    cuts = []
-    for d in dirs:
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            continue
-        d = d / norm
-        lo = np.array([np.min(sets[i] @ d) for i in group])
-        hi = np.array([np.max(sets[i] @ d) for i in group])
-        order = np.argsort(lo)
-        for cut in range(1, len(group)):
-            left = order[:cut]
-            right = order[cut:]
-            gap = np.min(lo[right]) - np.max(hi[left])
-            if gap > 0:
-                cuts.append((float(gap),
-                             tuple(sorted(group[i] for i in left)),
-                             tuple(sorted(group[i] for i in right))))
-    cuts.sort(key=lambda t: -t[0])
+    # one norm per direction: the axis= form rounds some of them differently
+    norms = np.array([np.linalg.norm(d) for d in dirs])
+    dirs = np.array(dirs)[norms != 0.0] / norms[norms != 0.0, None]
+    proj = pts @ dirs.T
+    starts = np.cumsum([0] + [len(sets[i]) for i in group[:-1]])
+    lo = np.minimum.reduceat(proj, starts).T        # (directions, sets)
+    hi = np.maximum.reduceat(proj, starts).T
+    order = np.argsort(lo, axis=1)
+    hi_so_far = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
+    gaps = np.take_along_axis(lo, order, axis=1)[:, 1:] - hi_so_far[:, :-1]
+    k, c = np.nonzero(gaps > 0)
     seen = set()
-    out = []
-    for gap, left, right in cuts:
-        if left in seen:
-            continue
-        seen.add(left)
-        out.append((left, right))
-    return out
+    for i in np.argsort(-gaps[k, c], kind="stable"):
+        left = tuple(sorted(group[j] for j in order[k[i], :c[i] + 1]))
+        if left not in seen:
+            seen.add(left)
+            yield left, tuple(sorted(group[j] for j in order[k[i], c[i] + 1:]))
 
 
 def _best_bipartition(sets, group, exhaustive_groups, rng):
@@ -211,11 +215,21 @@ def build_partition_tree(subdomains, exhaustive_groups=8, seed=0):
 class _Group:
     node: TreeNode
     leaf_ids: list
-    points: np.ndarray      # original-coordinate points of the group
+    points: np.ndarray      # original-coordinate points, in ascending leaf order
     M: np.ndarray           # frame: x -> block preactivations
     c: np.ndarray
     dims: list              # unit indices of the block in the current layer
     is_input: bool = False  # frame refers to the raw input, not relu outputs
+
+    def images(self, width):
+        """The group's points in a layer of the given width: its block's
+        outputs on its own units, zero on every other unit."""
+        vals = self.points @ self.M.T + self.c
+        if not self.is_input:
+            vals = np.maximum(vals, 0.0)
+        out = np.zeros((vals.shape[0], width))
+        out[:, self.dims] = vals
+        return out
 
 
 @dataclass
@@ -231,38 +245,32 @@ class DeepBuild:
     report: ConstructionReport
 
 
-def _scatter_images(width, dims, values):
-    out = np.zeros((values.shape[0], width))
-    out[:, dims] = values
-    return out
-
-
-def _lift_unit(t_x, group, prev_width, foreign):
-    """Full-width unit row realizing the original-coordinate hyperplane t_x
-    on the group's image, dark on every foreign group's points."""
+def _lift_bundle(bundle, group, prev_width, foreign_dims, foreign_images):
+    """Full-width unit rows realizing a bundle's original-coordinate
+    hyperplanes on the group's image, dark on every foreign group's points."""
     n = group.M.shape[1]
-    pivot = AffineMap(group.M[:n], group.c[:n])
-    t_blk = transform_hyperplane(t_x, pivot)
-    w = np.zeros(prev_width)
-    w[group.dims[:n]] = t_blk.w
-    b = t_blk.b
-    for dims, images in foreign:
-        w[np.asarray(dims, dtype=int)] = interference_avoiding_weights(
-            w, b, dims, images
-        )
-    return w, b
+    lifted = transform_hyperplane(bundle, AffineMap(group.M[:n], group.c[:n]))
+    W = np.zeros((len(lifted), prev_width))
+    W[:, group.dims[:n]] = [t.w for t in lifted]
+    b = np.array([t.b for t in lifted])
+    if foreign_dims:
+        weights = interference_avoiding_weights(W, b, foreign_dims, foreign_images)
+        W[:, np.concatenate(foreign_dims)] = np.repeat(
+            weights, [len(d) for d in foreign_dims], axis=1)
+    return W, b
 
 
-def _group_images(group, prev_width):
-    vals = group.points @ group.M.T + group.c
-    if not group.is_input:
-        vals = np.maximum(vals, 0.0)
-    return _scatter_images(prev_width, group.dims, vals)
-
-
-def _build_group_units(g, foreign, extra, n, cfg, trace, rows, biases, tags,
-                       new_groups, prev_width, sets):
-    """Append one group's units for the current layer and queue its successors."""
+def _group_bundles(g, last, count, cfg, trace, sets):
+    """The bundles one group adds to the next layer, each with the tree
+    node it carries, that node's points and its plan tag.  ``count`` is n
+    plus the group's extra units: the width of its first bundle, one less
+    than that of its output bundle."""
+    n = g.points.shape[1]
+    if last:
+        base = supporting_hyperplane(g.points)
+        bundle = same_classification_bundle(base, g.points, None, count + 1, cfg, trace)
+        return [(g.node, g.points, bundle,
+                 {"kind": "output-bundle", "leaf": g.node.leaf})]
     if g.node.is_leaf():
         # common-point family anchored in original coordinates, so frame
         # conditioning does not accumulate with depth; its restriction to
@@ -270,42 +278,45 @@ def _build_group_units(g, foreign, extra, n, cfg, trace, rows, biases, tags,
         base = supporting_hyperplane(g.points)
         p0 = g.points[0]
         anchor = p0 - float(base.value(p0)) * base.w / float(base.w @ base.w)
-        bundle = common_point_bundle(base, anchor, g.points, cfg, trace,
-                                     count=n + extra)
-        start = len(rows)
-        for t_x in bundle:
-            w, b = _lift_unit(t_x, g, prev_width, foreign)
-            rows.append(w)
-            biases.append(b)
-        tags.append({"kind": "passthrough", "leaf": g.node.leaf,
-                     "units": [start, len(bundle)]})
-        M_next = np.array([t.w for t in bundle])
-        c_next = np.array([t.b for t in bundle])
-        new_groups.append(_Group(g.node, g.leaf_ids, g.points,
-                                 M_next, c_next,
-                                 list(range(start, start + len(bundle)))))
-        return
+        bundle = common_point_bundle(base, anchor, g.points, cfg, trace, count=count)
+        return [(g.node, g.points, bundle, {"kind": "passthrough", "leaf": g.node.leaf})]
     pts_a = np.vstack([sets[i] for i in sorted(g.node.a.leaves())])
     pts_b = np.vstack([sets[i] for i in sorted(g.node.b.leaves())])
     sep = g.node.separator
-    bundle_a = same_classification_bundle(sep, pts_a, pts_b, n + extra, cfg, trace)
+    bundle_a = same_classification_bundle(sep, pts_a, pts_b, count, cfg, trace)
     bundle_b = same_classification_bundle(sep.negated(), pts_b, pts_a, n, cfg, trace)
-    for child, bundle, pts_child in (
-        (g.node.a, bundle_a, pts_a),
-        (g.node.b, bundle_b, pts_b),
-    ):
-        start = len(rows)
-        for t_x in bundle:
-            w, b = _lift_unit(t_x, g, prev_width, foreign)
-            rows.append(w)
-            biases.append(b)
-        tags.append({"kind": "split", "leaves": sorted(child.leaves()),
-                     "units": [start, len(bundle)]})
-        M_next = np.array([t.w for t in bundle])
-        c_next = np.array([t.b for t in bundle])
-        new_groups.append(_Group(child, sorted(child.leaves()), pts_child,
-                                 M_next, c_next,
-                                 list(range(start, start + len(bundle)))))
+    return [(child, pts, bundle, {"kind": "split", "leaves": sorted(child.leaves())})
+            for child, pts, bundle in ((g.node.a, pts_a, bundle_a),
+                                       (g.node.b, pts_b, bundle_b))]
+
+
+def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, trace, sets):
+    """One hidden layer: each group's bundles, lifted one bundle at a time
+    against all the other groups' images.  Returns the layer, its plan tags
+    and the groups it carries on."""
+    n = groups[0].points.shape[1]
+    rows, biases, tags, new_groups = [], [], [], []
+    width = 0
+    for gi, g in enumerate(groups):
+        foreign_dims = [h.dims for h in groups[:gi] + groups[gi + 1:]]
+        foreign_images = images[:gi] + images[gi + 1:]
+        try:
+            for node, pts, bundle, tag in _group_bundles(
+                    g, last, n + (extra if gi == 0 else 0), cfg, trace, sets):
+                W, b = _lift_bundle(bundle, g, prev_width, foreign_dims, foreign_images)
+                rows.append(W)
+                biases.append(b)
+                tags.append(dict(tag, units=[width, len(bundle)]))
+                new_groups.append(_Group(node, sorted(node.leaves()), pts,
+                                         np.array([t.w for t in bundle]),
+                                         np.array([t.b for t in bundle]),
+                                         list(range(width, width + len(bundle)))))
+                width += len(bundle)
+        except (ValueError, RuntimeError) as exc:
+            where = (f"output bundle for leaf {g.node.leaf}" if last
+                     else f"layer {layer_no}, group {sorted(g.leaf_ids)}")
+            raise type(exc)(f"{where}: {exc}") from exc
+    return Layer(np.vstack(rows), np.concatenate(biases), "relu"), tags, new_groups
 
 
 def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None, trace=None):
@@ -317,10 +328,10 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None, trace=None):
     sets = [pts for pts, _ in pwl.subdomains]
     maps = [amap for _, amap in pwl.subdomains]
 
-    # group point rows are always stacked in ascending leaf order so that
-    # parent and child rows stay aligned for the audits
-    root_points = np.vstack(sets)
-    groups = [_Group(tree.root, sorted(tree.root.leaves()), root_points,
+    # group point rows are always stacked in ascending leaf order, so a
+    # group's rows in the root stack are its leaves' rows
+    leaf_of_row = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    groups = [_Group(tree.root, sorted(tree.root.leaves()), np.vstack(sets),
                      np.eye(n), np.zeros(n), list(range(n)), is_input=True)]
     prev_width = n
 
@@ -329,91 +340,33 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None, trace=None):
     activation_audits = []
     affine_fit_residuals = []
     rank_audits = []
-    layer_no = 0
 
-    def extra_for(layer_idx):
-        if extras is None or layer_idx >= len(extras):
-            return 0
-        return int(extras[layer_idx])
-
-    while any(not g.node.is_leaf() for g in groups):
-        extra_budget = extra_for(layer_no)
-        layer_no += 1
-        rows, biases = [], []
-        tags = []
-        new_groups = []
-        foreign_cache = [
-            (g.dims, _group_images(g, prev_width)) for g in groups
-        ]
-        for gi, g in enumerate(groups):
-            foreign = [foreign_cache[fj] for fj in range(len(groups)) if fj != gi]
-            extra = extra_budget if gi == 0 else 0
-            try:
-                _build_group_units(g, foreign, extra, n, cfg, trace, rows,
-                                   biases, tags, new_groups, prev_width, sets)
-            except (ValueError, RuntimeError) as exc:
-                raise type(exc)(
-                    f"layer {layer_no}, group {sorted(g.leaf_ids)}: {exc}"
-                ) from exc
-        layer = Layer(np.array(rows), np.array(biases), "relu")
+    # one layer per tree level, then the last hidden layer: one full-rank
+    # bundle per leaf
+    last = False
+    while not last:
+        last = all(g.node.is_leaf() for g in groups)
+        layer_no = len(layers) + 1
+        extra = int(extras[len(layers)]) if extras and len(layers) < len(extras) else 0
+        images = [g.images(prev_width) for g in groups]
+        layer, tags, new_groups = _build_layer(groups, images, layer_no, last, extra,
+                                               prev_width, cfg, trace, sets)
         layers.append(layer)
         stage_plan.append(tags)
-        _audit_layer(layer, layer_no, groups, new_groups, prev_width,
+        _audit_layer(layer, layer_no, groups, images, new_groups, leaf_of_row,
                      activation_audits, affine_fit_residuals, rank_audits, cfg)
         groups = new_groups
         prev_width = layer.units
-
-    # last hidden layer: one full-rank bundle per leaf
-    extra_budget = extra_for(layer_no)
-    layer_no += 1
-    rows, biases = [], []
-    tags = []
-    leaf_bundles = {}
-    foreign_cache = [(g.dims, _group_images(g, prev_width)) for g in groups]
-    for gi, g in enumerate(groups):
-        foreign = [foreign_cache[fj] for fj in range(len(groups)) if fj != gi]
-        extra = extra_budget if gi == 0 else 0
-        try:
-            base = supporting_hyperplane(g.points)
-            bundle = same_classification_bundle(
-                base, g.points, None, n + 1 + extra, cfg, trace)
-            start = len(rows)
-            for t_x in bundle:
-                w, b = _lift_unit(t_x, g, prev_width, foreign)
-                rows.append(w)
-                biases.append(b)
-        except (ValueError, RuntimeError) as exc:
-            raise type(exc)(
-                f"output bundle for leaf {g.node.leaf}: {exc}") from exc
-        tags.append({"kind": "output-bundle", "leaf": g.node.leaf,
-                     "units": [start, len(bundle)]})
-        leaf_bundles[g.node.leaf] = (start, bundle)
-    last_hidden = Layer(np.array(rows), np.array(biases), "relu")
-    layers.append(last_hidden)
-    stage_plan.append(tags)
-    final_groups = [
-        _Group(g.node, g.leaf_ids, g.points,
-               np.array([t.w for t in leaf_bundles[g.node.leaf][1]]),
-               np.array([t.b for t in leaf_bundles[g.node.leaf][1]]),
-               list(range(leaf_bundles[g.node.leaf][0],
-                          leaf_bundles[g.node.leaf][0]
-                          + len(leaf_bundles[g.node.leaf][1]))))
-        for g in groups
-    ]
-    _audit_layer(last_hidden, layer_no, groups, final_groups, prev_width,
-                 activation_audits, affine_fit_residuals, rank_audits, cfg)
-    width = last_hidden.units
 
     # output layer: per-leaf coefficient match, independent per coordinate;
     # solved with the bias row re-expressed at the leaf centroid, which
     # drops the condition number for leaves far from the origin without
     # changing the solution
-    out_W = np.zeros((mu, width))
-    for leaf, (start, bundle) in leaf_bundles.items():
-        M = np.vstack([
-            np.column_stack([t.w for t in bundle]),
-            np.array([[t.b for t in bundle]]),
-        ])
+    out_W = np.zeros((mu, prev_width))
+    for g in groups:
+        leaf = g.node.leaf
+        # row-major: the solve's last bits depend on the memory layout
+        M = np.ascontiguousarray(np.vstack([g.M.T, g.c]))
         rank = numeric_rank(M)
         rank_audits.append({"layer": "output", "leaf": int(leaf),
                             "columns": M.shape[1], "rank": int(rank)})
@@ -429,10 +382,8 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None, trace=None):
             rhs_c[n] += float(centroid @ rhs[:n])
             mode = ("exact_square" if M.shape[1] == n + 1
                     else "least_norm_underdetermined")
-            alpha = solve_constrained(M_c, rhs_c, mode)
-            out_W[rho, start: start + len(bundle)] = alpha
-    out_layer = Layer(out_W, np.zeros(mu), "linear")
-    layers.append(out_layer)
+            out_W[rho, g.dims] = solve_constrained(M_c, rhs_c, mode)
+    layers.append(Layer(out_W, np.zeros(mu), "linear"))
 
     net = Network(n, tuple(layers))
     widths = [l.units for l in layers[:-1]]
@@ -474,46 +425,29 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None, trace=None):
     return build
 
 
-def _scatter_rows(width, dims, M):
-    out = np.zeros((width, M.shape[1]))
-    out[dims, :] = M
-    return out
-
-
-def _scatter_vec(width, dims, c):
-    out = np.zeros(width)
-    out[dims] = c
-    return out
-
-
-def _audit_layer(layer, layer_no, prev_groups, new_groups, prev_width,
+def _audit_layer(layer, layer_no, prev_groups, images, new_groups, leaf_of_row,
                  activation_audits, affine_fit_residuals, rank_audits, cfg):
-    """Group isolation and affine-transmission checks for one hidden layer."""
-    for g in new_groups:
-        own_prev = next(pg for pg in prev_groups if set(g.leaf_ids) <= set(pg.leaf_ids))
-        own_images = _group_images(own_prev, prev_width)
-        sel = np.array([
-            np.any(np.all(np.isclose(g.points, p, atol=1e-12), axis=1))
-            for p in own_prev.points
-        ])
-        own_pre = own_images[sel] @ layer.weights[g.dims].T + layer.biases[g.dims]
-        foreign_pre = []
-        for pg in prev_groups:
-            if set(pg.leaf_ids) & set(g.leaf_ids):
-                extra_pts = ~np.array([
-                    np.any(np.all(np.isclose(g.points, p, atol=1e-12), axis=1))
-                    for p in pg.points
-                ])
-                if extra_pts.any():
-                    imgs = _group_images(pg, prev_width)[extra_pts]
-                    foreign_pre.append(imgs @ layer.weights[g.dims].T
-                                       + layer.biases[g.dims])
-            else:
-                imgs = _group_images(pg, prev_width)
-                foreign_pre.append(imgs @ layer.weights[g.dims].T
-                                   + layer.biases[g.dims])
-        worst_foreign = (max(float(fp.max()) for fp in foreign_pre)
-                         if foreign_pre else -np.inf)
+    """Group isolation and affine-transmission checks for one hidden layer.
+
+    The previous groups' images are stacked once in root row order, so one
+    product gives every point's preactivations; each new group takes its
+    own rows and the foreign rows by leaf mask.
+    """
+    def group_of_row(groups):
+        of_leaf = np.empty(leaf_of_row.max() + 1, dtype=int)
+        for i, g in enumerate(groups):
+            of_leaf[g.leaf_ids] = i
+        return of_leaf[leaf_of_row]
+
+    A = np.empty((leaf_of_row.size, images[0].shape[1]))
+    A[np.argsort(group_of_row(prev_groups), kind="stable")] = np.vstack(images)
+    Z = A @ layer.weights.T + layer.biases
+    new_of_row = group_of_row(new_groups)
+    for gi, g in enumerate(new_groups):
+        own = new_of_row == gi
+        own_pre = Z[np.ix_(own, g.dims)]
+        foreign_pre = Z[np.ix_(~own, g.dims)]
+        worst_foreign = float(foreign_pre.max()) if foreign_pre.size else -np.inf
         audit = {
             "layer": layer_no,
             "leaves": [int(i) for i in g.leaf_ids],
@@ -627,14 +561,20 @@ def synth_decoder(codes, targets, cfg=None, seed=0):
     return decoder_build(codes, targets, cfg, seed).network
 
 
-def rebuild_deep_from_plan(plan, cfg=None, extras=None):
-    """Re-run a deep synthesis recorded in a report's plan."""
+def _plan_tree(plan):
+    """The final PWL and the partition tree a deep synthesis plan records."""
     if plan is None or plan.get("kind") != "deep":
         raise ValueError("not a deep synthesis plan")
     pwl = DiscretePWL.from_json_dict(plan["pwl"])
-    root = TreeNode.from_json_dict(plan["tree"])
-    tree = PartitionTree(root, [pts for pts, _ in pwl.subdomains],
+    tree = PartitionTree(TreeNode.from_json_dict(plan["tree"]),
+                         [pts for pts, _ in pwl.subdomains],
                          [int(i) for i in plan["origin"]])
+    return pwl, tree
+
+
+def rebuild_deep_from_plan(plan, cfg=None, extras=None):
+    """Re-run a deep synthesis recorded in a report's plan."""
+    pwl, tree = _plan_tree(plan)
     if extras is None:
         extras = plan.get("extras")
     return _synth_deep_impl(pwl, tree, cfg, plan.get("seed", 0), extras=extras)
@@ -642,13 +582,7 @@ def rebuild_deep_from_plan(plan, cfg=None, extras=None):
 
 def rebuild_deep_with_widths(build, target_widths):
     """Re-run a deep synthesis allocating extra redundant units per layer."""
-    plan = build.report.plan
-    if plan is None or plan.get("kind") != "deep":
-        raise ValueError("build carries no deep synthesis plan")
-    pwl = DiscretePWL.from_json_dict(plan["pwl"])
-    root = TreeNode.from_json_dict(plan["tree"])
-    tree = PartitionTree(root, [pts for pts, _ in pwl.subdomains],
-                         [int(i) for i in plan["origin"]])
+    pwl, tree = _plan_tree(build.report.plan)
     base = _base_widths(tree, pwl.dim)
     if len(target_widths) != len(base):
         raise ValueError(f"expected {len(base)} hidden widths, got {len(target_widths)}")

@@ -158,6 +158,56 @@ def test_lift_with_interference_weights(rng):
     assert (foreign @ lifted.w + lifted.b < 0).all()
 
 
+def _scattered_foreign_groups(rng, own, sizes):
+    """Foreign groups' images in one layer: each positive on its own
+    dimensions and zero on every other one, after ``own`` protected ones."""
+    width = own + sum(sizes)
+    dims, images = [], []
+    start = own
+    for k in sizes:
+        d = list(range(start, start + k))
+        img = np.zeros((int(rng.integers(1, 7)), width))
+        img[:, d] = rng.uniform(0.1, 5.0, size=(img.shape[0], k))
+        dims.append(d)
+        images.append(img)
+        start += k
+    return width, dims, images
+
+
+def test_interference_block_equals_row_by_row_calls(rng):
+    for _ in range(50):
+        sizes = rng.integers(1, 5, size=int(rng.integers(1, 6)))
+        own = int(rng.integers(1, 4))
+        width, dims, images = _scattered_foreign_groups(rng, own, sizes)
+        W = rng.normal(size=(int(rng.integers(1, 6)), width)) * 10
+        b = rng.normal(size=W.shape[0]) * 10
+        block = interference_avoiding_weights(W, b, dims, images)
+        rows = np.empty((W.shape[0], len(dims)))
+        for i in range(W.shape[0]):
+            w = W[i].copy()
+            for j, (d, img) in enumerate(zip(dims, images)):
+                rows[i, j] = interference_avoiding_weights(w, b[i], d, img)
+                w[d] = rows[i, j]
+        assert block.shape == rows.shape
+        assert block.tobytes() == rows.tobytes()
+
+
+def test_interference_block_rejects_nonpositive_off_coordinate(rng):
+    width, dims, images = _scattered_foreign_groups(rng, 2, [2, 3])
+    images[1][0, dims[1][1]] = 0.0
+    with pytest.raises(ValueError, match="nonpositive coordinate"):
+        interference_avoiding_weights(rng.normal(size=(3, width)), np.ones(3),
+                                      dims, images)
+
+
+def test_transform_list_equals_single_calls(rng):
+    amap = AffineMap(rng.normal(size=(3, 3)) + 3 * np.eye(3), rng.normal(size=3))
+    hs = [Hyperplane(rng.normal(size=3), rng.normal()) for _ in range(5)]
+    for one, many in zip((transform_hyperplane(h, amap) for h in hs),
+                         transform_hyperplane(hs, amap)):
+        assert one.w.tobytes() == many.w.tobytes() and one.b == many.b
+
+
 def test_transform_preserves_preactivation(rng):
     for _ in range(50):
         n = int(rng.integers(1, 5))
@@ -195,6 +245,17 @@ def test_passthrough_affine_equivalence_no_foreign(rng):
     fit, resid = affine_fit(pts, out[:, :2])
     assert resid <= 1e-8
     assert fit.is_nonsingular()
+
+
+def test_passthrough_darkens_foreign_group(rng):
+    emb = embedding_from_affine(np.vstack([np.eye(2), np.zeros((1, 2))]), np.zeros(3),
+                                pivot_rows=(0, 1))
+    own = np.column_stack([rng.normal(size=(6, 2)) + 5, np.zeros(6)])
+    foreign = np.zeros((4, 3))
+    foreign[:, 2] = rng.uniform(1.0, 3.0, size=4)
+    block = passthrough_layer(emb, own, foreign=[([2], foreign)])
+    assert (foreign @ block.weights.T + block.biases < 0).all()
+    assert (own @ block.weights.T + block.biases > 0).all()
 
 
 def test_passthrough_chain_depth_three(rng):

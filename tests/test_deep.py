@@ -4,10 +4,12 @@ import pytest
 from relusynth.core import AffineMap, DiscretePWL, forward_batch
 from relusynth.affine import interference_avoiding_weights
 from relusynth.ordering import separate
+import relusynth.deep as deep_module
 from relusynth.deep import (
     build_partition_tree,
     decoder_build,
     deep_build,
+    rebuild_deep_from_plan,
     synth_decoder,
     synth_deep,
     synth_deep_multi,
@@ -228,3 +230,43 @@ def test_deep_report_rank_audits_pass():
     for audit in build.report.rank_audits:
         if "rank_ok" in audit:
             assert audit["rank_ok"]
+
+
+def test_audit_tells_close_foreign_point_from_own():
+    # a foreign point 4e-4 from an own point at x = 50 lies within isclose's
+    # default relative tolerance; matching rows by coordinates took it for
+    # one of the group's own and failed a valid build at layer 2
+    s, g = 50.0, 4e-4
+    pwl = DiscretePWL(2, 1, (
+        (np.array([[s, 0.0], [s, 3.0]]), AffineMap(np.array([[1.0, 0.0]]), np.zeros(1))),
+        (np.array([[s + g, 0.0], [s + 3.0, 5.0]]),
+         AffineMap(np.array([[0.0, 1.0]]), np.array([2.0]))),
+        (np.array([[0.0, 40.0]]), AffineMap(np.zeros((1, 2)), np.ones(1))),
+    ))
+    build = deep_build(pwl)
+    assert build.report.max_residual <= 1e-8
+    out = forward_batch(build.network, pwl.all_points())
+    assert np.abs(out - pwl.all_targets()).max() <= 1e-8
+
+
+def test_audit_catches_broken_isolation(monkeypatch):
+    # with the interference solve disabled, foreign points reach the new
+    # units; the layer audit must say so, not pass a wrong network on
+    rng = np.random.default_rng(3)
+    pwl = DiscretePWL(2, 1, tuple(
+        (rng.normal(size=(3, 2)) * 0.5 + c,
+         AffineMap(rng.normal(size=(1, 2)), rng.normal(size=1)))
+        for c in np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0], [6.0, 6.0]])
+    ))
+    monkeypatch.setattr(deep_module, "interference_avoiding_weights",
+                        lambda W, b, dims, images: np.zeros((len(W), len(dims))))
+    with pytest.raises(RuntimeError, match=r"layer \d+: foreign preactivation"):
+        deep_build(pwl)
+
+
+def test_rebuild_from_plan_is_byte_identical(rng):
+    builds = [deep_build(cluster_fixture()),
+              decoder_build(rng.normal(size=(5, 2)), rng.normal(size=(5, 3)))]
+    for build in builds:
+        again = rebuild_deep_from_plan(build.report.plan)
+        assert again.network.to_json() == build.network.to_json()
