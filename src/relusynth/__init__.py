@@ -47,7 +47,6 @@ from .shallow import (
     LinearOutputMatrix,
     solve_output_weights,
     synth_classifier,
-    synth_distinguishable,
     synth_interpolate,
     synth_multi_output,
     synth_two_subdomains,

@@ -263,8 +263,7 @@ def rank_condition_check(W, n=None, tol=RANK_TOL):
     return rank >= n, rank
 
 
-def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None,
-                      trace=None):
+def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None):
     """A block of units that forwards one group unchanged up to an affine map.
 
     Builds a common-point family in the embedded coordinates (so the block's
@@ -284,7 +283,7 @@ def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None,
     base = supporting_hyperplane(x_prime)
     p = x_prime[0]
     anchor = p - float(base.value(p)) * base.w / float(base.w @ base.w)
-    bundle = common_point_bundle(base, anchor, x_prime, cfg, trace, count=count)
+    bundle = common_point_bundle(base, anchor, x_prime, cfg, count=count)
 
     lifted = [lift_hyperplane(t, emb, free_values=np.zeros(len(emb.free_rows)))
               for t in bundle]
@@ -311,10 +310,10 @@ def widen_network(build, target_widths=None, uniform=None, probe_points=1000,
                   seed=0):
     """Rebuild a synthesized network with wider hidden layers, same function.
 
-    New last-hidden units come from extending each stage's redundant power
-    family and re-solving the output weights; new units elsewhere extend
-    pass-through and split blocks with redundant members whose downstream
-    weights are fixed to zero.  Output invariance is probed on the training
+    New last-hidden units come from extending each stage's bundle with
+    redundant members and re-solving the output weights; new units
+    elsewhere extend pass-through and split blocks with redundant members
+    whose downstream weights are fixed to zero.  Output invariance is probed on the training
     points plus random convex combinations inside each subdomain.
     """
     from .deep import DeepBuild, rebuild_deep_with_widths

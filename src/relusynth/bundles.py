@@ -1,10 +1,19 @@
 """Hyperplane families with prescribed joint properties.
 
-Each family starts from a base hyperplane and perturbs its coefficients by
-powers of small distinct epsilons, which makes the stacked parameter matrix
-full rank while keeping every member's classification identical to the
-base.  Epsilons are halved geometrically until classification survives
-with margin.
+Each family starts from a base hyperplane, and each further member moves
+one free parameter of it: a non-pivot weight, or (for the
+same-classification family) the bias.  Stacked, the parameters are the
+base's plus a diagonal block, so they have full rank in every dimension.
+Each parameter's step is set in closed form from the base's smallest
+conditioning margin and how far the conditioning points lie along that
+parameter, so every member keeps the base's classification with at least
+half the required margin.
+
+The paper perturbs member j by powers eps_i**j of distinct epsilons
+instead.  That stacks into a Vandermonde block whose smallest singular
+value falls to about 1e-9 at dimension 8, too small for exact stage
+solves; any family works that keeps the base's classification with margin
+and stacks to full rank.
 """
 
 from __future__ import annotations
@@ -28,144 +37,92 @@ class MarginError(ValueError):
 @dataclass(frozen=True)
 class BundleConfig:
     margin: float = MARGIN
-    max_halvings: int = 60
-    epsilons: tuple | None = None
 
     def __post_init__(self):
         if self.margin <= 0:
             raise ValueError("margin must be positive")
-        if self.epsilons is not None:
-            eps = tuple(float(e) for e in self.epsilons)
-            if any(not 0.0 < e < 1.0 for e in eps):
-                raise ValueError("epsilons must lie in (0, 1)")
-            if len(set(eps)) != len(eps):
-                raise ValueError("epsilons must be pairwise distinct")
-            object.__setattr__(self, "epsilons", eps)
-
-    def seed_epsilons(self, count):
-        if self.epsilons is not None:
-            if len(self.epsilons) < count:
-                raise ValueError(f"need {count} epsilons, got {len(self.epsilons)}")
-            return np.array(self.epsilons[:count])
-        return 0.5 * (np.arange(1, count + 1) / (count + 1)) + 0.01
 
 
-def _pivot_permutation(w):
-    """Order coordinates so the largest-magnitude weight entry leads."""
-    pivot = int(np.argmax(np.abs(w)))
-    perm = np.concatenate([[pivot], np.delete(np.arange(w.shape[0]), pivot)])
-    return perm
+def _non_pivot(w):
+    """Weight indices other than the (first) largest-magnitude one."""
+    return np.delete(np.arange(w.shape[0]), np.argmax(np.abs(w)))
 
 
-def _classification_margins(hyperplanes, D_plus, D_zero):
-    worst = np.inf
-    offender = None
-    for h in hyperplanes:
-        if D_plus is not None and len(D_plus):
-            vals = h.value(D_plus)
-            i = int(np.argmin(vals))
-            if vals[i] < worst:
-                worst, offender = float(vals[i]), D_plus[i]
-        if D_zero is not None and len(D_zero):
-            vals = -h.value(D_zero)
-            i = int(np.argmin(vals))
-            if vals[i] < worst:
-                worst, offender = float(vals[i]), D_zero[i]
-    return worst, offender
+def _conditioning(D_plus, D_zero, n):
+    """Stacked conditioning points and the sign that makes each one's
+    preactivation its margin (+1 on D_plus, -1 on D_zero)."""
+    parts = [np.atleast_2d(np.asarray(D, dtype=float)) if D is not None and len(D)
+             else np.zeros((0, n)) for D in (D_plus, D_zero)]
+    signs = np.repeat([1.0, -1.0], [len(P) for P in parts])
+    return np.vstack(parts), signs
 
 
-def _bounded_prescale(base, eps, count, bound, worst):
-    """Scale factor letting the seed epsilons survive the margin check.
+def _require_margins(h, pts, signs, floor, what):
+    """The hyperplane's margins on the conditioning points; raises
+    MarginError naming the worst point when one falls below ``floor``."""
+    margins = signs * h.value(pts)
+    if len(margins) and margins.min() < floor:
+        i = int(np.argmin(margins))
+        raise MarginError(
+            f"{what} margin {margins[i]:.3g} is below the required {floor:.3g}",
+            point=pts[i],
+        )
+    return margins
 
-    Scaling the base grows every conditioning margin while the family's
-    independent directions stay at seed size, so classification holds
-    without shrinking the epsilons.  The factor is capped where further
-    scaling would push the parameter matrix below the rank tolerance;
-    beyond the cap the halving loop takes over.
+
+def _axis_family(base, count, free, reach, worst, anchor=None):
+    """The base followed by ``count - 1`` members, each moving one parameter.
+
+    ``free`` indexes the F movable entries of the parameter vector (w, b),
+    index dim being the bias, and ``reach[j]`` is the most a unit move of
+    entry free[j] shifts any conditioning preactivation.  Member i adds
+    eps_j * m to entry free[j], where j = (i - 1) mod F and
+    m = 1 + (i - 1) // F; with no free entry the members repeat the base.  With eps_j = worst / (2 m_max reach_j) no member
+    shifts a conditioning preactivation by more than worst / 2, so each
+    keeps the base's sides with at least half its smallest margin.  Each
+    eps_j is capped at the pivot weight's magnitude, which also sets it for
+    an entry no conditioning point feels.  With an anchor, every member's
+    bias is recomputed so that it passes through the anchor.
     """
-    powers = np.arange(1, max(count, 2))
-    P = np.array([[e ** p for p in powers] for e in eps])
-    prof = float(np.linalg.svd(P, compute_uv=False)[-1]) if P.size else 1.0
-    p_norm = float(np.sqrt(base.w @ base.w + base.b ** 2))
-    s_max = prof / (100.0 * 1e-9 * max(p_norm, 1e-12) * np.sqrt(count))
-    return float(np.clip(2.0 * bound / worst, 1.0, max(s_max, 1.0)))
+    n, F = base.dim, len(free)
+    moves = np.zeros((count - 1, n + 1))
+    if F:
+        i = np.arange(count - 1)
+        m = 1 + i // F
+        with np.errstate(divide="ignore"):
+            eps = np.minimum(worst / (2.0 * m[-1] * reach), np.max(np.abs(base.w)))
+        moves[i, free[i % F]] = eps[i % F] * m
+    bundle = [base]
+    for p in np.append(base.w, base.b) + moves:
+        w = p[:n]
+        bundle.append(Hyperplane(w, -float(w @ anchor) if anchor is not None else p[n]))
+    return bundle
 
 
-def _family_members(base, eps, powers, perm, with_bias, anchor=None):
-    """Perturbed copies of the base hyperplane, one per entry of ``powers``.
-
-    In pivot order the lead weight stays fixed and coordinate i picks up
-    eps[i-1]**power; with_bias also perturbs the bias by eps[-1]**power.
-    When an anchor is given, every member's bias is recomputed so the
-    member passes through it exactly.
-    """
-    w_p = base.w[perm]
-    members = []
-    for power in powers:
-        w_new = w_p.copy()
-        w_new[1:] += eps[: w_p.shape[0] - 1] ** power
-        b_new = base.b + (eps[-1] ** power if with_bias else 0.0)
-        w_out = np.empty_like(w_new)
-        w_out[perm] = w_new
-        if anchor is not None:
-            b_new = -float(w_out @ anchor)
-        members.append(Hyperplane(w_out, b_new))
-    return members
-
-
-def same_classification_bundle(base, D_plus, D_zero, count, cfg=BundleConfig(),
-                               trace=None):
+def same_classification_bundle(base, D_plus, D_zero, count, cfg=BundleConfig()):
     """``count`` hyperplanes (including the base) classifying like the base.
 
     The base must put D_plus on its plus side and D_zero on its zero side,
-    both with margin at least cfg.margin.  Members perturb the non-pivot
-    weights and the bias by powers of distinct epsilons, halved until every
-    member preserves the classification with margin >= cfg.margin / 2; the
-    stacked (dim+1)-row parameter matrix then has full rank.
+    both with margin at least cfg.margin.  The members form the axis-aligned
+    family over the non-pivot weights and the bias, so every member keeps
+    the classification with at least half the base's smallest margin
+    (checked against cfg.margin / 2) and the stacked (dim+1)-row parameter
+    matrix has rank min(count, dim + 1).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     n = base.dim
-    D_plus = np.atleast_2d(np.asarray(D_plus, dtype=float)) if D_plus is not None and len(D_plus) else np.zeros((0, n))
-    D_zero = np.atleast_2d(np.asarray(D_zero, dtype=float)) if D_zero is not None and len(D_zero) else np.zeros((0, n))
-    delta = cfg.margin
-
-    worst, offender = _classification_margins([base], D_plus, D_zero)
-    if worst < delta:
-        raise MarginError(
-            f"base hyperplane margin {worst:.3g} is below the required {delta:.3g}",
-            point=offender,
-        )
+    pts, signs = _conditioning(D_plus, D_zero, n)
+    margins = _require_margins(base, pts, signs, cfg.margin, "base hyperplane")
     if count == 1:
         return [base]
 
-    perm = _pivot_permutation(base.w)
-    eps = cfg.seed_epsilons(n)
-    # scale the base up until the seed epsilons cannot flip any
-    # conditioning point: margins grow with the scale while the family's
-    # independent directions stay at seed size, so both classification and
-    # the full-rank property hold without shrinking the epsilons
-    stacks = [p for p in (D_plus, D_zero) if len(p)]
-    if stacks:
-        pts = np.vstack(stacks)
-        bound = float(np.max(np.abs(pts[:, perm[1:]]) @ eps[: n - 1] + eps[-1]))
-        base = base.scaled(_bounded_prescale(base, eps, count, bound, worst))
-    powers = np.arange(1, count)
-    for halving in range(cfg.max_halvings + 1):
-        members = _family_members(base, eps, powers, perm, with_bias=True)
-        worst, offender = _classification_margins(members, D_plus, D_zero)
-        if worst >= delta / 2.0:
-            if trace is not None:
-                trace.append({"event": "bundle_halvings", "count": halving})
-            break
-        eps = eps / 2.0
-    else:
-        raise MarginError(
-            f"epsilon halving exhausted; worst member margin {worst:.3g}",
-            point=offender,
-        )
+    free = np.append(_non_pivot(base.w), n)
+    reach = np.append(np.abs(pts[:, free[:-1]]).max(axis=0, initial=0.0), 1.0)
+    bundle = _axis_family(base, count, free, reach, margins.min(initial=np.inf))
+    for h in bundle[1:]:
+        _require_margins(h, pts, signs, cfg.margin / 2.0, "family member")
 
-    bundle = [base] + members
     stacked = np.vstack([
         np.column_stack([h.w for h in bundle]),
         np.array([[h.b for h in bundle]]),
@@ -173,13 +130,11 @@ def same_classification_bundle(base, D_plus, D_zero, count, cfg=BundleConfig(),
     expected = min(count, n + 1)
     rank = numeric_rank(stacked)
     if rank < expected:
-        raise RuntimeError(
-            f"bundle parameter matrix rank {rank} < {expected}; epsilons degenerated"
-        )
+        raise RuntimeError(f"bundle parameter matrix rank {rank} < {expected}")
     return bundle
 
 
-def reversed_pair_bundles(D1, D2, k1, k2, cfg=BundleConfig(), trace=None):
+def reversed_pair_bundles(D1, D2, k1, k2, cfg=BundleConfig()):
     """Two families with opposite sides: D1 in every plus of the first and
     every zero of the second, D2 reversed.
 
@@ -196,8 +151,8 @@ def reversed_pair_bundles(D1, D2, k1, k2, cfg=BundleConfig(), trace=None):
             res,
         )
     base = res.hyperplane
-    bundle_a = same_classification_bundle(base, D1, D2, k1, cfg, trace)
-    bundle_b = same_classification_bundle(base.negated(), D2, D1, k2, cfg, trace)
+    bundle_a = same_classification_bundle(base, D1, D2, k1, cfg)
+    bundle_b = same_classification_bundle(base.negated(), D2, D1, k2, cfg)
 
     n = D1.shape[1]
     if k1 == k2 == n:
@@ -212,15 +167,15 @@ def reversed_pair_bundles(D1, D2, k1, k2, cfg=BundleConfig(), trace=None):
     return bundle_a, bundle_b
 
 
-def common_point_bundle(base, anchor, D_plus, cfg=BundleConfig(), trace=None,
-                        count=None):
+def common_point_bundle(base, anchor, D_plus, cfg=BundleConfig(), count=None):
     """dim hyperplanes through one common point, all classifying like the base.
 
-    The base must contain the anchor; members recompute their bias from the
-    anchor so the whole family meets exactly there, and the dim-by-dim
-    weight matrix of the first dim members is nonsingular, so their
-    intersection is the anchor alone.  ``count`` beyond dim appends
-    redundant members from the same power family.
+    The base must contain the anchor.  The members form the axis-aligned
+    family over the non-pivot weights, each with its bias recomputed from
+    the anchor, so the whole family meets exactly there; the weight rows of
+    the first dim members are the base's plus a diagonal block, so their
+    intersection is the anchor alone.  ``count`` beyond dim cycles through
+    the same weights again with growing multiples.
     """
     n = base.dim
     count = n if count is None else count
@@ -229,44 +184,17 @@ def common_point_bundle(base, anchor, D_plus, cfg=BundleConfig(), trace=None,
     anchor = np.asarray(anchor, dtype=float)
     if abs(float(base.value(anchor))) > 1e-9:
         raise ValueError("anchor does not lie on the base hyperplane")
-    D_plus = np.atleast_2d(np.asarray(D_plus, dtype=float))
-    delta = cfg.margin
-    worst, offender = _classification_margins([base], D_plus, None)
-    if worst < delta:
-        raise MarginError(
-            f"base hyperplane margin {worst:.3g} is below the required {delta:.3g}",
-            point=offender,
-        )
+    pts, signs = _conditioning(D_plus, None, n)
+    margins = _require_margins(base, pts, signs, cfg.margin, "base hyperplane")
     if count == 1:
         return [base]
 
-    perm = _pivot_permutation(base.w)
-    eps = cfg.seed_epsilons(max(n - 1, 1))
-    # pre-scale as in the classification family: member preactivations
-    # differ from the (scaled) base by the epsilon terms applied to the
-    # anchor-relative coordinates
-    rel = np.abs(D_plus[:, perm[1:]] - anchor[perm[1:]])
-    if rel.size:
-        bound = float(np.max(rel @ eps[: n - 1]))
-        if bound > 0:
-            base = base.scaled(_bounded_prescale(base, eps, count, bound, worst))
-    powers = np.arange(1, count)
-    for halving in range(cfg.max_halvings + 1):
-        members = _family_members(base, eps, powers, perm, with_bias=False,
-                                  anchor=anchor)
-        worst, offender = _classification_margins(members, D_plus, None)
-        if worst >= delta / 2.0:
-            if trace is not None:
-                trace.append({"event": "bundle_halvings", "count": halving})
-            break
-        eps = eps / 2.0
-    else:
-        raise MarginError(
-            f"epsilon halving exhausted; worst member margin {worst:.3g}",
-            point=offender,
-        )
+    free = _non_pivot(base.w)
+    reach = np.abs(pts[:, free] - anchor[free]).max(axis=0, initial=0.0)
+    bundle = _axis_family(base, count, free, reach, margins.min(initial=np.inf), anchor)
+    for h in bundle[1:]:
+        _require_margins(h, pts, signs, cfg.margin / 2.0, "family member")
 
-    bundle = [base] + members
     W = np.array([h.w for h in bundle[:n]])
     if n > 1 and numeric_rank(W) < n:
         raise RuntimeError("common-point weight matrix is singular")

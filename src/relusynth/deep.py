@@ -260,7 +260,7 @@ def _lift_bundle(bundle, group, prev_width, foreign_dims, foreign_images):
     return W, b
 
 
-def _group_bundles(g, last, count, cfg, trace, sets):
+def _group_bundles(g, last, count, cfg, sets):
     """The bundles one group adds to the next layer, each with the tree
     node it carries, that node's points and its plan tag.  ``count`` is n
     plus the group's extra units: the width of its first bundle, one less
@@ -268,7 +268,7 @@ def _group_bundles(g, last, count, cfg, trace, sets):
     n = g.points.shape[1]
     if last:
         base = supporting_hyperplane(g.points)
-        bundle = same_classification_bundle(base, g.points, None, count + 1, cfg, trace)
+        bundle = same_classification_bundle(base, g.points, None, count + 1, cfg)
         return [(g.node, g.points, bundle,
                  {"kind": "output-bundle", "leaf": g.node.leaf})]
     if g.node.is_leaf():
@@ -278,19 +278,19 @@ def _group_bundles(g, last, count, cfg, trace, sets):
         base = supporting_hyperplane(g.points)
         p0 = g.points[0]
         anchor = p0 - float(base.value(p0)) * base.w / float(base.w @ base.w)
-        bundle = common_point_bundle(base, anchor, g.points, cfg, trace, count=count)
+        bundle = common_point_bundle(base, anchor, g.points, cfg, count=count)
         return [(g.node, g.points, bundle, {"kind": "passthrough", "leaf": g.node.leaf})]
     pts_a = np.vstack([sets[i] for i in sorted(g.node.a.leaves())])
     pts_b = np.vstack([sets[i] for i in sorted(g.node.b.leaves())])
     sep = g.node.separator
-    bundle_a = same_classification_bundle(sep, pts_a, pts_b, count, cfg, trace)
-    bundle_b = same_classification_bundle(sep.negated(), pts_b, pts_a, n, cfg, trace)
+    bundle_a = same_classification_bundle(sep, pts_a, pts_b, count, cfg)
+    bundle_b = same_classification_bundle(sep.negated(), pts_b, pts_a, n, cfg)
     return [(child, pts, bundle, {"kind": "split", "leaves": sorted(child.leaves())})
             for child, pts, bundle in ((g.node.a, pts_a, bundle_a),
                                        (g.node.b, pts_b, bundle_b))]
 
 
-def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, trace, sets):
+def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, sets):
     """One hidden layer: each group's bundles, lifted one bundle at a time
     against all the other groups' images.  Returns the layer, its plan tags
     and the groups it carries on."""
@@ -302,7 +302,7 @@ def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, trace, 
         foreign_images = images[:gi] + images[gi + 1:]
         try:
             for node, pts, bundle, tag in _group_bundles(
-                    g, last, n + (extra if gi == 0 else 0), cfg, trace, sets):
+                    g, last, n + (extra if gi == 0 else 0), cfg, sets):
                 W, b = _lift_bundle(bundle, g, prev_width, foreign_dims, foreign_images)
                 rows.append(W)
                 biases.append(b)
@@ -319,10 +319,9 @@ def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, trace, 
     return Layer(np.vstack(rows), np.concatenate(biases), "relu"), tags, new_groups
 
 
-def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None, trace=None):
+def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
     t_start = time.monotonic()
     cfg = cfg or BundleConfig()
-    trace = trace if trace is not None else []
     n = pwl.dim
     mu = pwl.output_dim
     sets = [pts for pts, _ in pwl.subdomains]
@@ -350,7 +349,7 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None, trace=None):
         extra = int(extras[len(layers)]) if extras and len(layers) < len(extras) else 0
         images = [g.images(prev_width) for g in groups]
         layer, tags, new_groups = _build_layer(groups, images, layer_no, last, extra,
-                                               prev_width, cfg, trace, sets)
+                                               prev_width, cfg, sets)
         layers.append(layer)
         stage_plan.append(tags)
         _audit_layer(layer, layer_no, groups, images, new_groups, leaf_of_row,
@@ -401,7 +400,6 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None, trace=None):
         activation_audits=activation_audits,
         rank_audits=rank_audits,
         affine_fit_residuals=affine_fit_residuals,
-        traces=list(trace),
         seed=seed,
         wall_clock=time.monotonic() - t_start,
         tolerances={

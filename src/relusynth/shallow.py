@@ -28,7 +28,7 @@ from .core import (
     RankDeficientError,
 )
 from .core import supporting_hyperplane
-from .bundles import BundleConfig, MarginError, same_classification_bundle
+from .bundles import BundleConfig, same_classification_bundle
 from .ordering import DistinguishableOrder, check_distinguishable, distinguishable_order, separate
 from .report import ConstructionReport
 
@@ -154,44 +154,21 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
     hidden_biases = []
     for pos, j in enumerate(order.order):
         base = order.hyperplanes[pos]
-        own = sets[j]
-        earlier = [sets[order.order[m]] for m in range(pos)]
-        # keep later subdomains on whichever side the base already has them,
-        # so members cannot split what the base classifies uniformly (a
-        # split would leave a partial stage sum in some later solve); when a
-        # barely-separated later set makes the family degenerate, retry
-        # without the tightest optional sets
-        optional = []
+        # keep later subdomains on whichever side the base already has them
+        # with margin, so members cannot split what the base classifies
+        # uniformly (a split would leave a partial stage sum in some later
+        # solve)
+        d_plus, d_zero = [sets[j]], [sets[order.order[m]] for m in range(pos)]
         for m in range(pos + 1, k):
             later = sets[order.order[m]]
             vals = base.value(later)
             if (vals >= cfg.margin).all():
-                optional.append((float(vals.min()), later, "plus"))
+                d_plus.append(later)
             elif (vals <= -cfg.margin).all():
-                optional.append((float(-vals.max()), later, "zero"))
-        optional.sort(key=lambda t: -t[0])  # widest margins first
+                d_zero.append(later)
         count = (n + 1) + (extra_units if pos == 0 else 0)
-        bundle = None
-        for keep in range(len(optional), -1, -1):
-            d_plus = [own] + [s for _, s, side in optional[:keep] if side == "plus"]
-            d_zero = list(earlier) + [s for _, s, side in optional[:keep]
-                                      if side == "zero"]
-            try:
-                bundle = same_classification_bundle(
-                    base,
-                    np.vstack(d_plus),
-                    np.vstack(d_zero) if d_zero else None,
-                    count,
-                    cfg,
-                    trace,
-                )
-                break
-            except (MarginError, RuntimeError):
-                if keep == 0:
-                    raise
-                if trace is not None:
-                    trace.append({"event": "stage_conditioning_dropped",
-                                  "stage": pos, "kept": keep - 1})
+        bundle = same_classification_bundle(
+            base, np.vstack(d_plus), np.vstack(d_zero) if d_zero else None, count, cfg)
         stages.append(ShallowStage(pos, j, base, count, bundle, unit_cursor))
         for h in bundle:
             hidden_rows.append(h.w)
@@ -396,12 +373,6 @@ def synth_two_subdomains(pwl, cfg=None, seed=0):
     l1 = supporting_hyperplane(np.vstack([D1, D2]), direction=l2.w)
     order = DistinguishableOrder((0, 1), (l1, l2))
     return build_staircase(pwl, order=order, cfg=cfg, seed=seed).network
-
-
-def synth_distinguishable(pwl, order, cfg=None, seed=0, extra_units=0):
-    """Synthesis for subdomains already arranged in a valid staircase order."""
-    return build_staircase(pwl, order=order, cfg=cfg, seed=seed,
-                           extra_units=extra_units).network
 
 
 def interpolation_build(points, values, cfg=None, seed=0, extra_units=0):

@@ -1,6 +1,17 @@
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without it
+    pass
+else:
+    # fixed examples, so tier-1 runs the same builds every time; builds of
+    # 8-D networks take tens of milliseconds, so no per-example deadline
+    settings.register_profile("relusynth", derandomize=True, deadline=None,
+                              database=None, max_examples=150)
+    settings.load_profile("relusynth")
+
 
 def det_cofactor(M):
     """Determinant by cofactor expansion; independent of numpy.linalg."""

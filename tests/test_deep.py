@@ -270,3 +270,68 @@ def test_rebuild_from_plan_is_byte_identical(rng):
     for build in builds:
         again = rebuild_deep_from_plan(build.report.plan)
         assert again.network.to_json() == build.network.to_json()
+
+
+def _gaussian_clusters(rng, n, clusters):
+    """The clusters of the dimension sweep: three points around each of
+    ``clusters`` centres, each cluster carrying a random affine map."""
+    return DiscretePWL(n, 1, tuple(
+        (rng.normal(size=(3, n)) * 0.8 + c,
+         AffineMap(rng.normal(size=(1, n)), rng.normal(size=1)))
+        for c in rng.normal(size=(clusters, n)) * 10))
+
+
+def _input_residual(build, pwl):
+    out = forward_batch(build.network, pwl.all_points())
+    return float(np.abs(out - pwl.all_targets()).max())
+
+
+@pytest.mark.parametrize("n, clusters", [(4, 3), (5, 4)])
+def test_deep_exact_at_dimension_four_and_five(n, clusters):
+    # the epsilon-power family left residuals of 1.2e-7 and 6.7e-6 here
+    pwl = _gaussian_clusters(np.random.default_rng(0), n, clusters)
+    assert _input_residual(deep_build(pwl), pwl) <= 1e-8
+
+
+# eight 3-D clusters of 1-4 points, seeded default_rng([32, 56]); with the
+# epsilon-power family the build ended at residual 1.8e-7
+SEED56_POINTS = np.array([
+    [17.922671211512334, 2.4350381383446704, -5.373009893021634],
+    [14.359796294784434, -13.728738999028277, -0.07346395699825647],
+    [13.961749262871276, -12.195386452289371, 2.05772186611892],
+    [0.3685455476401916, 0.8569950580828616, 9.182648954403444],
+    [0.12992259265547346, 1.9555550353505473, 8.73977632865062],
+    [0.43492058151487495, 2.0106072804352584, 7.886549585332302],
+    [-10.403600391437246, 4.671703923685392, 8.24671769918496],
+    [-11.7075122383201, 6.268885008936389, 8.81624400177306],
+    [-9.947405855912086, 4.941953427120485, 7.699909859024026],
+    [-10.42590862751684, 4.56295194656262, 7.482652759284065],
+    [-4.578333357947801, -4.787692100991512, -5.726494057106748],
+    [-8.801667344805878, 3.34468861581675, 6.549861523738224],
+    [-8.366993707788053, 4.433949631478892, 4.705540473607434],
+    [-8.081594868310965, 4.442475081666386, 5.063257622922087],
+    [-6.996683010934953, 1.2239286202641813, 6.432496739370517],
+    [-9.8630097722011, 2.755922487570699, 5.826924089759153],
+    [-1.8348626007757116, 8.757104072592732, 3.5428531741120337],
+    [-1.705465255435342, 9.692979437532909, 4.628674061957159],
+    [-2.6883052217163055, 8.324260333134946, 4.494106427866474],
+    [-1.656815356817424, 8.166930557770497, 5.147806718980046],
+])
+SEED56_MAPS = np.array([
+    [0.9548223037855094, -0.6747270567663909, -0.6146152968492017, -0.0030210634126009582],
+    [-0.5174190687672384, 0.7031695114631482, -0.01095602803296158, -0.2544978271128975],
+    [0.6264085965917129, -0.01936994105702209, 0.7291689691691153, -0.7241827747767344],
+    [1.2966837244768947, -1.3673394908964036, -1.4844158043563462, -0.046445908237033075],
+    [-0.5165929770983728, 1.3874654428007442, -0.8730579912698913, -1.5110148563323877],
+    [-0.9743388553722353, -1.2019084517385212, -1.074506101662184, -0.2639368189392091],
+    [-0.9777669681165736, 0.9175889028727773, -0.628313882583921, 2.6449915199284293],
+    [0.34739494282594313, 0.1075230167683273, 0.771098852102517, -1.3908180024821835],
+])
+
+
+def test_deep_exact_on_seed56_clusters():
+    owner = np.repeat(np.arange(8), [1 + i % 4 for i in range(8)])
+    pwl = DiscretePWL(3, 1, tuple(
+        (SEED56_POINTS[owner == i], AffineMap(m[None, :3], m[3:]))
+        for i, m in enumerate(SEED56_MAPS)))
+    assert _input_residual(deep_build(pwl, seed=56), pwl) <= 1e-8

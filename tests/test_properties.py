@@ -1,0 +1,67 @@
+"""Property tests: exact synthesis in dimensions 1-8, on generic inputs and
+on inputs with points within 1e-4 of a line or plane through others."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+from relusynth.core import AffineMap, DiscretePWL, forward_batch
+from relusynth.deep import deep_build
+from relusynth.shallow import interpolation_build
+
+
+def near_flat_point(rng, points, offset):
+    """A point within ``offset`` of the line (two points) or plane (three)
+    through some of ``points``, off it along a direction normal to it."""
+    k, n = points.shape
+    q = int(rng.integers(2, min(3, k) + 1))
+    through = points[rng.choice(k, size=q, replace=False)]
+    coeffs = rng.normal(size=q)
+    coeffs += (1.0 - coeffs.sum()) / q           # an affine combination
+    normal = rng.normal(size=n)
+    span = (through[1:] - through[0]).T
+    if n > q - 1:
+        Q, _ = np.linalg.qr(span)
+        normal -= Q @ (Q.T @ normal)
+    length = np.linalg.norm(normal)
+    step = normal * (offset / length) if length > 1e-12 else 0.0
+    return coeffs @ through + step
+
+
+near_degenerate = st.lists(st.floats(0.0, 1e-4), max_size=3)
+
+
+def check_exact(build, X, Y):
+    fresh = float(np.abs(forward_batch(build.network, X) - Y).max())
+    assert fresh <= 1e-8
+    assert build.report.max_residual == pytest.approx(fresh, rel=1e-6, abs=1e-15)
+
+
+@given(n=st.integers(1, 8), k=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       offsets=near_degenerate)
+def test_interpolation_exact(n, k, seed, offsets):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(k, n)) * 3
+    for off in offsets:
+        X = np.vstack([X, near_flat_point(rng, X, off)])
+    X = np.unique(X.round(decimals=9), axis=0)
+    Y = rng.normal(size=(len(X), 1))
+    check_exact(interpolation_build(X, Y[:, 0], seed=seed % 1000), X, Y)
+
+
+@given(n=st.integers(1, 8), clusters=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       offsets=near_degenerate)
+def test_deep_exact(n, clusters, seed, offsets):
+    # near-degenerate points stay in their own cluster: one that lies almost
+    # on a line through another cluster's points is a separate open defect
+    rng = np.random.default_rng(seed)
+    subs = []
+    for c, centre in enumerate(rng.normal(size=(clusters, n)) * 10):
+        P = centre + rng.normal(size=(3, n)) * 0.8
+        if c < len(offsets):
+            P = np.vstack([P, near_flat_point(rng, P, offsets[c])])
+        subs.append((P, AffineMap(rng.normal(size=(1, n)), rng.normal(size=1))))
+    pwl = DiscretePWL(n, 1, tuple(subs))
+    check_exact(deep_build(pwl, seed=seed % 1000), pwl.all_points(), pwl.all_targets())

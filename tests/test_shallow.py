@@ -274,3 +274,13 @@ def test_report_contents(rng):
     assert rep.plan["kind"] == "shallow"
     assert len(rep.rank_audits) == 4
     assert all(a["rank"] == 3 for a in rep.rank_audits)
+
+
+@pytest.mark.parametrize("n, k, rng_seed, seed", [(5, 30, 0, 0), (4, 12, 5037, 37)])
+def test_interpolate_exact_at_dimension_four_and_five(n, k, rng_seed, seed):
+    # the epsilon-power family lost rank here ("rank 4 < 6", "rank 4 < 5")
+    r = np.random.default_rng(rng_seed)
+    pts = r.normal(size=(k, n)) * 3
+    vals = r.normal(size=k)
+    build = interpolation_build(pts, vals, seed=seed)
+    assert np.abs(forward_batch(build.network, pts)[:, 0] - vals).max() <= 1e-8
