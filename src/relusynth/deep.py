@@ -1,5 +1,10 @@
 """Deep synthesis by recursive region dividing.
 
+The partition tree splits each group by its most balanced direction cut,
+certified by a max-margin LP that also sets the separator: k - 1 LPs for k
+subdomains, and depth ceil(log2 k) when every group has a cut into halves.
+Groups that no cut separates are refined to singletons.
+
 Each tree level becomes one hidden layer: groups being split get a pair of
 reversed-side bundles, groups already isolated get pass-through blocks,
 and every new unit receives interference weights on the other groups'
@@ -8,10 +13,10 @@ gives each leaf a full-rank bundle of dim+1 units and the linear output
 layer solves each leaf's affine target independently.
 
 The work runs per bundle and per layer: a bundle is lifted into its
-group's frame with one pivot inverse and gets all its interference weights
-from one block solve against every foreign group of the layer, and each
-layer is audited with one product over the previous layer's images stacked
-in input row order.
+group's frame with one pivot inverse; each group of the layer gets one
+interference solve, which sets the weight on its units for every unit the
+other groups own; and each layer is audited with one product over the
+previous layer's images stacked in input row order.
 """
 
 from __future__ import annotations
@@ -109,13 +114,15 @@ class _NeedRefine(Exception):
 
 
 def _candidate_direction_cuts(sets, group, rng, tries=40):
-    """Direction-projection splits for large groups, best gaps first.
+    """Direction-projection splits of a group, most balanced first.
 
     All points go through one product with all unit directions; each set's
     extent on a direction is a segment min and max over its rows, and the
     gap of every cut along the sorted order is the next set's low end minus
-    the running max of the high ends so far.  Each left side comes once,
-    and cuts are yielded lazily, so only the ones tried are built.
+    the running max of the high ends so far.  Cuts whose gap is at least
+    1e-3 of the widest come most balanced first (by the smaller side's set
+    count), then by gap, largest first; each left side comes once, and cuts
+    are yielded lazily, so only the ones tried are built.
     """
     pts = np.vstack([sets[i] for i in group])
     n = pts.shape[1]
@@ -135,46 +142,25 @@ def _candidate_direction_cuts(sets, group, rng, tries=40):
     order = np.argsort(lo, axis=1)
     hi_so_far = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
     gaps = np.take_along_axis(lo, order, axis=1)[:, 1:] - hi_so_far[:, :-1]
-    k, c = np.nonzero(gaps > 0)
+    # a cut far thinner than the group's widest gives an ill-conditioned
+    # split frame; it waits for a group where no wider cut remains
+    k, c = np.nonzero(gaps > max(0.0, 1e-3 * gaps.max()))
+    smaller = np.minimum(c + 1, len(group) - c - 1)
     seen = set()
-    for i in np.argsort(-gaps[k, c], kind="stable"):
+    for i in np.lexsort((-gaps[k, c], -smaller)):
         left = tuple(sorted(group[j] for j in order[k[i], :c[i] + 1]))
         if left not in seen:
             seen.add(left)
             yield left, tuple(sorted(group[j] for j in order[k[i], c[i] + 1:]))
 
 
-def _best_bipartition(sets, group, exhaustive_groups, rng):
-    """Max-margin separable bipartition; lexicographic encoding breaks ties."""
-    g = len(group)
-    if g <= exhaustive_groups:
-        # fix the last element's side to skip mirror duplicates; the scan
-        # order makes the lowest encoding win margin ties
-        best = None
-        for code in range(1, 2 ** (g - 1)):
-            left = [group[i] for i in range(g - 1) if (code >> i) & 1]
-            right = [i for i in group if i not in left]
-            res = separate(np.vstack([sets[i] for i in left]),
-                           np.vstack([sets[i] for i in right]))
-            if res.separable and (best is None or res.lp_margin > best[0]):
-                best = (res.lp_margin, tuple(left), tuple(right), res.hyperplane)
-        if best is None:
-            raise _NeedRefine(group)
-        return best[1], best[2], best[3]
-    for left, right in _candidate_direction_cuts(sets, list(group), rng):
-        res = separate(np.vstack([sets[i] for i in left]),
-                       np.vstack([sets[i] for i in right]))
-        if res.separable:
-            return left, right, res.hyperplane
-    raise _NeedRefine(group)
-
-
-def build_partition_tree(subdomains, exhaustive_groups=8, seed=0):
+def build_partition_tree(subdomains, seed=0):
     """Recursively bipartition subdomains into linearly separable groups.
 
-    When a group of two or more subdomains admits no separable bipartition,
-    its multi-point subdomains are split into singletons and the whole tree
-    is rebuilt; distinct points always separate eventually.
+    Each group is split by its most balanced LP-certified direction cut.
+    When a group of two or more subdomains has none, its multi-point
+    subdomains are split into singletons and the whole tree is rebuilt;
+    distinct points always separate eventually.
     """
     sets = [np.atleast_2d(np.asarray(s, dtype=float)) for s in subdomains]
     origin = list(range(len(sets)))
@@ -186,8 +172,13 @@ def build_partition_tree(subdomains, exhaustive_groups=8, seed=0):
     def grow(group):
         if len(group) == 1:
             return TreeNode(leaf=group[0])
-        left, right, sep = _best_bipartition(sets, tuple(group), exhaustive_groups, rng)
-        return TreeNode(a=grow(list(left)), b=grow(list(right)), separator=sep)
+        for left, right in _candidate_direction_cuts(sets, group, rng):
+            res = separate(np.vstack([sets[i] for i in left]),
+                           np.vstack([sets[i] for i in right]))
+            if res.separable:
+                return TreeNode(a=grow(list(left)), b=grow(list(right)),
+                                separator=res.hyperplane)
+        raise _NeedRefine(group)
 
     while True:
         try:
@@ -245,19 +236,14 @@ class DeepBuild:
     report: ConstructionReport
 
 
-def _lift_bundle(bundle, group, prev_width, foreign_dims, foreign_images):
+def _lift_bundle(bundle, group, prev_width):
     """Full-width unit rows realizing a bundle's original-coordinate
-    hyperplanes on the group's image, dark on every foreign group's points."""
+    hyperplanes on the group's image, zero on every other group's units."""
     n = group.M.shape[1]
     lifted = transform_hyperplane(bundle, AffineMap(group.M[:n], group.c[:n]))
     W = np.zeros((len(lifted), prev_width))
     W[:, group.dims[:n]] = [t.w for t in lifted]
-    b = np.array([t.b for t in lifted])
-    if foreign_dims:
-        weights = interference_avoiding_weights(W, b, foreign_dims, foreign_images)
-        W[:, np.concatenate(foreign_dims)] = np.repeat(
-            weights, [len(d) for d in foreign_dims], axis=1)
-    return W, b
+    return W, np.array([t.b for t in lifted])
 
 
 def _group_bundles(g, last, count, cfg, sets):
@@ -291,21 +277,20 @@ def _group_bundles(g, last, count, cfg, sets):
 
 
 def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, sets):
-    """One hidden layer: each group's bundles, lifted one bundle at a time
-    against all the other groups' images.  Returns the layer, its plan tags
-    and the groups it carries on."""
+    """One hidden layer: each group's bundles, lifted one bundle at a time,
+    then one interference solve per group for the units the other groups
+    own.  Returns the layer, its plan tags and the groups it carries on."""
     n = groups[0].points.shape[1]
-    rows, biases, tags, new_groups = [], [], [], []
+    rows, biases, owner, tags, new_groups = [], [], [], [], []
     width = 0
     for gi, g in enumerate(groups):
-        foreign_dims = [h.dims for h in groups[:gi] + groups[gi + 1:]]
-        foreign_images = images[:gi] + images[gi + 1:]
         try:
             for node, pts, bundle, tag in _group_bundles(
                     g, last, n + (extra if gi == 0 else 0), cfg, sets):
-                W, b = _lift_bundle(bundle, g, prev_width, foreign_dims, foreign_images)
+                W, b = _lift_bundle(bundle, g, prev_width)
                 rows.append(W)
                 biases.append(b)
+                owner.extend([gi] * len(bundle))
                 tags.append(dict(tag, units=[width, len(bundle)]))
                 new_groups.append(_Group(node, sorted(node.leaves()), pts,
                                          np.array([t.w for t in bundle]),
@@ -316,7 +301,20 @@ def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, sets):
             where = (f"output bundle for leaf {g.node.leaf}" if last
                      else f"layer {layer_no}, group {sorted(g.leaf_ids)}")
             raise type(exc)(f"{where}: {exc}") from exc
-    return Layer(np.vstack(rows), np.concatenate(biases), "relu"), tags, new_groups
+    W, b, owner = np.vstack(rows), np.concatenate(biases), np.array(owner)
+    if len(groups) > 1:
+        # a group's images are zero off its own units, so one solve per
+        # group sets the weight on its units for every unit it does not own
+        for hi, h in enumerate(groups):
+            other = owner != hi
+            try:
+                weights = interference_avoiding_weights(
+                    W[other], b[other], [h.dims], [images[hi]])
+            except ValueError as exc:
+                raise ValueError(f"layer {layer_no}, foreign group "
+                                 f"{sorted(h.leaf_ids)}: {exc}") from exc
+            W[np.ix_(other, h.dims)] = weights
+    return Layer(W, b, "relu"), tags, new_groups
 
 
 def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
@@ -503,9 +501,8 @@ def _final_pwl(pwl, tree):
     return DiscretePWL(pwl.dim, pwl.output_dim, subs)
 
 
-def deep_build(pwl, cfg=None, seed=0, exhaustive_groups=8):
-    tree = build_partition_tree([pts for pts, _ in pwl.subdomains],
-                                exhaustive_groups, seed)
+def deep_build(pwl, cfg=None, seed=0):
+    tree = build_partition_tree([pts for pts, _ in pwl.subdomains], seed)
     return _synth_deep_impl(_final_pwl(pwl, tree), tree, cfg, seed)
 
 

@@ -112,6 +112,53 @@ def test_partition_tree_interleaved_falls_back_to_singletons():
     walk(tree.root)
 
 
+def _jittered_grid(rng, nx, ny):
+    """Clusters of three points jittered around an nx-by-ny lattice of
+    centres 3 apart, each cluster carrying a random affine map."""
+    return DiscretePWL(2, 1, tuple(
+        (rng.normal(size=(3, 2)) * 0.3 + 3.0 * np.array([i, j]),
+         AffineMap(rng.normal(size=(1, 2)), rng.normal(size=1)))
+        for i in range(nx) for j in range(ny)))
+
+
+def _depth(node):
+    return 0 if node.is_leaf() else 1 + max(_depth(node.a), _depth(node.b))
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (8, 4), (8, 8)])
+def test_balanced_tree_on_jittered_grids(monkeypatch, nx, ny):
+    # the max-margin split peeled off about one cluster per level: depths
+    # 6/7/12 and 103/397/961 separation LPs on these grids
+    k = nx * ny
+    pwl = _jittered_grid(np.random.default_rng(0), nx, ny)
+    lps = []
+
+    def counting(A, B):
+        lps.append(1)
+        return separate(A, B)
+
+    monkeypatch.setattr(deep_module, "separate", counting)
+    tree = build_partition_tree([pts for pts, _ in pwl.subdomains])
+    assert len(tree.subdomains) == k
+    assert _depth(tree.root) == int(np.ceil(np.log2(k)))
+    assert len(lps) <= k - 1
+
+    def walk(node):
+        if node.is_leaf():
+            return
+        A = np.vstack([tree.subdomains[i] for i in node.a.leaves()])
+        B = np.vstack([tree.subdomains[i] for i in node.b.leaves()])
+        assert (node.separator.value(A) > 0).all()
+        assert (node.separator.value(B) < 0).all()
+        walk(node.a)
+        walk(node.b)
+
+    walk(tree.root)
+    build = deep_build(pwl)
+    assert len(build.network.layers) - 1 == _depth(build.tree.root) + 1
+    assert _input_residual(build, pwl) <= 1e-8
+
+
 def test_partition_tree_duplicate_points_rejected():
     with pytest.raises(ValueError):
         build_partition_tree([np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]])])
@@ -335,3 +382,43 @@ def test_deep_exact_on_seed56_clusters():
         (SEED56_POINTS[owner == i], AffineMap(m[None, :3], m[3:]))
         for i, m in enumerate(SEED56_MAPS)))
     assert _input_residual(deep_build(pwl, seed=56), pwl) <= 1e-8
+
+
+def test_deep_exact_with_point_near_a_foreign_line():
+    # a point of cluster 1 lies 1e-4 from the midpoint of a segment of
+    # cluster 0; the max-margin split then certified a separator nearly
+    # orthogonal to that segment, whose frame missed 1e-8 on seeds 5, 6,
+    # 22, 24, 28 and 35.  No sampled direction cut separates the thin
+    # split, so the group is refined to singletons instead.
+    for seed in range(40):
+        r = np.random.default_rng(seed)
+        S = r.normal(size=(4, 3, 4)) * 3
+        u = r.normal(size=4)
+        d = S[0, 1] - S[0, 0]
+        u -= (u @ d) / (d @ d) * d
+        S[1, 0] = (S[0, 0] + S[0, 1]) / 2 + 1e-4 * u / np.linalg.norm(u)
+        pwl = DiscretePWL(4, 1, tuple(
+            (P, AffineMap(r.normal(size=(1, 4)), r.normal(size=1))) for P in S))
+        assert _input_residual(deep_build(pwl), pwl) <= 1e-8, seed
+
+
+def test_deep_exact_when_the_balanced_cut_is_thin():
+    # clusters 0 and 1 sit between clusters 2 and 3 along x and are 1e-4
+    # apart there, with a point of cluster 1 that close to a segment of
+    # cluster 0.  The only 2|2 cut runs through that gap, and its split
+    # frame has a condition number of about 1e6; ranked by balance alone,
+    # it was taken at the root and the build missed 1e-8 on seeds 1, 2 and
+    # 27.  Deferred to the {0, 1} group, it does not.
+    for seed in range(40):
+        r = np.random.default_rng(seed)
+        S = r.normal(size=(4, 3, 4)) * 3
+        S[2, :, 0] = -20 + r.normal(size=3)
+        S[3, :, 0] = 20 + r.normal(size=3)
+        S[0, :, 0] = -np.abs(r.normal(size=3)) * 3
+        S[0, :2, 0] = 0.0
+        S[1, :, 0] = 1e-4 + np.abs(r.normal(size=3)) * 3
+        S[1, 0] = (S[0, 0] + S[0, 1]) / 2
+        S[1, 0, 0] = 1e-4
+        pwl = DiscretePWL(4, 1, tuple(
+            (P, AffineMap(r.normal(size=(1, 4)), r.normal(size=1))) for P in S))
+        assert _input_residual(deep_build(pwl), pwl) <= 1e-8, seed
