@@ -41,6 +41,7 @@ from .ordering import (
     check_distinguishable,
     distinguishable_order,
     maximum_hyperplane,
+    projection_order,
     separate,
 )
 from .shallow import (

@@ -1,10 +1,13 @@
 """Linear separability and the ordered-subdomain machinery.
 
 ``separate`` is the max-margin LP every other construction leans on.
-``distinguishable_order`` arranges singleton subdomains so each has a
-hyperplane with itself strictly on the plus side and every earlier
-subdomain strictly on the zero side; that staircase structure is what
-lets the shallow synthesizer solve output weights stage by stage.
+A staircase order arranges singleton subdomains so each has a hyperplane
+with itself strictly on the plus side and every earlier subdomain strictly
+on the zero side; that structure is what lets the shallow synthesizer
+solve output weights stage by stage.  ``projection_order`` is the one
+builds use: an order along a seeded direction, one LP per position.
+``distinguishable_order`` is the paper's construction by maximum
+hyperplanes, which ``relusynth order`` runs.
 """
 
 from __future__ import annotations
@@ -115,18 +118,26 @@ def check_distinguishable(sets_in_order, hyperplanes, margin=MARGIN):
     """Verify the staircase conditions on already-ordered point sets.
 
     Position nu must have its own set at preactivation >= margin and the
-    union of all earlier sets at <= -margin.  Returns (ok, failures) where
-    failures lists (position, kind, worst_value).
+    union of all earlier sets at <= -margin.  Each position takes one
+    product of its hyperplane with the stacked sets up to its own.
+    Returns (ok, failures) where failures lists (position, kind,
+    worst_value).
     """
+    sets = [np.atleast_2d(pts) for pts in sets_in_order]
+    points = np.vstack(sets)
+    sizes = [len(pts) for pts in sets]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     failures = []
-    for nu, (pts, h) in enumerate(zip(sets_in_order, hyperplanes)):
-        vals = h.value(np.atleast_2d(pts))
-        if vals.min() < margin:
-            failures.append((nu, "own-side", float(vals.min())))
-        for mu in range(nu):
-            prev = h.value(np.atleast_2d(sets_in_order[mu]))
-            if prev.max() > -margin:
-                failures.append((nu, f"earlier-set-{mu}", float(prev.max())))
+    for nu, h in zip(range(len(sets)), hyperplanes):
+        vals = h.value(points[: ends[nu]])
+        own = vals[starts[nu]:].min()
+        if own < margin:
+            failures.append((nu, "own-side", float(own)))
+        if nu:
+            prev = np.maximum.reduceat(vals[: starts[nu]], starts[:nu])
+            for mu in np.flatnonzero(prev > -margin):
+                failures.append((nu, f"earlier-set-{mu}", float(prev[mu])))
     return len(failures) == 0, failures
 
 
@@ -315,6 +326,71 @@ def _rescale_for(h, constrained_points):
     return h.scaled(max(1.0, 2.0 * MARGIN / worst))
 
 
+def _singleton_points(sets):
+    """Stack singleton subdomains into one point array.
+
+    Raises ValueError when a subdomain has more than one point, or when two
+    points coincide after rounding to 12 decimals.
+    """
+    if any(s.shape[0] != 1 for s in sets):
+        raise ValueError(
+            "construction route requires singleton subdomains; "
+            "supply hyperplanes to validate an existing order instead"
+        )
+    points = np.vstack(sets)
+    if len(np.unique(points.round(decimals=12), axis=0)) != len(sets):
+        raise ValueError("duplicate points across subdomains")
+    return points
+
+
+def _staircase_lines(points, order, lines):
+    """One max-margin line per position of a staircase order.
+
+    ``order`` lists point indices in staircase order and ``lines[pos]`` is
+    a line that already meets position pos's conditions.  Each position
+    after the first gets the separation LP's max-margin separator of its
+    point from every earlier one, which keeps every condition while giving
+    the bundles the best possible margins; where the LP finds no
+    separator, the given line is kept, scaled to clear the margin floor.
+    The first position has no earlier point and keeps its line.  A
+    staircase of k points costs k - 1 LPs.
+    """
+    hps = [_rescale_for(lines[0], [points[order[0]][None, :]])]
+    for pos in range(1, len(order)):
+        own = points[order[pos]][None, :]
+        res = separate(own, points[list(order[:pos])])
+        if res.separable:
+            hps.append(res.hyperplane)
+        else:
+            hps.append(_rescale_for(lines[pos], [points[list(order[: pos + 1])]]))
+    return hps
+
+
+def projection_order(subdomains, seed=0):
+    """The staircase order that builds use: singletons sorted along one
+    seeded random unit direction u.
+
+    The point placed last is the farthest along u of the points placed so
+    far, so it separates from all of them: the cut halfway between it and
+    its predecessor along u is a staircase line, and the max-margin LP
+    separator that replaces it (``_staircase_lines``) has at least half
+    that gap as its margin.  This deviates from the paper, whose order
+    gives each point a maximum hyperplane (``distinguishable_order``); a
+    build needs only some staircase, and this one takes k - 1 LPs.
+    """
+    points = _singleton_points(
+        [np.atleast_2d(np.asarray(s, dtype=float)) for s in subdomains])
+    u = np.random.default_rng(seed).normal(size=points.shape[1])
+    u /= np.linalg.norm(u)
+    proj = points @ u
+    order = np.argsort(proj, kind="stable")
+    along = proj[order]
+    lines = [Hyperplane(u, 1.0 - along[0])]
+    lines += [Hyperplane(u, -0.5 * (lo + hi)) for lo, hi in zip(along, along[1:])]
+    return DistinguishableOrder(tuple(order.tolist()),
+                                tuple(_staircase_lines(points, order, lines)))
+
+
 def distinguishable_order(
     subdomains,
     seed=0,
@@ -327,15 +403,18 @@ def distinguishable_order(
 ):
     """Order subdomains into the staircase structure with one hyperplane each.
 
-    Construction route: every subdomain must be a singleton; points are
-    processed in index order, each via its maximum hyperplane over the
-    already-placed points (``maximum_hyperplane``: the LP-verified
-    touch-set cover, or the greedy fallback on degenerate inputs and above
-    ``MAX_TOUCH_SUBSETS``).  Points left stranded on the new plus side are
-    reprocessed by translating the new hyperplane past them one at a time
-    (boundary at the midpoint between consecutive points along the normal),
-    with a seeded random weight perturbation whenever several of them tie
-    along the normal direction.
+    This is the paper's construction and the route of ``relusynth order``;
+    builds use the cheaper ``projection_order``.  Construction route:
+    every subdomain must be a singleton; points are processed in index
+    order, each via its maximum hyperplane over the already-placed points
+    (``maximum_hyperplane``: the LP-verified touch-set cover, or the greedy
+    fallback on degenerate inputs and above ``MAX_TOUCH_SUBSETS``).  Points
+    left stranded on the new plus side are reprocessed by translating the
+    new hyperplane past them one at a time (boundary at the midpoint
+    between consecutive points along the normal), with a seeded random
+    weight perturbation whenever several of them tie along the normal
+    direction.  Once the order is fixed, ``_staircase_lines`` replaces each
+    line with its max-margin separator.
 
     Validation route: pass ``hyperplanes`` (and optionally ``order``) to
     check an existing staircase instead of building one.
@@ -353,15 +432,7 @@ def distinguishable_order(
             raise ValueError(f"supplied hyperplanes fail the staircase check: {failures}")
         return DistinguishableOrder(order, tuple(hyperplanes))
 
-    if any(s.shape[0] != 1 for s in sets):
-        raise ValueError(
-            "construction route requires singleton subdomains; "
-            "supply hyperplanes to validate an existing order instead"
-        )
-    points = np.vstack(sets)
-    if len(np.unique(points.round(decimals=12), axis=0)) != k:
-        raise ValueError("duplicate points across subdomains")
-
+    points = _singleton_points(sets)
     rng = np.random.default_rng(seed)
     n = points.shape[1]
 
@@ -392,24 +463,8 @@ def distinguishable_order(
                 max_perturb_rounds, max_halvings, trace,
             )
 
-    # polish: the induction fixes the order; each line can then be replaced
-    # by the max-margin separator for its own staircase constraints, which
-    # keeps every condition while giving downstream perturbation families
-    # the best possible margins
-    ordered_sets = [points[j][None, :] for j in order_list]
-    hps = []
-    for pos, j in enumerate(order_list):
-        if pos == 0:
-            hps.append(_rescale_for(lines[j], [points[j][None, :]]))
-            continue
-        earlier = points[[order_list[m] for m in range(pos)]]
-        res = separate(points[j][None, :], earlier)
-        if res.separable:
-            hps.append(res.hyperplane)
-        else:
-            constrained = points[[order_list[m] for m in range(pos + 1)]]
-            hps.append(_rescale_for(lines[j], [constrained]))
-    ok, failures = check_distinguishable(ordered_sets, hps, margin)
+    hps = _staircase_lines(points, order_list, [lines[j] for j in order_list])
+    ok, failures = check_distinguishable([points[j][None, :] for j in order_list], hps, margin)
     if not ok:
         raise RuntimeError(f"constructed order fails its own staircase check: {failures}")
     return DistinguishableOrder(tuple(order_list), tuple(hps))

@@ -5,6 +5,11 @@ full-rank bundle of dim+1 hyperplanes, then solve output weights stage by
 stage.  Because every earlier subdomain sits on the zero side of later
 bundles, each stage's solve matches the target coefficients exactly
 without disturbing what came before.
+
+Builds order their singleton points along one seeded direction
+(``ordering.projection_order``), which takes one LP per point after the
+first, rather than by the paper's maximum hyperplanes.  A supplied order,
+such as a report's plan, is used as given.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .core import (
 )
 from .core import supporting_hyperplane
 from .bundles import BundleConfig, same_classification_bundle
-from .ordering import DistinguishableOrder, check_distinguishable, distinguishable_order, separate
+from .ordering import DistinguishableOrder, check_distinguishable, projection_order, separate
 from .report import ConstructionReport
 
 
@@ -111,187 +116,155 @@ class ShallowBuild:
     report: ConstructionReport
 
 
-def _uniform_side(h, points, tol=ACTIVATION_TOL):
-    """'plus', 'zero' or None if the hyperplane splits the set."""
-    vals = h.value(np.atleast_2d(points))
-    if (vals > tol).all():
-        return "plus"
-    if (vals <= tol).all():
-        return "zero"
-    return None
-
-
 def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
-                    relu_output=False, trace=None):
+                    relu_output=False):
     """Staircase synthesis engine shared by every three-layer route.
 
-    ``pwl`` supplies the subdomains and their affine targets; ``order`` is
-    constructed from singletons when not supplied.  Every output dimension
-    is solved independently against the shared hidden layer.  With
-    ``relu_output`` the output units are ReLUs with a bias unknown folded
-    into the first stage's solve.
+    ``pwl`` supplies the subdomains and their affine targets; when no
+    ``order`` is supplied, the singletons are ordered along a direction
+    drawn from ``seed`` (``projection_order``, k - 1 LPs).  Every output
+    dimension is solved independently against the shared hidden layer.
+    With ``relu_output`` the output units are ReLUs with a bias unknown
+    folded into the first stage's solve.  Which later sets each base
+    holds with margin is read from one product of the ordered points with
+    the bases; the uniformity check, the activation audit and the solves'
+    contributions from earlier units read one product with the hidden
+    layer.
     """
     t_start = time.monotonic()
     cfg = cfg or BundleConfig()
-    trace = trace if trace is not None else []
     n = pwl.dim
     sets = [pts for pts, _ in pwl.subdomains]
     maps = [amap for _, amap in pwl.subdomains]
 
     if order is None:
-        order = distinguishable_order(sets, seed=seed, margin=cfg.margin,
-                                      trace=trace)
-    ok, failures = check_distinguishable(
-        [sets[j] for j in order.order], order.hyperplanes, cfg.margin
-    )
+        order = projection_order(sets, seed=seed)
+    ordered = [sets[j] for j in order.order]
+    ok, failures = check_distinguishable(ordered, order.hyperplanes, cfg.margin)
     if not ok:
         raise GeometryError(f"order fails the staircase check: {failures}")
 
     k = len(order.order)
+    X = np.vstack(ordered)
+    sizes = np.array([len(pts) for pts in ordered])
+    starts = np.cumsum(sizes) - sizes
+    row_pos = np.repeat(np.arange(k), sizes)    # position of each row's set
+    positions = np.arange(k)
+
+    # keep later subdomains on whichever side the base already has them
+    # with margin, so members cannot split what the base classifies
+    # uniformly (a split would leave a partial stage sum in some later
+    # solve)
+    V = X @ np.array([h.w for h in order.hyperplanes]).T + np.array(
+        [h.b for h in order.hyperplanes])
+    later_plus = np.minimum.reduceat(V, starts, axis=0) >= cfg.margin
+    later_zero = np.maximum.reduceat(V, starts, axis=0) <= -cfg.margin
     stages = []
     unit_cursor = 0
-    hidden_rows = []
-    hidden_biases = []
     for pos, j in enumerate(order.order):
         base = order.hyperplanes[pos]
-        # keep later subdomains on whichever side the base already has them
-        # with margin, so members cannot split what the base classifies
-        # uniformly (a split would leave a partial stage sum in some later
-        # solve)
-        d_plus, d_zero = [sets[j]], [sets[order.order[m]] for m in range(pos)]
-        for m in range(pos + 1, k):
-            later = sets[order.order[m]]
-            vals = base.value(later)
-            if (vals >= cfg.margin).all():
-                d_plus.append(later)
-            elif (vals <= -cfg.margin).all():
-                d_zero.append(later)
+        later = positions > pos
+        plus = (positions == pos) | (later & later_plus[:, pos])
+        zero = (positions < pos) | (later & later_zero[:, pos])
         count = (n + 1) + (extra_units if pos == 0 else 0)
         bundle = same_classification_bundle(
-            base, np.vstack(d_plus), np.vstack(d_zero) if d_zero else None, count, cfg)
+            base, X[plus[row_pos]], X[zero[row_pos]], count, cfg)
         stages.append(ShallowStage(pos, j, base, count, bundle, unit_cursor))
-        for h in bundle:
-            hidden_rows.append(h.w)
-            hidden_biases.append(h.b)
         unit_cursor += count
+
+    hidden = Layer(np.array([h.w for st in stages for h in st.bundle]),
+                   np.array([h.b for st in stages for h in st.bundle]), "relu")
+    unit_stage = np.repeat(positions, [st.count for st in stages])
+    Z = hidden.preactivation(X)
+    low = np.minimum.reduceat(Z, starts, axis=0)     # per set and unit
+    high = np.maximum.reduceat(Z, starts, axis=0)
 
     # uniformity precondition: every earlier member classifies each later
     # subdomain entirely on one side
-    for stage in stages:
-        for m in range(stage.position + 1, k):
-            later_idx = order.order[m]
-            for h in stage.bundle:
-                if _uniform_side(h, sets[later_idx]) is None:
-                    raise UniformityError(
-                        f"stage {stage.position} hyperplane splits subdomain {later_idx}",
-                        subdomain=later_idx,
-                        hyperplane=h,
-                    )
+    split = (low <= ACTIVATION_TOL) & (high > ACTIVATION_TOL)
+    split &= positions[:, None] > unit_stage[None, :]
+    if split.any():
+        m, u = np.nonzero(split)
+        first = np.lexsort((u, m, unit_stage[u]))[0]
+        stage = stages[unit_stage[u[first]]]
+        raise UniformityError(
+            f"stage {stage.position} hyperplane splits subdomain {order.order[m[first]]}",
+            subdomain=order.order[m[first]],
+            hyperplane=stage.bundle[u[first] - stage.unit_start],
+        )
 
-    hidden = Layer(np.array(hidden_rows), np.array(hidden_biases), "relu")
-    width = hidden.units
-
+    # each stage matrix is stacked (w, b) columns of its bundle, built and
+    # ranked once; the bias row is re-expressed at the stage centroid for
+    # the solves: same solution, tighter conditioning for data away from
+    # the origin
+    params = np.column_stack([hidden.weights, hidden.biases])
     mu = pwl.output_dim
-    out_W = np.zeros((mu, width))
-    out_b = np.zeros(mu)
+    out_W = np.zeros((mu, hidden.units))
+    out_b = np.zeros(mu)    # a relu output's bias, solved in the first stage
     rank_audits = []
-    for rho in range(mu):
-        beta = 0.0
-        solved = {}  # unit index -> output weight
-        for stage in stages:
-            amap = maps[stage.subdomain]
-            target_w = amap.W[rho]
-            target_b = float(amap.b[rho])
-            probe = sets[stage.subdomain][0]
-            rhs = np.concatenate([target_w, [target_b]])
-            for u, alpha_u in solved.items():
-                h_u = hidden.hyperplane(u)
-                if float(h_u.value(probe)) > ACTIVATION_TOL:
-                    rhs = rhs - alpha_u * np.concatenate([h_u.w, [h_u.b]])
-            M = np.vstack([
-                np.column_stack([h.w for h in stage.bundle]),
-                np.array([[h.b for h in stage.bundle]]),
-            ])
-            # re-express the bias row at the stage centroid: same solution,
-            # tighter conditioning for data away from the origin
-            centroid = sets[stage.subdomain].mean(axis=0)
-            M_c = M.copy()
-            M_c[n] += centroid @ M[:n]
-            rhs_c = rhs.copy()
-            rhs_c[n] += float(centroid @ rhs[:n])
-            if relu_output and stage.position == 0:
-                # bias unknown appended: it only feeds the constant row
-                aug = np.hstack([M_c, np.eye(n + 1)[:, -1:]])
-                sol = solve_constrained(aug, rhs_c, "least_norm_underdetermined")
-                alpha, beta = sol[:-1], float(sol[-1])
+    for stage in stages:
+        cols = slice(stage.unit_start, stage.unit_start + stage.count)
+        M = params[cols].T.copy()
+        rank = numeric_rank(M)
+        rank_audits.append({"stage": stage.position, "columns": stage.count,
+                            "rank": int(rank)})
+        relu_first = relu_output and stage.position == 0
+        if rank < n + 1 and not relu_first:
+            raise RankDeficientError(
+                f"stage {stage.position} matrix rank {rank} < {n + 1}", rank=rank)
+        centroid = sets[stage.subdomain].mean(axis=0)
+        M_c = M.copy()
+        M_c[n] += centroid @ M[:n]
+        if relu_first:
+            # bias unknown appended: it only feeds the constant row
+            M_c = np.hstack([M_c, np.eye(n + 1)[:, -1:]])
+        mode = "exact_square" if M_c.shape[1] == n + 1 else "least_norm_underdetermined"
+        # units of earlier stages active at the stage's first point
+        active = np.flatnonzero(Z[starts[stage.position], : stage.unit_start] > ACTIVATION_TOL)
+        amap = maps[stage.subdomain]
+        for rho in range(mu):
+            rhs = np.concatenate([amap.W[rho], [float(amap.b[rho])]])
+            if active.size:
+                # one unit at a time, in unit order, so the rounding is that
+                # of a loop over the units
+                rhs = np.subtract.reduce(
+                    np.vstack([rhs, out_W[rho, active, None] * params[active]]), axis=0)
+            rhs[n] += float(centroid @ rhs[:n])
+            rhs[n] -= out_b[rho]
+            sol = solve_constrained(M_c, rhs, mode)
+            if relu_first:
+                out_W[rho, cols], out_b[rho] = sol[:-1], sol[-1]
             else:
-                if relu_output:
-                    rhs_c = rhs_c - beta * np.eye(n + 1)[-1]
-                mode = ("exact_square" if M.shape[1] == n + 1
-                        else "least_norm_underdetermined")
-                rank = numeric_rank(M)
-                if rank < n + 1:
-                    raise RankDeficientError(
-                        f"stage {stage.position} matrix rank {rank} < {n + 1}",
-                        rank=rank,
-                    )
-                alpha = solve_constrained(M_c, rhs_c, mode)
-            if rho == 0:
-                rank_audits.append({
-                    "stage": stage.position,
-                    "columns": M.shape[1],
-                    "rank": int(numeric_rank(M)),
-                })
-            for offset, a in enumerate(alpha):
-                solved[stage.unit_start + offset] = float(a)
-        for u, a in solved.items():
-            out_W[rho, u] = a
-        out_b[rho] = beta
+                out_W[rho, cols] = sol
 
     out_layer = Layer(out_W, out_b, "relu" if relu_output else "linear")
     net = Network(n, (hidden, out_layer))
 
     # residual + activation audits; a relu output layer clamps negative
     # target preactivations to zero by design
-    X = pwl.all_points()
     Y = pwl.all_targets()
     if relu_output:
         Y = np.maximum(Y, 0.0)
-    out = forward_batch(net, X)
+    out = forward_batch(net, pwl.all_points())
     max_residual = float(np.max(np.abs(out - Y)))
 
-    activation_audits = []
-    claims_ok = True
-    Z = X @ hidden.weights.T + hidden.biases
-    row = 0
-    set_rows = {}
-    for j, pts in enumerate(sets):
-        set_rows[j] = slice(row, row + pts.shape[0])
-        row += pts.shape[0]
-    for pos, j in enumerate(order.order):
-        active = Z[set_rows[j]] > ACTIVATION_TOL
-        for stage in stages:
-            cols = slice(stage.unit_start, stage.unit_start + stage.count)
-            block = active[:, cols]
-            expected = None
-            if stage.position == pos:
-                expected = True
-            elif stage.position > pos:
-                expected = False
-            if expected is not None and not (block == expected).all():
-                claims_ok = False
-        activation_audits.append({
-            "subdomain": int(j),
-            "position": pos,
-            "active_units": [int(u) for u in np.flatnonzero(active.all(axis=0))],
-        })
+    # each position's own units are active on all its points, and every
+    # later stage's units are dark on all of them
+    all_active = low > ACTIVATION_TOL
+    claims_ok = bool(
+        all_active[unit_stage[None, :] == positions[:, None]].all()
+        and not (high > ACTIVATION_TOL)[unit_stage[None, :] > positions[:, None]].any())
+    activation_audits = [
+        {"subdomain": int(j), "position": pos,
+         "active_units": np.flatnonzero(all_active[pos]).tolist()}
+        for pos, j in enumerate(order.order)
+    ]
 
     report = ConstructionReport(
         architecture=net.architecture(),
         max_residual=max_residual,
         activation_audits=activation_audits,
         rank_audits=rank_audits,
-        traces=list(trace),
         seed=seed,
         wall_clock=time.monotonic() - t_start,
         tolerances={

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from relusynth import ordering
-from relusynth.core import Hyperplane, forward_batch
+from relusynth.core import AffineMap, DiscretePWL, Hyperplane, forward_batch
 from relusynth.ordering import (
     check_distinguishable,
     distinguishable_order,
     maximum_hyperplane,
+    projection_order,
     separate,
 )
-from relusynth.shallow import interpolation_build
+from relusynth.shallow import classifier_build, interpolation_build, multi_output_build
 
 
 def test_separate_1d():
@@ -122,8 +123,9 @@ def test_maximum_hyperplane_fallback_keeps_guarantees(rng, monkeypatch):
     assert ok, failures
 
 
-def test_order_lp_count_on_criterion_3_trial_14(monkeypatch):
-    # the 2-D, 24-point instance once cost 58,301 ordering LPs
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every LP the ordering module solves, counted by wrapping solve_lp."""
     calls = []
     solve = ordering.solve_lp
 
@@ -132,14 +134,52 @@ def test_order_lp_count_on_criterion_3_trial_14(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(ordering, "solve_lp", counting)
+    return calls
+
+
+def test_order_lp_count_on_criterion_3_trial_14(lp_calls):
+    # the 2-D, 24-point instance once cost 58,301 ordering LPs, then 55
     r = np.random.default_rng(314)
     n, nu = int(r.integers(1, 5)), int(r.integers(2, 26))
     assert (n, nu) == (2, 24)
     pts = r.normal(size=(nu, n)) * 3
     vals = r.normal(size=nu)
     build = interpolation_build(pts, vals, seed=14)
-    assert len(calls) <= 100
+    assert len(lp_calls) == nu - 1
     assert np.abs(forward_batch(build.network, pts)[:, 0] - vals).max() <= 1e-8
+
+
+def test_build_lp_count_multi_output(lp_calls, rng):
+    pts = rng.normal(size=(15, 3)) * 3
+    T = rng.normal(size=(15, 2))
+    pwl = DiscretePWL(3, 2, tuple((p[None, :], AffineMap.constant(t, 3))
+                                  for p, t in zip(pts, T)))
+    build = multi_output_build(pwl, seed=5)
+    assert len(lp_calls) == len(pts) - 1
+    assert np.abs(forward_batch(build.network, pts) - T).max() <= 1e-8
+
+
+def test_build_lp_count_classifier(lp_calls, rng):
+    pts = rng.normal(size=(18, 2)) * 3
+    labels = np.arange(18) % 3
+    build = classifier_build(pts, labels, seed=6)
+    assert len(lp_calls) == len(pts) - 1
+    assert (forward_batch(build.network, pts).argmax(axis=1) == labels).all()
+
+
+def test_projection_order_is_a_staircase_along_one_direction(rng):
+    pts = rng.normal(size=(12, 3))
+    result = projection_order([p[None, :] for p in pts], seed=4)
+    ordered = [pts[j][None, :] for j in result.order]
+    ok, failures = check_distinguishable(ordered, result.hyperplanes)
+    assert ok, failures
+    u = np.random.default_rng(4).normal(size=3)
+    along = pts[list(result.order)] @ u
+    assert (np.diff(along) > 0).all()
+    with pytest.raises(ValueError, match="duplicate"):
+        projection_order([pts[:1], pts[1:2], pts[:1]])
+    with pytest.raises(ValueError, match="singleton"):
+        projection_order([pts[:2]])
 
 
 def test_maximum_hyperplane_collinear_full_cover():

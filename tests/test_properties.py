@@ -1,5 +1,6 @@
 """Property tests: exact synthesis in dimensions 1-8, on generic inputs and
-on inputs with points within 1e-4 of a line or plane through others."""
+on inputs with points within 1e-4 of a line, plane or hyperplane through
+others."""
 
 import numpy as np
 import pytest
@@ -30,6 +31,15 @@ def near_flat_point(rng, points, offset):
     return coeffs @ through + step
 
 
+def near_hyperplane_point(rng, points, offset):
+    """A point ``offset`` off the hyperplane through n of ``points``, at a
+    convex combination of them, so it lies that close to their hull."""
+    k, n = points.shape
+    through = points[rng.choice(k, size=n, replace=False)]
+    normal = np.linalg.svd(through[1:] - through[0])[2][-1]
+    return rng.dirichlet(np.ones(n)) @ through + offset * normal
+
+
 near_degenerate = st.lists(st.floats(0.0, 1e-4), max_size=3)
 
 
@@ -47,6 +57,19 @@ def test_interpolation_exact(n, k, seed, offsets):
     for off in offsets:
         X = np.vstack([X, near_flat_point(rng, X, off)])
     X = np.unique(X.round(decimals=9), axis=0)
+    Y = rng.normal(size=(len(X), 1))
+    check_exact(interpolation_build(X, Y[:, 0], seed=seed % 1000), X, Y)
+
+
+@given(n=st.integers(2, 8), extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       exponents=st.lists(st.floats(-8.0, -4.0), min_size=1, max_size=3))
+def test_interpolation_exact_near_hull(n, extra, seed, exponents):
+    # a point placed last by the staircase order must separate from every
+    # earlier one; one within 1e-8 of their hull cannot do so with margin
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n + 1 + extra, n)) * 3
+    for e in exponents:
+        X = np.vstack([X, near_hyperplane_point(rng, X, 10.0 ** e)])
     Y = rng.normal(size=(len(X), 1))
     check_exact(interpolation_build(X, Y[:, 0], seed=seed % 1000), X, Y)
 

@@ -12,11 +12,16 @@ from relusynth.core import (
     forward_batch,
 )
 from relusynth.bundles import same_classification_bundle
+from relusynth.ordering import DistinguishableOrder
 from relusynth.shallow import (
     GeometryError,
+    UniformityError,
+    build_staircase,
     LinearOutputMatrix,
     interpolation_build,
+    classifier_build,
     multi_output_build,
+    rebuild_from_plan,
     resolve_output_unit,
     solve_output_weights,
     synth_classifier,
@@ -284,3 +289,45 @@ def test_interpolate_exact_at_dimension_four_and_five(n, k, rng_seed, seed):
     vals = r.normal(size=k)
     build = interpolation_build(pts, vals, seed=seed)
     assert np.abs(forward_batch(build.network, pts)[:, 0] - vals).max() <= 1e-8
+
+
+def test_interpolate_point_within_1e7_of_the_hull_of_others():
+    # the maximum-hyperplane order placed point 11 last, 1.1e-7 from the
+    # hull of the other 11, and its bundle lost rank ("rank 8 < 9")
+    r = np.random.default_rng([100, 8, 0])
+    pts = r.normal(size=(12, 8)) * 3
+    pts[9:] = [pts[r.choice(9, size=8, replace=False)].T @ r.dirichlet(np.ones(8))
+               + r.normal(size=8) * 1e-4 / np.sqrt(8) for _ in range(3)]
+    vals = r.normal(size=12)
+    build = interpolation_build(pts, vals)
+    assert np.abs(forward_batch(build.network, pts)[:, 0] - vals).max() <= 1e-8
+
+
+@pytest.mark.parametrize("route", ["interpolation", "multi_output", "classifier"])
+def test_rebuild_from_plan_is_byte_identical(route, rng):
+    pts = rng.normal(size=(9, 2)) * 3
+    if route == "interpolation":
+        build = interpolation_build(pts, rng.normal(size=9), seed=3)
+    elif route == "multi_output":
+        T = rng.normal(size=(9, 2))
+        build = multi_output_build(DiscretePWL(2, 2, tuple(
+            (p[None, :], AffineMap.constant(t, 2)) for p, t in zip(pts, T))), seed=3)
+    else:
+        build = classifier_build(pts, np.arange(9) % 3, seed=3)
+    again = rebuild_from_plan(build.report.plan)
+    assert again.network.to_json() == build.network.to_json()
+    assert again.report.rank_audits == build.report.rank_audits
+
+
+def test_uniformity_error_names_the_stage_set_and_hyperplane():
+    # the first base holds its own set but splits the later one, which it
+    # therefore does not condition its bundle on
+    pwl = DiscretePWL(2, 1, (
+        (np.array([[0.0, 1.0], [1.0, 1.0]]), AffineMap.constant([1.0], 2)),
+        (np.array([[5.0, -2.0], [6.0, 2.0]]), AffineMap.constant([2.0], 2)),
+    ))
+    bases = (Hyperplane([0.0, 1.0], 0.5), Hyperplane([1.0, 0.0], -3.0))
+    with pytest.raises(UniformityError, match="stage 0 hyperplane splits subdomain 1") as err:
+        build_staircase(pwl, order=DistinguishableOrder((0, 1), bases))
+    assert err.value.subdomain == 1
+    assert err.value.hyperplane is bases[0]
