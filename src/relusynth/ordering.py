@@ -5,7 +5,8 @@ A staircase order arranges singleton subdomains so each has a hyperplane
 with itself strictly on the plus side and every earlier subdomain strictly
 on the zero side; that structure is what lets the shallow synthesizer
 solve output weights stage by stage.  ``projection_order`` is the one
-builds use: an order along a seeded direction, one LP per position.
+builds use: an order along a seeded direction, one LP per position, all
+solved together by ``separate_many``.
 ``distinguishable_order`` is the paper's construction by maximum
 hyperplanes, which ``relusynth order`` runs.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MARGIN, Hyperplane
-from .simplex import OPTIMAL, solve_lp
+from .simplex import OPTIMAL, solve_lp, solve_lps
 
 SEPARABLE_THRESHOLD = 1e-7
 # Largest C(k+1, n) whose touch sets maximum_hyperplane enumerates; above it
@@ -55,8 +56,9 @@ class DistinguishableOrder:
     hyperplanes: tuple
 
 
-def _separation_lp(D1, D2):
-    """maximize t s.t. w.x+b >= t on D1, w.x+b <= -t on D2, |w|_inf <= 1."""
+def _separation_system(D1, D2):
+    """(c, rows, rhs) of: maximize t s.t. w.x+b >= t on D1, w.x+b <= -t on
+    D2, |w|_inf <= 1, over z = (w, b, t)."""
     n = D1.shape[1]
     rows = np.zeros((D1.shape[0] + D2.shape[0] + 2 * n, n + 2))
     rhs = np.zeros(rows.shape[0])
@@ -72,30 +74,32 @@ def _separation_lp(D1, D2):
     rhs[box:] = 1.0
     c = np.zeros(n + 2)
     c[-1] = 1.0
-    res = solve_lp(c, rows, rhs)
+    return c, rows, rhs
+
+
+def _separator(res, n):
     if res.status != OPTIMAL:
         raise RuntimeError(f"separation LP ended with status {res.status}")
     return res.z[:n], float(res.z[n]), float(res.value)
 
 
-def separate(D1, D2, rescale_margin=None, threshold=SEPARABLE_THRESHOLD):
-    """Max-margin strict separation: D1 on the plus side, D2 on the zero side.
+def _separation_lp(D1, D2):
+    """maximize t s.t. w.x+b >= t on D1, w.x+b <= -t on D2, |w|_inf <= 1."""
+    return _separator(solve_lp(*_separation_system(D1, D2)), D1.shape[1])
 
-    Separable iff the LP optimum exceeds the threshold.  By default the
-    hyperplane keeps the LP's unit weight normalization and is only scaled
-    up when its margin falls below twice the global margin floor; that
-    keeps margins contractual without inflating weight norms on close
-    point sets (which would poison downstream perturbation families).
-    Passing ``rescale_margin`` forces the smallest margin to that value.
-    The raw LP direction is always returned as a certificate.
-    """
+
+def _point_sets(D1, D2):
     D1 = np.atleast_2d(np.asarray(D1, dtype=float))
     D2 = np.atleast_2d(np.asarray(D2, dtype=float))
     if D1.shape[0] == 0 or D2.shape[0] == 0:
         raise ValueError("both point sets must be nonempty")
     if D2.shape[1] != D1.shape[1]:
         raise ValueError("point sets must share a dimension")
-    w, b, t_opt = _separation_lp(D1, D2)
+    return D1, D2
+
+
+def _separation_result(D1, D2, w, b, t_opt, rescale_margin=None,
+                       threshold=SEPARABLE_THRESHOLD):
     if not np.any(w != 0.0):
         cert = Hyperplane(np.eye(D1.shape[1])[0], b)
     else:
@@ -112,6 +116,38 @@ def separate(D1, D2, rescale_margin=None, threshold=SEPARABLE_THRESHOLD):
         scale = max(1.0, 2.0 * MARGIN / worst)
     h = cert.scaled(scale)
     return SeparationResult(True, h, worst * scale, t_opt, cert)
+
+
+def separate(D1, D2, rescale_margin=None, threshold=SEPARABLE_THRESHOLD):
+    """Max-margin strict separation: D1 on the plus side, D2 on the zero side.
+
+    Separable iff the LP optimum exceeds the threshold.  By default the
+    hyperplane keeps the LP's unit weight normalization and is only scaled
+    up when its margin falls below twice the global margin floor; that
+    keeps margins contractual without inflating weight norms on close
+    point sets (which would poison downstream perturbation families).
+    Passing ``rescale_margin`` forces the smallest margin to that value.
+    The raw LP direction is always returned as a certificate.
+    """
+    D1, D2 = _point_sets(D1, D2)
+    return _separation_result(D1, D2, *_separation_lp(D1, D2), rescale_margin, threshold)
+
+
+def separate_many(pairs):
+    """``[separate(D1, D2) for D1, D2 in pairs]``, with the LPs of every
+    pair solved together by ``solve_lps``.
+
+    All pairs share one dimension, and so one LP column count.  The
+    results are those of ``separate`` pair by pair, bit for bit.
+    """
+    pairs = [_point_sets(D1, D2) for D1, D2 in pairs]
+    if not pairs:
+        return []
+    systems = [_separation_system(D1, D2) for D1, D2 in pairs]
+    results = solve_lps(systems[0][0], [rows for _, rows, _ in systems],
+                        [rhs for _, _, rhs in systems])
+    return [_separation_result(D1, D2, *_separator(res, D1.shape[1]))
+            for (D1, D2), res in zip(pairs, results)]
 
 
 def check_distinguishable(sets_in_order, hyperplanes, margin=MARGIN):
@@ -353,12 +389,12 @@ def _staircase_lines(points, order, lines):
     the bundles the best possible margins; where the LP finds no
     separator, the given line is kept, scaled to clear the margin floor.
     The first position has no earlier point and keeps its line.  A
-    staircase of k points costs k - 1 LPs.
+    staircase of k points costs k - 1 LPs, solved in one lockstep batch.
     """
     hps = [_rescale_for(lines[0], [points[order[0]][None, :]])]
-    for pos in range(1, len(order)):
-        own = points[order[pos]][None, :]
-        res = separate(own, points[list(order[:pos])])
+    results = separate_many([(points[order[pos]][None, :], points[list(order[:pos])])
+                             for pos in range(1, len(order))])
+    for pos, res in enumerate(results, start=1):
         if res.separable:
             hps.append(res.hyperplane)
         else:

@@ -11,6 +11,7 @@ from relusynth.ordering import (
     maximum_hyperplane,
     projection_order,
     separate,
+    separate_many,
 )
 from relusynth.shallow import classifier_build, interpolation_build, multi_output_build
 
@@ -125,15 +126,21 @@ def test_maximum_hyperplane_fallback_keeps_guarantees(rng, monkeypatch):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Every LP the ordering module solves, counted by wrapping solve_lp."""
+    """Every LP the ordering module solves: one per solve_lp call and one
+    per LP of a solve_lps batch."""
     calls = []
-    solve = ordering.solve_lp
+    solve, solve_many = ordering.solve_lp, ordering.solve_lps
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
+    def counting_many(c, As, bs):
+        calls.extend(1 for _ in As)
+        return solve_many(c, As, bs)
+
     monkeypatch.setattr(ordering, "solve_lp", counting)
+    monkeypatch.setattr(ordering, "solve_lps", counting_many)
     return calls
 
 
@@ -165,6 +172,45 @@ def test_build_lp_count_classifier(lp_calls, rng):
     build = classifier_build(pts, labels, seed=6)
     assert len(lp_calls) == len(pts) - 1
     assert (forward_batch(build.network, pts).argmax(axis=1) == labels).all()
+
+
+def assert_same_separation(mine, ref):
+    assert mine.separable == ref.separable
+    assert mine.margin == ref.margin and mine.lp_margin == ref.lp_margin
+    for h, g in ((mine.hyperplane, ref.hyperplane), (mine.certificate, ref.certificate)):
+        assert (h is None) == (g is None)
+        if g is not None:
+            assert h.w.tobytes() == g.w.tobytes() and h.b == g.b
+
+
+def test_separate_many_equals_separate_pair_by_pair(rng):
+    square = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+    pairs = [(rng.normal(size=(int(rng.integers(1, 4)), 2)) + 3.0,
+              rng.normal(size=(int(rng.integers(1, 9)), 2))) for _ in range(8)]
+    pairs.insert(3, ([[1.0, 1.0]], square))  # inside the hull: inseparable
+    pairs.append(([[0.5, 0.5], [1.5, 1.5]], [[0.5, 1.5], [1.5, 0.5]]))  # XOR: inseparable
+    results = separate_many(pairs)
+    assert [res.separable for res in results].count(False) >= 2
+    for (D1, D2), res in zip(pairs, results):
+        assert_same_separation(res, separate(D1, D2))
+    assert separate_many([]) == []
+
+
+def test_staircase_lines_equals_a_loop_over_separate():
+    # the last point sits inside the hull of the earlier ones, so its LP
+    # finds no separator and the given line is kept
+    points = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 0.9]])
+    order = [1, 0, 3, 2, 4]
+    lines = [Hyperplane([1.0, 0.3], -0.1234 * (pos + 1)) for pos in range(5)]
+    reference = [ordering._rescale_for(lines[0], [points[order[0]][None, :]])]
+    for pos in range(1, len(order)):
+        res = separate(points[order[pos]][None, :], points[order[:pos]])
+        reference.append(res.hyperplane if res.separable else
+                         ordering._rescale_for(lines[pos], [points[order[: pos + 1]]]))
+    hps = ordering._staircase_lines(points, order, lines)
+    assert hps[-1].w.tobytes() == lines[-1].w.tobytes()
+    for h, g in zip(hps, reference, strict=True):
+        assert h.w.tobytes() == g.w.tobytes() and h.b == g.b
 
 
 def test_projection_order_is_a_staircase_along_one_direction(rng):
