@@ -16,6 +16,7 @@ from .core import (
     affine_fit,
     forward,
     forward_batch,
+    forward_masks,
     forward_traced,
     numeric_rank,
     solve_constrained,

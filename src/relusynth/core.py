@@ -305,8 +305,12 @@ class ActivationPattern:
 
     @staticmethod
     def from_preactivation(z, tol=ACTIVATION_TOL):
-        z = np.asarray(z, dtype=float)
-        return ActivationPattern(tuple(PLUS if v > tol else ZERO for v in z))
+        return ActivationPattern.from_mask(np.asarray(z, dtype=float) > tol)
+
+    @staticmethod
+    def from_mask(on):
+        """Pattern of a boolean mask: '+' where True."""
+        return ActivationPattern(tuple(PLUS if v else ZERO for v in on.tolist()))
 
     def active_units(self):
         return tuple(i for i, s in enumerate(self.signs) if s == PLUS)
@@ -321,9 +325,37 @@ class ActivationPattern:
 
 def _apply_layer(layer, x, tol):
     z = layer.preactivation(x)
+    on = z > tol
     if layer.activation == "relu":
-        return np.where(z > tol, z, 0.0), z
-    return z, z
+        return np.where(on, z, 0.0), on
+    return z, on
+
+
+def forward_masks(net, X, tol=ACTIVATION_TOL):
+    """Evaluate at one point, shape (input_dim,), or a stack, (k, input_dim).
+
+    Returns the outputs and, for each layer, the boolean mask
+    ``preactivation > tol`` with one entry per unit (one row per point for
+    a stack).  ReLU outputs are clamped to zero wherever the mask is off, so
+    output > 0 iff preactivation > tol.  It checks no shapes; ``forward``,
+    ``forward_traced`` and ``forward_batch`` do.
+    """
+    out = np.asarray(X, dtype=float)
+    masks = []
+    for layer in net.layers:
+        out, on = _apply_layer(layer, out, tol)
+        masks.append(on)
+    return out, masks
+
+
+def _as_point(net, x):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (net.input_dim,):
+        raise DimensionMismatch(
+            f"input has shape {x.shape}, network expects ({net.input_dim},)",
+            layer_index=None,
+        )
+    return x
 
 
 def forward(net, x, tol=ACTIVATION_TOL):
@@ -332,33 +364,14 @@ def forward(net, x, tol=ACTIVATION_TOL):
     ReLU outputs are clamped to zero for preactivations at or below the
     activation tolerance, so output > 0 iff preactivation > tol.
     """
-    out, _ = _forward_impl(net, x, tol)
+    out, _ = forward_masks(net, _as_point(net, x), tol)
     return out
 
 
 def forward_traced(net, x, tol=ACTIVATION_TOL):
     """Evaluate and return (output, per-layer ActivationPattern list)."""
-    return _forward_impl(net, x, tol)
-
-
-def _forward_impl(net, x, tol):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_dim,):
-        raise DimensionMismatch(
-            f"input has shape {x.shape}, network expects ({net.input_dim},)",
-            layer_index=None,
-        )
-    patterns = []
-    out = x
-    for i, layer in enumerate(net.layers):
-        if out.shape[0] != layer.fan_in:
-            raise DimensionMismatch(
-                f"layer {i} expects fan-in {layer.fan_in}, got {out.shape[0]}",
-                layer_index=i,
-            )
-        out, z = _apply_layer(layer, out, tol)
-        patterns.append(ActivationPattern.from_preactivation(z, tol))
-    return out, patterns
+    out, masks = forward_masks(net, _as_point(net, x), tol)
+    return out, [ActivationPattern.from_mask(on) for on in masks]
 
 
 def forward_batch(net, X, tol=ACTIVATION_TOL):
@@ -367,9 +380,7 @@ def forward_batch(net, X, tol=ACTIVATION_TOL):
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DimensionMismatch(
             f"points have shape {X.shape}, network expects (k, {net.input_dim})")
-    out = X
-    for layer in net.layers:
-        out, _ = _apply_layer(layer, out, tol)
+    out, _ = forward_masks(net, X, tol)
     return out
 
 

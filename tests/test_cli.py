@@ -3,9 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from relusynth.cli import main, verify_network
-from relusynth.core import DiscretePWL, Network
-from relusynth.shallow import classifier_build
+from relusynth.cli import InputError, main, verify_network
+from relusynth.core import (
+    AffineMap,
+    DiscretePWL,
+    Layer,
+    Network,
+    forward_batch,
+    forward_traced,
+)
+from relusynth.deep import deep_build
+from relusynth.shallow import classifier_build, multi_output_build
 
 
 @pytest.fixture
@@ -114,6 +122,14 @@ def test_eval_command(workdir, capsys):
     assert main(["eval", "--net", str(net), "--x", "0.1,0.2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["outputs"]) == 1
+    pts = np.random.default_rng(3).normal(size=(7, 2)) * 2
+    pts_path = workdir / "probe.json"
+    pts_path.write_text(json.dumps({"points": pts.tolist()}))
+    assert main(["eval", "--net", str(net), "--points", str(pts_path)]) == 0
+    outputs = np.array(json.loads(capsys.readouterr().out)["outputs"])
+    expected = forward_batch(Network.from_json(net.read_text()), pts)
+    assert outputs.shape == expected.shape == (7, 1)
+    assert np.abs(outputs - expected).max() <= 1e-12
 
 
 def test_widen_roundtrip(workdir, capsys):
@@ -200,3 +216,101 @@ def test_emitted_reports_reverify(workdir, rng):
     assert code == 0
     claimed = json.loads(rep_path.read_text())["max_residual"]
     assert abs(report.max_residual - claimed) <= 1e-9
+
+
+def _verify_per_point(net, pwl, tol=1e-8):
+    """The per-point verify loop that the batched pass replaced: one traced
+    forward pass per point.  Returns (point checks, max residual, code)."""
+    relu_output = net.layers[-1].activation == "relu"
+    checks, worst = [], 0.0
+    for si, (pts, amap) in enumerate(pwl.subdomains):
+        targets = amap.apply(pts)
+        if relu_output:
+            targets = np.maximum(targets, 0.0)
+        for x, y in zip(pts, targets):
+            out, patterns = forward_traced(net, x)
+            residual = float(np.max(np.abs(out - y)))
+            worst = max(worst, residual)
+            checks.append({"subdomain": si, "point": x.tolist(), "residual": residual,
+                           "active_units": [list(p.active_units()) for p in patterns]})
+    return checks, worst, (0 if worst <= tol else 1)
+
+
+def _deep_case():
+    r = np.random.default_rng(8)
+    subs = tuple((r.normal(size=(3, 2)) * 0.5 + c,
+                  AffineMap(r.normal(size=(1, 2)), r.normal(size=1)))
+                 for c in r.normal(size=(6, 2)) * 8)
+    pwl = DiscretePWL(2, 1, subs)
+    return deep_build(pwl, seed=1).network, pwl
+
+
+def _multi_output_case():
+    r = np.random.default_rng(9)
+    subs = tuple((p[None, :], AffineMap.constant(t, 2))
+                 for p, t in zip(r.normal(size=(6, 2)) * 2, r.normal(size=(6, 3))))
+    pwl = DiscretePWL(2, 3, subs)
+    return multi_output_build(pwl, seed=2).network, pwl
+
+
+def _classifier_case():
+    r = np.random.default_rng(10)
+    pts = np.vstack([r.normal(size=(4, 2)) * 0.4 + c for c in ([0, 0], [4, 1], [1, 5])])
+    build = classifier_build(pts, np.repeat([0, 1, 2], 4))
+    return build.network, build.pwl
+
+
+def _perturbed_case():
+    net, pwl = _deep_case()
+    last = net.layers[-1]
+    W = last.weights.copy()
+    W[0, int(np.argmax(np.abs(W[0])))] += 1e-3
+    return Network(net.input_dim, net.layers[:-1] + (Layer(W, last.biases, last.activation),)), pwl
+
+
+@pytest.mark.parametrize("case,expect_code", [
+    (_deep_case, 0), (_multi_output_case, 0), (_classifier_case, 0), (_perturbed_case, 1),
+])
+def test_batched_verify_equals_per_point_loop(case, expect_code):
+    net, pwl = case()
+    report, code = verify_network(net, pwl)
+    checks, worst, ref_code = _verify_per_point(net, pwl)
+    assert code == ref_code == expect_code
+    # the batched product sums in another order: residuals agree to rounding
+    assert abs(report.max_residual - worst) <= 1e-10
+    assert len(report.activation_audits) == len(checks)
+    for got, ref in zip(report.activation_audits, checks):
+        assert list(got) == ["subdomain", "point", "residual", "active_units"]
+        assert got["subdomain"] == ref["subdomain"]
+        assert got["point"] == ref["point"]
+        assert got["active_units"] == ref["active_units"]
+        assert abs(got["residual"] - ref["residual"]) <= 1e-10
+    assert any(any(units) for c in checks for units in c["active_units"])
+
+
+def test_verify_rejects_dimension_mismatch(workdir):
+    net_path = workdir / "net.json"
+    pwl_path = workdir / "pwl.json"
+    assert main(["synth3", "--pwl", str(pwl_path), "--out", str(net_path)]) == 0
+    net = Network.from_json(net_path.read_text())
+    pwl = DiscretePWL.from_json(pwl_path.read_text())
+    wide_out = DiscretePWL(2, 2, tuple((pts, AffineMap.constant([0.0, 1.0], 2))
+                                       for pts, _ in pwl.subdomains))
+    wide_in = DiscretePWL(3, 1, tuple((np.hstack([pts, np.zeros((len(pts), 1))]),
+                                       AffineMap.constant([0.0], 3))
+                                      for pts, _ in pwl.subdomains))
+    for bad in (wide_out, wide_in):
+        with pytest.raises(InputError):
+            verify_network(net, bad)
+        bad_path = workdir / "bad_pwl.json"
+        bad_path.write_text(bad.to_json())
+        assert main(["verify", "--net", str(net_path), "--pwl", str(bad_path)]) == 2
+
+
+def test_verify_fails_on_nan_output():
+    # a NaN residual must fail, not vanish under max(worst, nan)
+    net = Network(1, (Layer([[1.0]], [0.0], "relu"), Layer([[float("nan")]], [0.0], "linear")))
+    pwl = DiscretePWL(1, 1, ((np.array([[1.0], [2.0]]), AffineMap([[1.0]], [0.0])),))
+    report, code = verify_network(net, pwl)
+    assert code == 1
+    assert np.isnan(report.max_residual)

@@ -13,6 +13,8 @@ from relusynth.core import (
     activation_pattern,
     affine_fit,
     forward,
+    forward_batch,
+    forward_masks,
     forward_traced,
     numeric_rank,
     solve_constrained,
@@ -149,6 +151,31 @@ def test_exact_square_roundtrip(rng):
         y = rng.normal(size=4)
         x = solve_constrained(A, y, "exact_square")
         assert np.max(np.abs(A @ x - y)) <= 1e-10 * (1 + np.max(np.abs(y)))
+
+
+def test_forward_masks_rows_equal_traced_patterns(rng):
+    net = Network(2, (
+        Layer(np.vstack([[1.0, 0.0], rng.normal(size=(4, 2))]),
+              np.concatenate([[0.0], rng.normal(size=4)]), "relu"),
+        Layer(rng.normal(size=(3, 5)), rng.normal(size=3), "relu"),
+        Layer(rng.normal(size=(2, 3)), rng.normal(size=2), "linear"),
+    ))
+    # the first point puts unit 0's preactivation at 5e-10, inside (0, tol]
+    X = np.vstack([[5e-10, 0.3], rng.normal(size=(40, 2)) * 2])
+    out, masks = forward_masks(net, X)
+    assert out.tobytes() == forward_batch(net, X).tobytes()
+    assert [m.shape for m in masks] == [(41, 5), (41, 3), (41, 2)]
+    assert not masks[0][0, 0]
+    for i, x in enumerate(X):
+        y, patterns = forward_traced(net, x)
+        assert [tuple(np.flatnonzero(m[i])) for m in masks] == [
+            p.active_units() for p in patterns]
+        # the one-point product of the loop forward_masks replaced
+        ref = x
+        for layer in net.layers:
+            z = ref @ layer.weights.T + layer.biases
+            ref = np.where(z > 1e-9, z, 0.0) if layer.activation == "relu" else z
+        assert y.tobytes() == ref.tobytes()
 
 
 def test_forward_is_affine_per_activation_pattern(rng):
