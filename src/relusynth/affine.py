@@ -338,7 +338,7 @@ def widen_network(build, target_widths=None, uniform=None, probe_points=1000,
         plan = build.report.plan
         if plan is None:
             raise ValueError("build carries no synthesis plan")
-        base_width = sum(len(s.bundle) for s in build.stages) - (
+        base_width = sum(s.count for s in build.stages) - (
             plan.get("extra_units", 0) or 0
         )
         extra = target_widths[0] - base_width

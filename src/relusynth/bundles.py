@@ -27,11 +27,16 @@ from .ordering import InseparableError, separate
 
 
 class MarginError(ValueError):
-    """A conditioning point violates the required margin; carries the point."""
+    """A conditioning point violates the required margin; carries the point
+    and its margin, and for a staircase build the stage position and the
+    stage's subdomain."""
 
-    def __init__(self, message, point=None):
+    def __init__(self, message, point=None, margin=None, stage=None, subdomain=None):
         super().__init__(message)
         self.point = point
+        self.margin = margin
+        self.stage = stage
+        self.subdomain = subdomain
 
 
 @dataclass(frozen=True)
@@ -43,9 +48,11 @@ class BundleConfig:
             raise ValueError("margin must be positive")
 
 
-def _non_pivot(w):
-    """Weight indices other than the (first) largest-magnitude one."""
-    return np.delete(np.arange(w.shape[0]), np.argmax(np.abs(w)))
+def _non_pivot(W):
+    """Per row of W, the weight indices other than the (first)
+    largest-magnitude one: a (k, n - 1) index array."""
+    j = np.arange(W.shape[1] - 1)
+    return j + (j >= np.argmax(np.abs(W), axis=1)[:, None])
 
 
 def _conditioning(D_plus, D_zero, n):
@@ -57,46 +64,82 @@ def _conditioning(D_plus, D_zero, n):
     return np.vstack(parts), signs
 
 
-def _require_margins(h, pts, signs, floor, what):
-    """The hyperplane's margins on the conditioning points; raises
-    MarginError naming the worst point when one falls below ``floor``."""
-    margins = signs * h.value(pts)
-    if len(margins) and margins.min() < floor:
-        i = int(np.argmin(margins))
+def _require_margins(margins, pts, floor, what):
+    """Raises MarginError naming the worst point when a margin falls below
+    ``floor``; ``margins`` holds one column per hyperplane when 2-d."""
+    if margins.size and margins.min() < floor:
+        i = np.unravel_index(np.argmin(margins), margins.shape)[0]
+        worst = float(margins.min())
         raise MarginError(
-            f"{what} margin {margins[i]:.3g} is below the required {floor:.3g}",
-            point=pts[i],
+            f"{what} margin {worst:.3g} is below the required {floor:.3g}",
+            point=pts[i], margin=worst,
         )
-    return margins
 
 
-def _axis_family(base, count, free, reach, worst, anchor=None):
-    """The base followed by ``count - 1`` members, each moving one parameter.
+def axis_family(W, b, count, worst, reach, anchor=None):
+    """Parameter stacks of k axis-aligned families, one per base.
 
-    ``free`` indexes the F movable entries of the parameter vector (w, b),
-    index dim being the bias, and ``reach[j]`` is the most a unit move of
-    entry free[j] shifts any conditioning preactivation.  Member i adds
-    eps_j * m to entry free[j], where j = (i - 1) mod F and
-    m = 1 + (i - 1) // F; with no free entry the members repeat the base.  With eps_j = worst / (2 m_max reach_j) no member
-    shifts a conditioning preactivation by more than worst / 2, so each
+    Row 0 of each (count, dim + 1) stack is the base's (w, b); member i
+    moves one free parameter of it.  The free parameters are the weights
+    other than the (first) largest one and, without an anchor, the bias;
+    member i adds eps_j * m to free[j], where j = (i - 1) mod F and
+    m = 1 + (i - 1) // F, and with no free parameter the members repeat
+    the base.  ``worst`` (k,) is each base's smallest margin on its
+    conditioning points and ``reach`` (k, dim) the largest |x_j| over them
+    (|x_j - anchor_j| with an anchor), so eps_j = worst / (2 m_max reach_j)
+    moves no conditioning preactivation by more than worst / 2: each member
     keeps the base's sides with at least half its smallest margin.  Each
     eps_j is capped at the pivot weight's magnitude, which also sets it for
-    an entry no conditioning point feels.  With an anchor, every member's
-    bias is recomputed so that it passes through the anchor.
+    a parameter no conditioning point feels.  With an anchor (k, dim),
+    every member's bias is recomputed so that it passes through its
+    base's anchor.
     """
-    n, F = base.dim, len(free)
-    moves = np.zeros((count - 1, n + 1))
-    if F:
+    k, n = W.shape
+    rows = np.arange(k)[:, None]
+    free = _non_pivot(W)
+    reach = reach[rows, free]
+    if anchor is None:
+        free = np.concatenate([free, np.full((k, 1), n)], axis=1)
+        reach = np.concatenate([reach, np.ones((k, 1))], axis=1)
+    base = np.concatenate([W, b[:, None]], axis=1)[:, None]
+    moves = np.zeros((k, count - 1, n + 1))
+    F = free.shape[1]
+    if F and count > 1:
         i = np.arange(count - 1)
         m = 1 + i // F
         with np.errstate(divide="ignore"):
-            eps = np.minimum(worst / (2.0 * m[-1] * reach), np.max(np.abs(base.w)))
-        moves[i, free[i % F]] = eps[i % F] * m
-    bundle = [base]
-    for p in np.append(base.w, base.b) + moves:
-        w = p[:n]
-        bundle.append(Hyperplane(w, -float(w @ anchor) if anchor is not None else p[n]))
-    return bundle
+            eps = np.minimum(worst[:, None] / (2.0 * m[-1] * reach),
+                             np.abs(W).max(axis=1, keepdims=True))
+        moves[rows, i, free[:, i % F]] = eps[:, i % F] * m
+    # adding the zero moves too turns a -0.0 weight into 0.0, as the
+    # members always have
+    params = np.concatenate([base, base + moves], axis=1)
+    if anchor is not None:
+        # one product per member, so the rounding is that of each member alone
+        for P, a in zip(params, anchor):
+            for p in P[1:]:
+                p[n] = -float(p[:n] @ a)
+    return params
+
+
+def _bundle(base, params):
+    """The base itself followed by one hyperplane per further row."""
+    n = base.dim
+    return [base] + [Hyperplane(p[:n], p[n]) for p in params[1:]]
+
+
+def _one_family(base, pts, signs, count, cfg, reach, anchor=None):
+    """The parameter stack of one base's family on its conditioning points,
+    with the base and every member margin checked."""
+    margins = signs * base.value(pts)
+    _require_margins(margins, pts, cfg.margin, "base hyperplane")
+    params = axis_family(base.w[None], np.array([base.b]), count,
+                         margins.min(initial=np.inf)[None], reach[None],
+                         None if anchor is None else anchor[None])[0]
+    members = params[1:]
+    _require_margins(signs[:, None] * (pts @ members[:, :-1].T + members[:, -1]),
+                     pts, cfg.margin / 2.0, "family member")
+    return params
 
 
 def same_classification_bundle(base, D_plus, D_zero, count, cfg=BundleConfig()):
@@ -111,27 +154,16 @@ def same_classification_bundle(base, D_plus, D_zero, count, cfg=BundleConfig()):
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    n = base.dim
-    pts, signs = _conditioning(D_plus, D_zero, n)
-    margins = _require_margins(base, pts, signs, cfg.margin, "base hyperplane")
+    pts, signs = _conditioning(D_plus, D_zero, base.dim)
+    params = _one_family(base, pts, signs, count, cfg,
+                         np.abs(pts).max(axis=0, initial=0.0))
     if count == 1:
         return [base]
-
-    free = np.append(_non_pivot(base.w), n)
-    reach = np.append(np.abs(pts[:, free[:-1]]).max(axis=0, initial=0.0), 1.0)
-    bundle = _axis_family(base, count, free, reach, margins.min(initial=np.inf))
-    for h in bundle[1:]:
-        _require_margins(h, pts, signs, cfg.margin / 2.0, "family member")
-
-    stacked = np.vstack([
-        np.column_stack([h.w for h in bundle]),
-        np.array([[h.b for h in bundle]]),
-    ])
-    expected = min(count, n + 1)
-    rank = numeric_rank(stacked)
+    expected = min(count, base.dim + 1)
+    rank = numeric_rank(params.T)
     if rank < expected:
         raise RuntimeError(f"bundle parameter matrix rank {rank} < {expected}")
-    return bundle
+    return _bundle(base, params)
 
 
 def reversed_pair_bundles(D1, D2, k1, k2, cfg=BundleConfig()):
@@ -185,21 +217,14 @@ def common_point_bundle(base, anchor, D_plus, cfg=BundleConfig(), count=None):
     if abs(float(base.value(anchor))) > 1e-9:
         raise ValueError("anchor does not lie on the base hyperplane")
     pts, signs = _conditioning(D_plus, None, n)
-    margins = _require_margins(base, pts, signs, cfg.margin, "base hyperplane")
+    params = _one_family(base, pts, signs, count, cfg,
+                         np.abs(pts - anchor).max(axis=0, initial=0.0), anchor)
     if count == 1:
         return [base]
-
-    free = _non_pivot(base.w)
-    reach = np.abs(pts[:, free] - anchor[free]).max(axis=0, initial=0.0)
-    bundle = _axis_family(base, count, free, reach, margins.min(initial=np.inf), anchor)
-    for h in bundle[1:]:
-        _require_margins(h, pts, signs, cfg.margin / 2.0, "family member")
-
-    W = np.array([h.w for h in bundle[:n]])
+    W, b = params[:n, :n], params[:n, n]
     if n > 1 and numeric_rank(W) < n:
         raise RuntimeError("common-point weight matrix is singular")
-    b = np.array([h.b for h in bundle[:n]])
     recovered = np.linalg.solve(W, -b) if n > 1 else -b / W[0]
     if np.max(np.abs(recovered - anchor)) > 1e-9 * (1.0 + np.max(np.abs(anchor))):
         raise RuntimeError("family does not meet at the anchor")
-    return bundle
+    return _bundle(base, params)

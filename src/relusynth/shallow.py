@@ -33,7 +33,7 @@ from .core import (
     RankDeficientError,
 )
 from .core import supporting_hyperplane
-from .bundles import BundleConfig, same_classification_bundle
+from .bundles import BundleConfig, MarginError, axis_family
 from .ordering import DistinguishableOrder, check_distinguishable, projection_order, separate
 from .report import ConstructionReport
 
@@ -98,8 +98,14 @@ class ShallowStage:
     subdomain: int           # index into the build's subdomain list
     base: Hyperplane
     count: int
-    bundle: list
+    params: np.ndarray       # (count, dim + 1): the base's (w, b), then each member's
     unit_start: int
+
+    @property
+    def bundle(self):
+        """The base itself, then one hyperplane per member row."""
+        n = self.base.dim
+        return [self.base] + [Hyperplane(p[:n], p[n]) for p in self.params[1:]]
 
 
 @dataclass
@@ -116,6 +122,26 @@ class ShallowBuild:
     report: ConstructionReport
 
 
+def _stage_margin_error(what, pos, subdomain, margin, floor, point):
+    return MarginError(
+        f"stage {pos} (subdomain {subdomain}): {what} margin {margin:.3g} at point "
+        f"{np.round(point, 6).tolist()} is below the required {floor:.3g}",
+        point=point, margin=margin, stage=pos, subdomain=subdomain)
+
+
+def _stage_ranks(s, n, what, stage_ids, subdomain):
+    """Numeric ranks from a stack's singular values (one row per stage);
+    raises RankDeficientError naming the first stage below rank n + 1."""
+    rank = (s > RANK_TOL * s[:, :1]).sum(axis=1)
+    low = np.flatnonzero(rank < n + 1)
+    if low.size:
+        pos = int(stage_ids[low[0]])
+        raise RankDeficientError(
+            f"stage {pos} (subdomain {subdomain[pos]}): {what} rank {rank[low[0]]} < {n + 1}",
+            rank=int(rank[low[0]]))
+    return rank
+
+
 def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
                     relu_output=False):
     """Staircase synthesis engine shared by every three-layer route.
@@ -125,13 +151,21 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
     drawn from ``seed`` (``projection_order``, k - 1 LPs).  Every output
     dimension is solved independently against the shared hidden layer.
     With ``relu_output`` the output units are ReLUs with a bias unknown
-    folded into the first stage's solve.  Which later sets each base
+    folded into the first stage's solve.
+
+    All k stages are built in one stacked pass.  Which later sets each base
     holds with margin is read from one product of the ordered points with
-    the bases; the uniformity check, the activation audit and the solves'
-    contributions from earlier units read one product with the hidden
-    layer.
+    the bases.  Each base's margins on its conditioning rows take their own
+    product, since they set its family's steps; the families are one
+    ``axis_family`` stack.  The member margins, the uniformity check, the
+    activation audit and the solves' contributions from earlier units read
+    one product with the hidden layer.  The stage matrices, and their
+    centroid-shifted copies, are ranked by one batched SVD per stack of
+    equal width, and each output of each stage is one direct solve.
     """
     t_start = time.monotonic()
+    if extra_units < 0:
+        raise ValueError(f"extra_units must be non-negative, got {extra_units}")
     cfg = cfg or BundleConfig()
     n = pwl.dim
     sets = [pts for pts, _ in pwl.subdomains]
@@ -145,39 +179,94 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
         raise GeometryError(f"order fails the staircase check: {failures}")
 
     k = len(order.order)
+    subdomain = np.asarray(order.order)
     X = np.vstack(ordered)
     sizes = np.array([len(pts) for pts in ordered])
     starts = np.cumsum(sizes) - sizes
     row_pos = np.repeat(np.arange(k), sizes)    # position of each row's set
     positions = np.arange(k)
+    bases = order.hyperplanes
+    base_W = np.array([h.w for h in bases])
+    base_b = np.array([h.b for h in bases])
 
     # keep later subdomains on whichever side the base already has them
     # with margin, so members cannot split what the base classifies
     # uniformly (a split would leave a partial stage sum in some later
-    # solve)
-    V = X @ np.array([h.w for h in order.hyperplanes]).T + np.array(
-        [h.b for h in order.hyperplanes])
-    later_plus = np.minimum.reduceat(V, starts, axis=0) >= cfg.margin
-    later_zero = np.maximum.reduceat(V, starts, axis=0) <= -cfg.margin
-    stages = []
-    unit_cursor = 0
-    for pos, j in enumerate(order.order):
-        base = order.hyperplanes[pos]
-        later = positions > pos
-        plus = (positions == pos) | (later & later_plus[:, pos])
-        zero = (positions < pos) | (later & later_zero[:, pos])
-        count = (n + 1) + (extra_units if pos == 0 else 0)
-        bundle = same_classification_bundle(
-            base, X[plus[row_pos]], X[zero[row_pos]], count, cfg)
-        stages.append(ShallowStage(pos, j, base, count, bundle, unit_cursor))
-        unit_cursor += count
+    # solve); plus[s, m] / zero[s, m]: stage s's bundle holds set m on
+    # that side
+    V = X @ base_W.T + base_b
+    later = positions[None, :] > positions[:, None]
+    plus = np.eye(k, dtype=bool) | (later & (np.minimum.reduceat(V, starts, axis=0)
+                                             >= cfg.margin).T)
+    zero = later.T | (later & (np.maximum.reduceat(V, starts, axis=0) <= -cfg.margin).T)
 
-    hidden = Layer(np.array([h.w for st in stages for h in st.bundle]),
-                   np.array([h.b for st in stages for h in st.bundle]), "relu")
-    unit_stage = np.repeat(positions, [st.count for st in stages])
+    # each stage's conditioning rows, its plus rows then its zero rows in
+    # point order, gathered once; each base's margins are one product over
+    # its own rows, so their rounding is that of the base alone
+    stage_of, col = np.nonzero(np.hstack([plus[:, row_pos], zero[:, row_pos]]))
+    N = len(X)
+    rows = col % N
+    signs = np.where(col < N, 1.0, -1.0)
+    offsets = np.searchsorted(stage_of, positions)
+    G = X[rows]
+    ends = np.append(offsets[1:], len(G))
+    margins = signs * (np.concatenate([G[a:e] @ h.w for a, e, h in zip(offsets, ends, bases)])
+                       + base_b[stage_of])
+    if margins.min() < cfg.margin:
+        s = stage_of[np.argmax(margins < cfg.margin)]
+        i = offsets[s] + np.argmin(margins[offsets[s]:ends[s]])
+        raise _stage_margin_error("base hyperplane", int(s), int(subdomain[s]),
+                                  float(margins[i]), cfg.margin, G[i])
+    worst = np.minimum.reduceat(margins, offsets)
+    reach = np.maximum.reduceat(np.abs(G), offsets, axis=0)
+
+    counts = np.full(k, n + 1)
+    counts[0] += extra_units
+    unit_start = np.cumsum(counts) - counts
+    # stages of equal width stack: stage 0 alone when extra units widen it
+    groups = [slice(0, k)] if extra_units == 0 or k == 1 else [slice(0, 1), slice(1, k)]
+    families = [axis_family(base_W[g], base_b[g], counts[g.start], worst[g], reach[g])
+                for g in groups]
+    params = np.concatenate([f.reshape(-1, n + 1) for f in families])
+    stages = [ShallowStage(pos, int(j), bases[pos], int(counts[pos]),
+                           params[unit_start[pos]:unit_start[pos] + counts[pos]],
+                           int(unit_start[pos]))
+              for pos, j in enumerate(subdomain)]
+
+    hidden = Layer(params[:, :n].copy(), params[:, n].copy(), "relu")
+    unit_stage = np.repeat(positions, counts)
     Z = hidden.preactivation(X)
     low = np.minimum.reduceat(Z, starts, axis=0)     # per set and unit
     high = np.maximum.reduceat(Z, starts, axis=0)
+
+    # every member keeps its base's sides on the sets the base conditions
+    floor = cfg.margin / 2.0
+    member = np.ones(len(unit_stage), dtype=bool)
+    member[unit_start] = False
+    bad = (plus[unit_stage] & (low.T < floor)) | (zero[unit_stage] & (-high.T < floor))
+    bad &= member[:, None]
+    if bad.any():
+        u, m = np.argwhere(bad)[0]
+        s = unit_stage[u]
+        set_rows = slice(starts[m], starts[m] + sizes[m])
+        if plus[s, m]:
+            i = starts[m] + np.argmin(Z[set_rows, u])
+            margin = Z[i, u]
+        else:
+            i = starts[m] + np.argmax(Z[set_rows, u])
+            margin = 0.0 - Z[i, u]
+        raise _stage_margin_error(f"family member {u - unit_start[s]}", int(s),
+                                  int(subdomain[s]), float(margin), floor, X[i])
+
+    # one rank per stage matrix, the stacked (w, b) columns of its bundle:
+    # it serves as bundle, stage and audit check
+    stage_M = [np.ascontiguousarray(f.transpose(0, 2, 1)) for f in families]
+    sv = [np.linalg.svd(M, compute_uv=False) for M in stage_M]
+    rank = np.concatenate([_stage_ranks(s, n, "matrix", positions[g], subdomain)
+                           for s, g in zip(sv, groups)])
+    sigma_min = np.concatenate([s[:, -1] / s[:, 0] for s in sv])
+    rank_audits = [{"stage": pos, "columns": int(counts[pos]), "rank": int(rank[pos]),
+                    "sigma_min": float(sigma_min[pos])} for pos in positions.tolist()]
 
     # uniformity precondition: every earlier member classifies each later
     # subdomain entirely on one side
@@ -188,54 +277,65 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
         first = np.lexsort((u, m, unit_stage[u]))[0]
         stage = stages[unit_stage[u[first]]]
         raise UniformityError(
-            f"stage {stage.position} hyperplane splits subdomain {order.order[m[first]]}",
-            subdomain=order.order[m[first]],
+            f"stage {stage.position} hyperplane splits subdomain {subdomain[m[first]]}",
+            subdomain=int(subdomain[m[first]]),
             hyperplane=stage.bundle[u[first] - stage.unit_start],
         )
 
-    # each stage matrix is stacked (w, b) columns of its bundle, built and
-    # ranked once; the bias row is re-expressed at the stage centroid for
-    # the solves: same solution, tighter conditioning for data away from
-    # the origin
-    params = np.column_stack([hidden.weights, hidden.biases])
+    # the bias row is re-expressed at the stage centroid for the solves:
+    # same solution, tighter conditioning for data away from the origin;
+    # a square stage is solved exactly once its shifted copy is ranked
+    centroids = X[starts]    # a singleton's mean is its point, bit for bit
+    for m in np.flatnonzero(sizes > 1):
+        centroids[m] = ordered[m].mean(axis=0)
+    shifted = []
+    for g, M in zip(groups, stage_M):
+        M_c = M.copy()
+        M_c[:, n] += np.matmul(centroids[g, None, :], M[:, :n])[:, 0]
+        shifted.extend(M_c)
+    square = counts == n + 1
+    if relu_output:
+        # bias unknown appended: it only feeds the constant row
+        shifted[0] = np.hstack([shifted[0], np.eye(n + 1)[:, -1:]])
+        square[0] = False
+    if square.any():
+        sq = np.flatnonzero(square)
+        _stage_ranks(np.linalg.svd(np.stack([shifted[s] for s in sq]), compute_uv=False),
+                     n, "centroid-shifted matrix", sq, subdomain)
+
     mu = pwl.output_dim
     out_W = np.zeros((mu, hidden.units))
     out_b = np.zeros(mu)    # a relu output's bias, solved in the first stage
-    rank_audits = []
-    for stage in stages:
-        cols = slice(stage.unit_start, stage.unit_start + stage.count)
-        M = params[cols].T.copy()
-        rank = numeric_rank(M)
-        rank_audits.append({"stage": stage.position, "columns": stage.count,
-                            "rank": int(rank)})
-        relu_first = relu_output and stage.position == 0
-        if rank < n + 1 and not relu_first:
-            raise RankDeficientError(
-                f"stage {stage.position} matrix rank {rank} < {n + 1}", rank=rank)
-        centroid = sets[stage.subdomain].mean(axis=0)
-        M_c = M.copy()
-        M_c[n] += centroid @ M[:n]
-        if relu_first:
-            # bias unknown appended: it only feeds the constant row
-            M_c = np.hstack([M_c, np.eye(n + 1)[:, -1:]])
-        mode = "exact_square" if M_c.shape[1] == n + 1 else "least_norm_underdetermined"
+    for pos in positions.tolist():
+        cols = slice(unit_start[pos], unit_start[pos] + counts[pos])
+        A = shifted[pos]
+        centroid = centroids[pos]
         # units of earlier stages active at the stage's first point
-        active = np.flatnonzero(Z[starts[stage.position], : stage.unit_start] > ACTIVATION_TOL)
-        amap = maps[stage.subdomain]
-        for rho in range(mu):
-            rhs = np.concatenate([amap.W[rho], [float(amap.b[rho])]])
-            if active.size:
-                # one unit at a time, in unit order, so the rounding is that
-                # of a loop over the units
-                rhs = np.subtract.reduce(
-                    np.vstack([rhs, out_W[rho, active, None] * params[active]]), axis=0)
-            rhs[n] += float(centroid @ rhs[:n])
-            rhs[n] -= out_b[rho]
-            sol = solve_constrained(M_c, rhs, mode)
-            if relu_first:
-                out_W[rho, cols], out_b[rho] = sol[:-1], sol[-1]
+        active = np.flatnonzero(Z[starts[pos], : unit_start[pos]] > ACTIVATION_TOL)
+        amap = maps[subdomain[pos]]
+        rhs = np.column_stack([amap.W, amap.b])    # one row per output
+        if active.size:
+            # one unit at a time, in unit order, so the rounding is that of
+            # a loop over the units
+            rhs = np.subtract.reduce(np.concatenate([
+                rhs[None], out_W[:, active].T[:, :, None] * params[active][:, None, :]]),
+                axis=0)
+        rhs[:, n] += [float(centroid @ r[:n]) for r in rhs]
+        rhs[:, n] -= out_b
+        if square[pos]:
+            # one right-hand side per LAPACK solve, one refinement step, as
+            # in solve_constrained
+            rhs = rhs[:, :, None]
+            sol = np.linalg.solve(A, rhs)
+            sol += np.linalg.solve(A, rhs - A @ sol)
+            out_W[:, cols] = sol[:, :, 0]
+        else:
+            sol = np.array([solve_constrained(A, r, "least_norm_underdetermined")
+                            for r in rhs])
+            if relu_output and pos == 0:
+                out_W[:, cols], out_b[:] = sol[:, :-1], sol[:, -1]
             else:
-                out_W[rho, cols] = sol
+                out_W[:, cols] = sol
 
     out_layer = Layer(out_W, out_b, "relu" if relu_output else "linear")
     net = Network(n, (hidden, out_layer))

@@ -6,6 +6,7 @@ import pytest
 from relusynth.bundles import (
     BundleConfig,
     MarginError,
+    axis_family,
     common_point_bundle,
     reversed_pair_bundles,
     same_classification_bundle,
@@ -71,7 +72,7 @@ def test_base_must_separate_with_margin():
     base = Hyperplane([1.0, 0.0], 0.0)
     with pytest.raises(MarginError) as err:
         same_classification_bundle(base, [[1.0, 0.0]], [[0.5, 0.0]], 3)
-    assert err.value.point is not None
+    assert err.value.point.tolist() == [0.5, 0.0] and err.value.margin == -0.5
 
 
 def test_reversed_pair_singletons():
@@ -179,3 +180,23 @@ def test_common_point_weight_frame_well_conditioned(n):
     for h in bundle:
         assert abs(h.value(anchor)) <= 1e-9
         assert h.value(plus).min() >= 0.5 * base.value(plus).min()
+
+
+def test_stacked_family_equals_one_base_calls_bit_for_bit(rng):
+    # a stack of bases gives each base the family a one-base call gives it
+    for n, count in ((1, 2), (3, 4), (5, 9)):
+        pts = rng.normal(size=(30, n)) * 3
+        W, b = rng.normal(size=(6, n)), rng.normal(size=6)
+        bundles, worst, reach = [], [], []
+        for w, c in zip(W, b):
+            base = Hyperplane(w, c)
+            v = base.value(pts)
+            plus, zero = pts[v > 0.1], pts[v < -0.1]
+            bundles.append(same_classification_bundle(base, plus, zero, count))
+            cond = np.vstack([plus, zero])
+            worst.append(np.abs(base.value(cond)).min())
+            reach.append(np.abs(cond).max(axis=0))
+        params = axis_family(W, b, count, np.array(worst), np.array(reach))
+        assert params.shape == (6, count, n + 1)
+        for P, bundle in zip(params, bundles):
+            assert P.tobytes() == stacked(bundle).T.tobytes()

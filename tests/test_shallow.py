@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relusynth.core import (
+    ACTIVATION_TOL,
     AffineMap,
     DiscretePWL,
     Hyperplane,
@@ -10,9 +11,11 @@ from relusynth.core import (
     RankDeficientError,
     forward,
     forward_batch,
+    numeric_rank,
+    solve_constrained,
 )
-from relusynth.bundles import same_classification_bundle
-from relusynth.ordering import DistinguishableOrder
+from relusynth.bundles import BundleConfig, MarginError, same_classification_bundle
+from relusynth.ordering import DistinguishableOrder, projection_order
 from relusynth.shallow import (
     GeometryError,
     UniformityError,
@@ -185,6 +188,11 @@ def test_interpolate_points_closer_than_allclose():
     assert np.abs(forward_batch(build.network, pts)[:, 0] - vals).max() <= 1e-8
 
 
+def test_negative_extra_units_rejected(rng):
+    with pytest.raises(ValueError, match="extra_units must be non-negative"):
+        interpolation_build(rng.normal(size=(4, 2)), rng.normal(size=4), extra_units=-1)
+
+
 def test_interpolate_extra_units_widen_first_stage(rng):
     pts = rng.normal(size=(4, 2))
     vals = rng.normal(size=4)
@@ -331,3 +339,195 @@ def test_uniformity_error_names_the_stage_set_and_hyperplane():
         build_staircase(pwl, order=DistinguishableOrder((0, 1), bases))
     assert err.value.subdomain == 1
     assert err.value.hyperplane is bases[0]
+
+
+def reference_staircase(pwl, order, margin, extra_units=0, relu_output=False):
+    """The per-stage loop that the stacked pass replaced: one family, one
+    rank and one solve per output for each stage in turn.  Returns the
+    hidden and output parameters and the stage ranks."""
+    n = pwl.dim
+    sets = [pts for pts, _ in pwl.subdomains]
+    ordered = [sets[j] for j in order.order]
+    k = len(ordered)
+    X = np.vstack(ordered)
+    sizes = np.array([len(pts) for pts in ordered])
+    starts = np.cumsum(sizes) - sizes
+    row_pos = np.repeat(np.arange(k), sizes)
+    V = X @ np.array([h.w for h in order.hyperplanes]).T + np.array(
+        [h.b for h in order.hyperplanes])
+    later_plus = np.minimum.reduceat(V, starts, axis=0) >= margin
+    later_zero = np.maximum.reduceat(V, starts, axis=0) <= -margin
+    counts = [n + 1 + (extra_units if pos == 0 else 0) for pos in range(k)]
+    rows = []
+    for pos, base in enumerate(order.hyperplanes):
+        later = np.arange(k) > pos
+        plus = ((np.arange(k) == pos) | (later & later_plus[:, pos]))[row_pos]
+        zero = ((np.arange(k) < pos) | (later & later_zero[:, pos]))[row_pos]
+        pts = np.vstack([X[plus], X[zero]])
+        signs = np.repeat([1.0, -1.0], [plus.sum(), zero.sum()])
+        worst = (signs * (pts @ base.w + base.b)).min()
+        free = np.append(np.delete(np.arange(n), np.argmax(np.abs(base.w))), n)
+        reach = np.append(np.abs(pts[:, free[:-1]]).max(axis=0, initial=0.0), 1.0)
+        i = np.arange(counts[pos] - 1)
+        m = 1 + i // len(free)
+        with np.errstate(divide="ignore"):
+            eps = np.minimum(worst / (2.0 * m[-1] * reach), np.max(np.abs(base.w)))
+        moves = np.zeros((counts[pos] - 1, n + 1))
+        moves[i, free[i % len(free)]] = eps[i % len(free)] * m
+        p = np.append(base.w, base.b)
+        rows.append(p)
+        rows.extend(p + moves)
+    params = np.array(rows)
+    W, b = params[:, :n].copy(), params[:, n].copy()
+    Z = X @ W.T + b
+
+    mu = pwl.output_dim
+    out_W = np.zeros((mu, len(params)))
+    out_b = np.zeros(mu)
+    ranks = []
+    start = 0
+    for pos, j in enumerate(order.order):
+        cols = slice(start, start + counts[pos])
+        M = params[cols].T.copy()
+        ranks.append(numeric_rank(M))
+        centroid = sets[j].mean(axis=0)
+        M_c = M.copy()
+        M_c[n] += centroid @ M[:n]
+        relu_first = relu_output and pos == 0
+        if relu_first:
+            M_c = np.hstack([M_c, np.eye(n + 1)[:, -1:]])
+        mode = "exact_square" if M_c.shape[1] == n + 1 else "least_norm_underdetermined"
+        active = np.flatnonzero(Z[starts[pos], :start] > ACTIVATION_TOL)
+        amap = pwl.subdomains[j][1]
+        for rho in range(mu):
+            rhs = np.concatenate([amap.W[rho], [float(amap.b[rho])]])
+            for u in active:
+                rhs = rhs - out_W[rho, u] * params[u]
+            rhs[n] += float(centroid @ rhs[:n])
+            rhs[n] -= out_b[rho]
+            sol = solve_constrained(M_c, rhs, mode)
+            if relu_first:
+                out_W[rho, cols], out_b[rho] = sol[:-1], sol[-1]
+            else:
+                out_W[rho, cols] = sol
+        start += counts[pos]
+    return W, b, out_W, out_b, ranks
+
+
+def singleton_pwl(pts, T):
+    n = pts.shape[1]
+    return DiscretePWL(n, T.shape[1], tuple(
+        (p[None, :], AffineMap.constant(t, n)) for p, t in zip(pts, T)))
+
+
+def cluster_pwl(r, n, mu):
+    """Clusters of 1-5 points strung along a tilted axis, affine targets,
+    and the staircase of cuts across that axis."""
+    u = np.eye(n)[0] + 0.05 * r.normal(size=n)
+    u /= np.linalg.norm(u)
+    sets = [r.normal(size=(int(m), n)) * 0.5 + 10.0 * i * u
+            for i, m in enumerate(r.integers(1, 6, size=6))]
+    pwl = DiscretePWL(n, mu, tuple(
+        (P, AffineMap(r.normal(size=(mu, n)), r.normal(size=mu))) for P in sets))
+    lines = [Hyperplane(u, 1.0 - float((np.vstack(sets) @ u).min()))]
+    lines += [Hyperplane(u, -10.0 * (i - 0.5)) for i in range(1, len(sets))]
+    return pwl, DistinguishableOrder(tuple(range(len(sets))), tuple(lines))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_pass_equals_the_per_stage_loop_bit_for_bit(n):
+    r = np.random.default_rng([n, 11])
+    pts = r.normal(size=(9, n)) * 3
+    labels = np.arange(9) % 3
+    cases = [  # (pwl, order, extra_units, relu_output)
+        (singleton_pwl(pts, r.normal(size=(9, 1))), None, 0, False),
+        (singleton_pwl(pts, r.normal(size=(9, 1))), None, 3, False),
+        (singleton_pwl(pts, r.normal(size=(9, 3))), None, 2, False),
+        (singleton_pwl(pts, np.where(labels[:, None] == np.arange(3), 1.0, -1.0)),
+         None, 0, True),
+        (singleton_pwl(pts, np.where(labels[:, None] == np.arange(3), 1.0, -1.0)),
+         None, 2, True),
+        (*cluster_pwl(r, n, 3), 1, False),
+    ]
+    for pwl, order, extra, relu in cases:
+        order = order or projection_order([p for p, _ in pwl.subdomains], seed=n)
+        build = build_staircase(pwl, order=order, extra_units=extra, relu_output=relu)
+        W, b, out_W, out_b, ranks = reference_staircase(
+            pwl, order, BundleConfig().margin, extra, relu)
+        hidden, out = build.network.layers
+        assert hidden.weights.tobytes() == W.tobytes()
+        assert hidden.biases.tobytes() == b.tobytes()
+        assert out.weights.tobytes() == out_W.tobytes()
+        assert out.biases.tobytes() == out_b.tobytes()
+        assert [a["rank"] for a in build.report.rank_audits] == ranks
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Every np.linalg.svd call, one entry per call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [3, 12, 30])
+def test_one_build_takes_a_fixed_number_of_svds(svd_calls, k):
+    # the per-stage loop took three or more per stage: the family's rank,
+    # the stage check and each output's exact-square solve
+    r = np.random.default_rng(k)
+    pts = r.normal(size=(k, 2)) * 3
+    interpolation_build(pts, r.normal(size=k), seed=1)
+    assert len(svd_calls) == 2    # the stage matrices, their shifted copies
+    del svd_calls[:]
+    interpolation_build(pts, r.normal(size=k), seed=1, extra_units=2)
+    assert len(svd_calls) == 3    # the wider first stage is its own stack
+
+
+def test_rank_audits_carry_the_stage_sigma_ratio(rng):
+    build = interpolation_build(rng.normal(size=(6, 3)) * 3, rng.normal(size=6),
+                                extra_units=2)
+    hidden = build.network.layers[0]
+    params = np.column_stack([hidden.weights, hidden.biases])
+    for audit, stage in zip(build.report.rank_audits, build.stages):
+        M = params[stage.unit_start:stage.unit_start + stage.count].T
+        s = np.linalg.svd(M, compute_uv=False)
+        assert audit["sigma_min"] == pytest.approx(s[-1] / s[0], rel=1e-12)
+        assert 0.0 < audit["sigma_min"] <= 1.0
+
+
+def test_stage_rank_failure_names_the_stage_and_subdomain():
+    # a margin of 2e-6 at 1e4 gives the bias step 1e-6, so the second stage
+    # matrix [[1, 1], [b, b + 1e-6]] has sigma ratio about 5e-15
+    pwl = DiscretePWL(1, 1, (
+        (np.array([[0.0]]), AffineMap.constant([1.0], 1)),
+        (np.array([[1e4]]), AffineMap.constant([2.0], 1)),
+    ))
+    bases = (Hyperplane([1.0], 1.0), Hyperplane([1.0], -1e4 + 2e-6))
+    with pytest.raises(RankDeficientError,
+                       match=r"stage 1 \(subdomain 1\): matrix rank 1 < 2") as err:
+        build_staircase(pwl, order=DistinguishableOrder((0, 1), bases))
+    assert err.value.rank == 1
+
+
+def test_family_member_margin_failure_names_stage_point_and_margin():
+    # at 2**33 one ulp is 2**-19, the second base's margin on the earlier
+    # point; its member's bias step of half that rounds to even, onto
+    # -2**33, so the member passes through that point with margin 0
+    far = 2.0 ** 33
+    pwl = DiscretePWL(1, 1, (
+        (np.array([[far]]), AffineMap.constant([1.0], 1)),
+        (np.array([[far + 10.0]]), AffineMap.constant([2.0], 1)),
+    ))
+    bases = (Hyperplane([1.0], 1.0 - far), Hyperplane([1.0], -(far + 2.0 ** -19)))
+    with pytest.raises(MarginError, match=r"stage 1 \(subdomain 1\): family member 1 "
+                                          r"margin 0 at point \[8589934592.0\]") as err:
+        build_staircase(pwl, order=DistinguishableOrder((0, 1), bases))
+    assert (err.value.stage, err.value.subdomain, err.value.margin) == (1, 1, 0.0)
+    assert err.value.point.tolist() == [far]
+
