@@ -20,6 +20,7 @@ from .core import (
     forward_traced,
     numeric_rank,
     solve_constrained,
+    solve_square,
 )
 from .arrangement import (
     Arrangement,
@@ -72,6 +73,6 @@ from .deep import (
     synth_deep_multi,
 )
 from .randmat import SphereSampler, rank_probability, sample_matrix
-from .report import ConstructionReport
+from .report import BuildFailure, ConstructionReport
 
 __version__ = "0.1.0"

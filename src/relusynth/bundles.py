@@ -28,8 +28,10 @@ from .ordering import InseparableError, separate
 
 class MarginError(ValueError):
     """A conditioning point violates the required margin; carries the point
-    and its margin, and for a staircase build the stage position and the
-    stage's subdomain."""
+    and its margin.  For a staircase build ``stage`` is the stage position
+    and ``subdomain`` the stage's subdomain; for a deep build ``stage`` is
+    the layer and ``subdomain`` the block's leaves (the leaf, for an output
+    bundle)."""
 
     def __init__(self, message, point=None, margin=None, stage=None, subdomain=None):
         super().__init__(message)
@@ -115,10 +117,10 @@ def axis_family(W, b, count, worst, reach, anchor=None):
     # members always have
     params = np.concatenate([base, base + moves], axis=1)
     if anchor is not None:
-        # one product per member, so the rounding is that of each member alone
-        for P, a in zip(params, anchor):
-            for p in P[1:]:
-                p[n] = -float(p[:n] @ a)
+        # one dot product per member, so the rounding is that of each
+        # member alone
+        params[:, 1:, n] = -np.matmul(params[:, 1:, None, :n],
+                                      np.asarray(anchor)[:, None, :, None])[..., 0, 0]
     return params
 
 

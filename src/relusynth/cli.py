@@ -3,7 +3,8 @@
 Subcommands: synth3, synthdeep, decode, widen, order, count-regions,
 rank-prob, verify, demo, eval.  Results go to stdout as JSON, human
 summaries to stderr.  Exit codes: 0 verified/ok, 1 verification failed,
-2 input error.
+2 input error, 3 build failed (a synthesis failed one of its own checks;
+its report, when it made one, still goes to ``--report``).
 """
 
 from __future__ import annotations
@@ -147,12 +148,16 @@ def cmd_verify(args):
     return code
 
 
+def _write_report(path, report):
+    with open(path, "w") as fh:
+        fh.write(report.to_json(indent=2))
+        fh.write("\n")
+
+
 def _finish_synthesis(args, build):
     _write_json(args.out, build.network.to_json_dict())
     if getattr(args, "report", None):
-        with open(args.report, "w") as fh:
-            fh.write(build.report.to_json(indent=2))
-            fh.write("\n")
+        _write_report(args.report, build.report)
     _emit({"architecture": build.network.architecture(),
            "max_residual": build.report.max_residual,
            "out": args.out},
@@ -489,17 +494,24 @@ def build_parser():
     return p
 
 
+# commands whose --report is an output; widen reads its plan from --report
+_REPORT_OUTPUT = ("synth3", "synthdeep", "decode")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"build failed: {exc}", file=sys.stderr)
+        report = getattr(exc, "report", None)
+        if report is not None and args.command in _REPORT_OUTPUT and args.report:
+            _write_report(args.report, report)
+        return 3
 
 
 if __name__ == "__main__":

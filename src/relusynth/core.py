@@ -430,6 +430,30 @@ def numeric_rank(M, tol=RANK_TOL):
     return int(np.sum(s > tol * s[0]))
 
 
+def stack_rank(s, tol=RANK_TOL):
+    """Numeric ranks from stacked singular values, one descending row per
+    matrix: ``numeric_rank`` for each matrix of a batched SVD."""
+    return (s > tol * s[..., :1]).sum(axis=-1)
+
+
+def solve_square(A, Y):
+    """The coefficient-matching solve: exact solves of square systems.
+
+    ``A`` is (..., m, m) and ``Y`` (..., k, m); row j of ``Y`` is one
+    right-hand side for the matching ``A``, and the result has the shape
+    of ``Y``.  Each right-hand side takes its own LAPACK solve and one step
+    of iterative refinement, which rescues marginally conditioned systems
+    without changing the well-conditioned ones; a solution's bytes do not
+    depend on the other right-hand sides or the rest of the stack.  The
+    caller checks the ranks.
+    """
+    A = np.asarray(A, dtype=float)[..., None, :, :]
+    Y = np.asarray(Y, dtype=float)[..., None]
+    X = np.linalg.solve(A, Y)
+    X += np.linalg.solve(A, Y - A @ X)
+    return X[..., 0]
+
+
 def solve_constrained(A, y, mode, rank_tol=RANK_TOL):
     """Solve A x = y under one of three contracts.
 
@@ -450,11 +474,7 @@ def solve_constrained(A, y, mode, rank_tol=RANK_TOL):
                 f"square system is singular (numeric rank {rank} < {A.shape[0]})",
                 rank=rank,
             )
-        x = np.linalg.solve(A, y)
-        # one step of iterative refinement rescues marginally conditioned
-        # systems without changing the well-conditioned ones
-        x += np.linalg.solve(A, y - A @ x)
-        return x
+        return solve_square(A, y[None])[0]
     if mode in ("least_norm_underdetermined", "least_squares"):
         x, *_ = np.linalg.lstsq(A, y, rcond=None)
         dx, *_ = np.linalg.lstsq(A, y - A @ x, rcond=None)

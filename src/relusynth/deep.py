@@ -12,17 +12,22 @@ exclusive dimensions so it stays dark for them.  The last hidden layer
 gives each leaf a full-rank bundle of dim+1 units and the linear output
 layer solves each leaf's affine target independently.
 
-The work runs per bundle and per layer: a bundle is lifted into its
-group's frame with one pivot inverse; each group of the layer gets one
-interference solve, which sets the weight on its units for every unit the
-other groups own; and each layer is audited with one product over the
-previous layer's images stacked in input row order.
+Each layer is built and audited in one stacked pass, not group by group:
+its bundles' families come from one ``axis_family`` call per stack of
+equal count, their lift from one batched inverse of the groups' frames,
+the interference weights from one block solve, and the audit from one
+product over the previous layer's images stacked in input row order.
+Ranks come from a few batched SVDs per layer, and the output layer is one
+``solve_square`` call per stack of equal-width leaves.  Rows keep their
+own matrix-vector products where a matrix product would round
+differently, so the networks are the same bytes as a group-by-group loop.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,20 +39,18 @@ from .core import (
     Hyperplane,
     Layer,
     Network,
+    RankDeficientError,
     affine_fit,
     forward_batch,
-    numeric_rank,
     solve_constrained,
+    solve_square,
+    stack_rank,
     supporting_hyperplane,
 )
-from .bundles import BundleConfig, common_point_bundle, same_classification_bundle
+from .bundles import BundleConfig, MarginError, axis_family
 from .ordering import separate
-from .affine import (
-    interference_avoiding_weights,
-    rank_condition_check,
-    transform_hyperplane,
-)
-from .report import ConstructionReport
+from .affine import interference_avoiding_weights
+from .report import BuildFailure, ConstructionReport
 
 __all__ = [
     "PartitionTree",
@@ -205,22 +208,14 @@ def build_partition_tree(subdomains, seed=0):
 @dataclass
 class _Group:
     node: TreeNode
-    leaf_ids: list
-    points: np.ndarray      # original-coordinate points, in ascending leaf order
+    leaf_ids: list          # the node's leaves, ascending
+    rows: np.ndarray        # their points' rows in the root stack, ascending
+    points: np.ndarray      # original-coordinate points: those rows
     M: np.ndarray           # frame: x -> block preactivations
     c: np.ndarray
-    dims: list              # unit indices of the block in the current layer
+    dims: range             # unit indices of the block in the current layer
+    anchor: np.ndarray | None = None   # a pass-through family's common point
     is_input: bool = False  # frame refers to the raw input, not relu outputs
-
-    def images(self, width):
-        """The group's points in a layer of the given width: its block's
-        outputs on its own units, zero on every other unit."""
-        vals = self.points @ self.M.T + self.c
-        if not self.is_input:
-            vals = np.maximum(vals, 0.0)
-        out = np.zeros((vals.shape[0], width))
-        out[:, self.dims] = vals
-        return out
 
 
 @dataclass
@@ -236,85 +231,338 @@ class DeepBuild:
     report: ConstructionReport
 
 
-def _lift_bundle(bundle, group, prev_width):
-    """Full-width unit rows realizing a bundle's original-coordinate
-    hyperplanes on the group's image, zero on every other group's units."""
-    n = group.M.shape[1]
-    lifted = transform_hyperplane(bundle, AffineMap(group.M[:n], group.c[:n]))
-    W = np.zeros((len(lifted), prev_width))
-    W[:, group.dims[:n]] = [t.w for t in lifted]
-    return W, np.array([t.b for t in lifted])
+def _block_name(node, last):
+    return f"output leaf {node.leaf}" if last else f"leaves {sorted(node.leaves())}"
 
 
-def _group_bundles(g, last, count, cfg, sets):
-    """The bundles one group adds to the next layer, each with the tree
-    node it carries, that node's points and its plan tag.  ``count`` is n
-    plus the group's extra units: the width of its first bundle, one less
-    than that of its output bundle."""
-    n = g.points.shape[1]
-    if last:
-        base = supporting_hyperplane(g.points)
-        bundle = same_classification_bundle(base, g.points, None, count + 1, cfg)
-        return [(g.node, g.points, bundle,
-                 {"kind": "output-bundle", "leaf": g.node.leaf})]
-    if g.node.is_leaf():
-        # common-point family anchored in original coordinates, so frame
-        # conditioning does not accumulate with depth; its restriction to
-        # the group's embedded subspace still meets in the anchor's image
-        base = supporting_hyperplane(g.points)
-        p0 = g.points[0]
-        anchor = p0 - float(base.value(p0)) * base.w / float(base.w @ base.w)
-        bundle = common_point_bundle(base, anchor, g.points, cfg, count=count)
-        return [(g.node, g.points, bundle, {"kind": "passthrough", "leaf": g.node.leaf})]
-    pts_a = np.vstack([sets[i] for i in sorted(g.node.a.leaves())])
-    pts_b = np.vstack([sets[i] for i in sorted(g.node.b.leaves())])
-    sep = g.node.separator
-    bundle_a = same_classification_bundle(sep, pts_a, pts_b, count, cfg)
-    bundle_b = same_classification_bundle(sep.negated(), pts_b, pts_a, n, cfg)
-    return [(child, pts, bundle, {"kind": "split", "leaves": sorted(child.leaves())})
-            for child, pts, bundle in ((g.node.a, pts_a, bundle_a),
-                                       (g.node.b, pts_b, bundle_b))]
+def _layer_margin_error(layer_no, node, last, what, margin, floor, point):
+    """A bundle's margin failure, naming the layer, the block's leaves (or
+    the output leaf), the point and the margin; ``stage`` is the layer and
+    ``subdomain`` the leaves (the leaf, for an output bundle)."""
+    return MarginError(
+        f"layer {layer_no} ({_block_name(node, last)}): {what} margin {margin:.3g} "
+        f"at point {np.round(point, 6).tolist()} is below the required {floor:.3g}",
+        point=point, margin=margin, stage=layer_no,
+        subdomain=node.leaf if last else sorted(node.leaves()))
 
 
-def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, sets):
-    """One hidden layer: each group's bundles, lifted one bundle at a time,
-    then one interference solve per group for the units the other groups
-    own.  Returns the layer, its plan tags and the groups it carries on."""
+class _Bundle(NamedTuple):
+    """One bundle a layer adds: the new block's tree node and plan tag, the
+    group it lifts into, the base's (w, b), the conditioning rows (plus
+    side, zero side), the unit count and, for a pass-through block, the
+    common point of its family."""
+
+    node: TreeNode
+    tag: dict
+    group: int
+    w: np.ndarray
+    b: float
+    plus: np.ndarray
+    zero: np.ndarray
+    count: int
+    anchor: np.ndarray | None
+
+
+def _layer_bundles(groups, layer_no, last, extra, rows_of):
+    """The bundles one layer adds, in unit order."""
     n = groups[0].points.shape[1]
-    rows, biases, owner, tags, new_groups = [], [], [], [], []
-    width = 0
+    none = np.zeros(0, dtype=int)
+    bundles = []
     for gi, g in enumerate(groups):
-        try:
-            for node, pts, bundle, tag in _group_bundles(
-                    g, last, n + (extra if gi == 0 else 0), cfg, sets):
-                W, b = _lift_bundle(bundle, g, prev_width)
-                rows.append(W)
-                biases.append(b)
-                owner.extend([gi] * len(bundle))
-                tags.append(dict(tag, units=[width, len(bundle)]))
-                new_groups.append(_Group(node, sorted(node.leaves()), pts,
-                                         np.array([t.w for t in bundle]),
-                                         np.array([t.b for t in bundle]),
-                                         list(range(width, width + len(bundle)))))
-                width += len(bundle)
-        except (ValueError, RuntimeError) as exc:
-            where = (f"output bundle for leaf {g.node.leaf}" if last
-                     else f"layer {layer_no}, group {sorted(g.leaf_ids)}")
-            raise type(exc)(f"{where}: {exc}") from exc
-    W, b, owner = np.vstack(rows), np.concatenate(biases), np.array(owner)
+        count = n + (extra if gi == 0 else 0)
+        node = g.node
+        if last or node.is_leaf():
+            base = supporting_hyperplane(g.points)
+            if last:
+                bundles.append(_Bundle(node, {"kind": "output-bundle", "leaf": node.leaf},
+                                       gi, base.w, base.b, g.rows, none, count + 1, None))
+                continue
+            # common-point family anchored in original coordinates, so frame
+            # conditioning does not accumulate with depth; its restriction to
+            # the group's embedded subspace still meets in the anchor's image
+            p0 = g.points[0]
+            anchor = p0 - float(base.value(p0)) * base.w / float(base.w @ base.w)
+            if abs(float(base.value(anchor))) > 1e-9:
+                raise ValueError(f"layer {layer_no} ({_block_name(node, last)}): "
+                                 "anchor does not lie on the base hyperplane")
+            bundles.append(_Bundle(node, {"kind": "passthrough", "leaf": node.leaf},
+                                   gi, base.w, base.b, g.rows, none, count, anchor))
+            continue
+        sep = node.separator
+        (leaves_a, rows_a), (leaves_b, rows_b) = rows_of(node.a), rows_of(node.b)
+        bundles.append(_Bundle(node.a, {"kind": "split", "leaves": leaves_a},
+                               gi, sep.w, sep.b, rows_a, rows_b, count, None))
+        bundles.append(_Bundle(node.b, {"kind": "split", "leaves": leaves_b},
+                               gi, -sep.w, -sep.b, rows_b, rows_a, n, None))
+    return bundles
+
+
+def _families(bundles, layer_no, last, X, cfg):
+    """The parameter rows, (count, dim + 1), of every bundle of a layer.
+
+    The conditioning rows of all bundles are gathered once.  Each base's
+    margins are its own product over its rows, since they set its family's
+    steps; ``worst`` and ``reach`` are segment reductions, and one
+    ``axis_family`` call builds each stack of equal count and anchoring.
+    Member margins are one stacked product per stack, and the stacked
+    (w, b) columns of the bundles without an anchor are ranked by one
+    batched SVD per stack.  Returns the rows and those singular values
+    (None for an anchored bundle).
+    """
+    n = X.shape[1]
+    k = len(bundles)
+    sides = [rows for u in bundles for rows in (u.plus, u.zero)]
+    side_sizes = np.array([len(rows) for rows in sides])
+    sizes = side_sizes[0::2] + side_sizes[1::2]
+    offsets = np.cumsum(sizes) - sizes
+    G = X[np.concatenate(sides)]
+    signs = np.repeat(np.tile([1.0, -1.0], k), side_sizes)
+    bundle_of_row = np.repeat(np.arange(k), sizes)
+    base_W = np.array([u.w for u in bundles])
+    base_b = np.array([u.b for u in bundles])
+    margins = signs * (np.concatenate([G[o:o + m] @ w
+                                       for o, m, w in zip(offsets, sizes, base_W)])
+                       + base_b[bundle_of_row])
+    if margins.min() < cfg.margin:
+        j = bundle_of_row[np.argmax(margins < cfg.margin)]
+        i = offsets[j] + np.argmin(margins[offsets[j]:offsets[j] + sizes[j]])
+        raise _layer_margin_error(layer_no, bundles[j].node, last, "base hyperplane",
+                                  float(margins[i]), cfg.margin, G[i])
+    worst = np.minimum.reduceat(margins, offsets)
+    anchored = np.array([u.anchor is not None for u in bundles])
+    anchors = np.array([np.zeros(n) if u.anchor is None else u.anchor for u in bundles])
+    reach = np.maximum.reduceat(np.abs(G - anchors[bundle_of_row]), offsets, axis=0)
+
+    counts = np.array([u.count for u in bundles])
+    params = [None] * k
+    sv = [None] * k
+    floor = cfg.margin / 2.0
+    member_fail = []        # (bundle, member, conditioning row, margin)
+    rank_fail = []          # (bundle, rank, expected rank)
+    for with_anchor, count in dict.fromkeys(zip(anchored.tolist(), counts.tolist())):
+        idx = np.flatnonzero((anchored == with_anchor) & (counts == count))
+        P = axis_family(base_W[idx], base_b[idx], count, worst[idx], reach[idx],
+                        anchors[idx] if with_anchor else None)
+        for j, i in enumerate(idx):
+            params[i] = P[j]
+        if count > 1:
+            rows = np.flatnonzero(np.isin(bundle_of_row, idx))
+            members = P[np.repeat(np.arange(len(idx)), sizes[idx]), 1:]
+            vals = signs[rows, None] * (np.matmul(members[:, :, :n], G[rows, :, None])[..., 0]
+                                        + members[:, :, n])
+            bad = (vals < floor).any(axis=1)
+            if bad.any():
+                # the stack's first failing bundle, at its worst member
+                mine = bundle_of_row[rows] == bundle_of_row[rows[bad]].min()
+                r, m = np.unravel_index(np.argmin(np.where(mine[:, None], vals, np.inf)),
+                                        vals.shape)
+                member_fail.append((bundle_of_row[rows[r]], m + 1, rows[r], float(vals[r, m])))
+        if not with_anchor:
+            # for an output bundle this is the leaf's coefficient-matching
+            # matrix, so its rank serves the output layer too
+            s = np.linalg.svd(np.swapaxes(P, 1, 2), compute_uv=False)
+            rank = stack_rank(s)
+            for j, i in enumerate(idx):
+                sv[i] = s[j]
+            expected = min(count, n + 1)
+            rank_fail.extend((idx[j], int(rank[j]), expected)
+                             for j in np.flatnonzero(rank < expected))
+    if member_fail:
+        j, m, r, margin = min(member_fail)
+        raise _layer_margin_error(layer_no, bundles[j].node, last, f"family member {m}",
+                                  margin, floor, G[r])
+    if rank_fail:
+        j, rank, expected = min(rank_fail)
+        raise RankDeficientError(f"layer {layer_no} ({_block_name(bundles[j].node, last)}): "
+                                 f"bundle matrix rank {rank} < {expected}", rank=rank)
+    return params, sv
+
+
+def _images(groups, width, n_rows):
+    """The previous layer's outputs on each group's points: its block's
+    values on its own units, zero on every other unit.  Returns one array
+    per group and all of them stacked in root row order."""
+    stacked = np.zeros((n_rows, width))
+    images = []
+    start = 0
+    for g in groups:
+        vals = g.points @ g.M.T + g.c
+        if not g.is_input:
+            vals = np.maximum(vals, 0.0)
+        seg = stacked[start:start + len(vals)]
+        seg[:, g.dims.start:g.dims.stop] = vals
+        images.append(seg)
+        start += len(vals)
+    A = np.empty_like(stacked)
+    A[np.concatenate([g.rows for g in groups])] = stacked
+    return images, A
+
+
+def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, rows_of, X):
+    """One hidden layer in one stacked pass: every group's bundles, their
+    lift into the groups' frames, and the interference weights.  Returns
+    the layer, its plan tags, the groups it carries on and each new
+    block's bundle singular values."""
+    n = X.shape[1]
+    bundles = _layer_bundles(groups, layer_no, last, extra, rows_of)
+    params, sv = _families(bundles, layer_no, last, X, cfg)
+
+    # the lift: one inverse per frame, then each row's own matrix-vector
+    # product with the transposed inverse and dot product for its bias,
+    # stacked; each frame is nonsingular, as the previous layer's audit
+    # (or the identity of the input) certified
+    counts = [u.count for u in bundles]
+    unit_group = np.repeat([u.group for u in bundles], counts)
+    P = np.concatenate(params)
+    W_inv = np.linalg.inv(np.array([g.M[:n] for g in groups]))
+    w = np.matmul(np.swapaxes(W_inv[unit_group], 1, 2), P[:, :n, None])
+    c = np.array([g.c[:n] for g in groups])[unit_group]
+    b = P[:, n] - np.matmul(np.swapaxes(w, 1, 2), c[:, :, None])[:, 0, 0]
+    W = np.zeros((len(P), prev_width))
+    pivots = np.array([g.dims[:n] for g in groups])
+    W[np.arange(len(P))[:, None], pivots[unit_group]] = w[:, :, 0]
     if len(groups) > 1:
-        # a group's images are zero off its own units, so one solve per
-        # group sets the weight on its units for every unit it does not own
-        for hi, h in enumerate(groups):
-            other = owner != hi
-            try:
-                weights = interference_avoiding_weights(
-                    W[other], b[other], [h.dims], [images[hi]])
-            except ValueError as exc:
-                raise ValueError(f"layer {layer_no}, foreign group "
-                                 f"{sorted(h.leaf_ids)}: {exc}") from exc
-            W[np.ix_(other, h.dims)] = weights
-    return Layer(W, b, "relu"), tags, new_groups
+        # a group's images are zero off its own units, so one block solve
+        # sets the weight on each group's units for every unit of the layer
+        try:
+            weights = interference_avoiding_weights(
+                W, b, [g.dims for g in groups], images)
+        except ValueError as exc:
+            bad = [h for h, img in zip(groups, images)
+                   if img[:, h.dims.start:h.dims.stop].min() <= ACTIVATION_TOL]
+            name = sorted((bad or groups)[0].leaf_ids)
+            raise ValueError(f"layer {layer_no}, foreign group {name}: {exc}") from exc
+        owner = np.repeat(np.arange(len(groups)), [len(g.dims) for g in groups])
+        W = np.where(unit_group[:, None] == owner[None, :], W, weights[:, owner])
+
+    tags, new_groups = [], []
+    start = 0
+    for u, p in zip(bundles, params):
+        leaves, rows = rows_of(u.node)
+        tags.append(dict(u.tag, units=[start, u.count]))
+        new_groups.append(_Group(u.node, leaves, rows, X[rows],
+                                 np.ascontiguousarray(p[:, :n]), p[:, n].copy(),
+                                 range(start, start + u.count), anchor=u.anchor))
+        start += u.count
+    return Layer(W, b, "relu"), tags, new_groups, sv
+
+
+def _ranked(mats):
+    """Numeric ranks of equal-shape matrices from one batched SVD, and each
+    one's smallest singular value over its largest."""
+    s = np.linalg.svd(np.asarray(mats), compute_uv=False)
+    return stack_rank(s), s[:, -1] / s[:, 0]
+
+
+def _audit_layer(layer, layer_no, A, groups, X, cfg,
+                 activation_audits, affine_fit_residuals, rank_audits):
+    """Group isolation and affine-transmission checks for one hidden layer.
+
+    ``A`` holds the previous layer's outputs in root row order, so one
+    product gives every point's preactivations.  Each block's own minimum
+    and foreign maximum are segment reductions of it over the groups'
+    rows and units.  The witnesses with the fits, the centred point sets
+    (zero-padded to one shape) and the blocks' weights are ranked by one
+    batched SVD per stack of equal shape; each affine fit is its own
+    least-squares solve.
+    """
+    n = X.shape[1]
+    W = layer.weights
+    Z = A @ W.T + layer.biases
+    sizes = np.array([len(g.rows) for g in groups])
+    starts = np.cumsum(sizes) - sizes
+    Zg = Z[np.concatenate([g.rows for g in groups])]     # rows in group order
+    units = np.array([len(g.dims) for g in groups])
+    unit_starts = np.cumsum(units) - units
+    lo = np.minimum.reduceat(np.minimum.reduceat(Zg, starts, axis=0), unit_starts, axis=1)
+    hi = np.maximum.reduceat(np.maximum.reduceat(Zg, starts, axis=0), unit_starts, axis=1)
+    own = np.diagonal(lo).copy()
+    np.fill_diagonal(hi, -np.inf)
+    foreign = hi.max(axis=0)
+    for g, o, f in zip(groups, own.tolist(), foreign.tolist()):
+        activation_audits.append({
+            "layer": layer_no,
+            "leaves": [int(i) for i in g.leaf_ids],
+            "own_min_preactivation": o,
+            "foreign_max_preactivation": f,
+        })
+    bad_own = own <= cfg.margin / 2.0 - 1e-12
+    bad = bad_own | (foreign > -cfg.margin / 2.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        g = groups[i]
+        block = Z[:, g.dims.start:g.dims.stop]
+        if bad_own[i]:
+            r = g.rows[np.argmin(block[g.rows].min(axis=1))]
+            what = f"a group's own preactivation fell to {own[i]:.3g}"
+        else:
+            others = np.setdiff1d(np.arange(len(Z)), g.rows)
+            r = others[np.argmax(block[others].max(axis=1))]
+            what = f"foreign preactivation {foreign[i]:.3g} not below -margin/2"
+        raise RuntimeError(f"layer {layer_no}: {what} (block of leaves {g.leaf_ids}, "
+                           f"point {np.round(X[r], 6).tolist()})")
+
+    # the block's first n preactivations on its own points must be the
+    # witness frame's image of them; with more than n points of full affine
+    # span, an independent fit must agree
+    own_pre = [Zg[a:a + m, u:u + n] for a, m, u in zip(starts, sizes, unit_starts)]
+    resid = [float(np.max(np.abs(g.points @ g.M[:n].T + g.c[:n] - pre)))
+             for g, pre in zip(groups, own_pre)]
+    many = [i for i, g in enumerate(groups) if len(g.rows) > n]
+    fitted = []
+    if many:
+        centred = np.zeros((len(many), sizes[many].max(), n))
+        for j, i in enumerate(many):
+            p = groups[i].points
+            centred[j, :len(p)] = p - p.mean(axis=0)
+        fitted = [i for i, r in zip(many, _ranked(centred)[0]) if r == n]
+    fits = []
+    for i in fitted:
+        fit, fit_resid = affine_fit(groups[i].points, own_pre[i])
+        resid[i] = max(resid[i], fit_resid)
+        fits.append(fit.W)
+    rank = _ranked([g.M[:n] for g in groups] + fits)[0] == n
+    nonsingular = rank[:len(groups)]
+    nonsingular[fitted] &= rank[len(groups):]
+    for g, r, ok in zip(groups, resid, nonsingular.tolist()):
+        affine_fit_residuals.append({
+            "layer": layer_no,
+            "leaves": [int(i) for i in g.leaf_ids],
+            "residual": r,
+            "witness_nonsingular": ok,
+        })
+    broken = [i for i, (r, ok) in enumerate(zip(resid, nonsingular)) if r > 1e-8 or not ok]
+    if broken:
+        g = groups[broken[0]]
+        raise RuntimeError(f"layer {layer_no}: affine transmission broke (block of "
+                           f"leaves {g.leaf_ids}, residual {resid[broken[0]]:.3g})")
+
+    # a pass-through family meets in its anchor: its frame and biases
+    # recover the anchor
+    through = [g for g in groups if g.anchor is not None]
+    if through:
+        anchor = np.array([g.anchor for g in through])
+        found = np.linalg.solve(np.array([g.M[:n] for g in through]),
+                                -np.array([g.c[:n] for g in through])[:, :, None])[:, :, 0]
+        off = np.abs(found - anchor).max(axis=1) > 1e-9 * (1.0 + np.abs(anchor).max(axis=1))
+        if off.any():
+            raise RuntimeError(f"layer {layer_no} (leaves {through[np.argmax(off)].leaf_ids}): "
+                               "family does not meet at the anchor")
+
+    rank = np.zeros(len(groups), dtype=int)
+    sigma_min = np.zeros(len(groups))
+    for u in dict.fromkeys(units.tolist()):
+        idx = np.flatnonzero(units == u)
+        rank[idx], sigma_min[idx] = _ranked(
+            [W[groups[i].dims.start:groups[i].dims.stop] for i in idx])
+    ok = rank >= np.minimum(n, units)
+    for g, r, good, s in zip(groups, rank.tolist(), ok.tolist(), sigma_min.tolist()):
+        rank_audits.append({"layer": layer_no, "leaves": [int(i) for i in g.leaf_ids],
+                            "rank_ok": good, "rank": r, "sigma_min": s})
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise RuntimeError(f"layer {layer_no}: block weight rank {rank[i]} too low "
+                           f"(block of leaves {groups[i].leaf_ids})")
 
 
 def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
@@ -325,11 +573,22 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
     sets = [pts for pts, _ in pwl.subdomains]
     maps = [amap for _, amap in pwl.subdomains]
 
-    # group point rows are always stacked in ascending leaf order, so a
-    # group's rows in the root stack are its leaves' rows
-    leaf_of_row = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-    groups = [_Group(tree.root, sorted(tree.root.leaves()), np.vstack(sets),
-                     np.eye(n), np.zeros(n), list(range(n)), is_input=True)]
+    # a node's points are its leaves' rows of the root stack, in ascending
+    # leaf order
+    X = np.vstack(sets)
+    bounds = np.cumsum([0] + [len(s) for s in sets])
+    node_rows = {}
+
+    def rows_of(node):
+        if id(node) not in node_rows:
+            leaves = sorted(node.leaves())
+            node_rows[id(node)] = (leaves, np.concatenate(
+                [np.arange(bounds[i], bounds[i + 1]) for i in leaves]))
+        return node_rows[id(node)]
+
+    leaves, rows = rows_of(tree.root)
+    groups = [_Group(tree.root, leaves, rows, X, np.eye(n), np.zeros(n), range(n),
+                     is_input=True)]
     prev_width = n
 
     layers = []
@@ -345,41 +604,53 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
         last = all(g.node.is_leaf() for g in groups)
         layer_no = len(layers) + 1
         extra = int(extras[len(layers)]) if extras and len(layers) < len(extras) else 0
-        images = [g.images(prev_width) for g in groups]
-        layer, tags, new_groups = _build_layer(groups, images, layer_no, last, extra,
-                                               prev_width, cfg, sets)
+        images, A = _images(groups, prev_width, len(X))
+        layer, tags, groups, sv = _build_layer(groups, images, layer_no, last, extra,
+                                               prev_width, cfg, rows_of, X)
         layers.append(layer)
         stage_plan.append(tags)
-        _audit_layer(layer, layer_no, groups, images, new_groups, leaf_of_row,
-                     activation_audits, affine_fit_residuals, rank_audits, cfg)
-        groups = new_groups
+        _audit_layer(layer, layer_no, A, groups, X, cfg,
+                     activation_audits, affine_fit_residuals, rank_audits)
         prev_width = layer.units
 
-    # output layer: per-leaf coefficient match, independent per coordinate;
-    # solved with the bias row re-expressed at the leaf centroid, which
-    # drops the condition number for leaves far from the origin without
-    # changing the solution
+    # output layer: per-leaf coefficient match, independent per coordinate.
+    # A leaf's matrix is its output bundle's stacked (w, b) columns, ranked
+    # when the bundle was built.  It is solved with the bias row
+    # re-expressed at the leaf centroid, which drops the condition number
+    # for leaves far from the origin without changing the solution.
+    for g, s in zip(groups, sv):
+        rank_audits.append({"layer": "output", "leaf": int(g.node.leaf),
+                            "columns": len(g.dims), "rank": int(stack_rank(s)),
+                            "sigma_min": float(s[-1] / s[0])})
     out_W = np.zeros((mu, prev_width))
-    for g in groups:
-        leaf = g.node.leaf
+    units = np.array([len(g.dims) for g in groups])
+    for u in dict.fromkeys(units.tolist()):
+        leaves = [groups[i] for i in np.flatnonzero(units == u)]
         # row-major: the solve's last bits depend on the memory layout
-        M = np.ascontiguousarray(np.vstack([g.M.T, g.c]))
-        rank = numeric_rank(M)
-        rank_audits.append({"layer": "output", "leaf": int(leaf),
-                            "columns": M.shape[1], "rank": int(rank)})
-        if rank < n + 1:
-            raise RuntimeError(f"leaf {leaf} bundle lost rank ({rank} < {n + 1})")
-        centroid = sets[leaf].mean(axis=0)
+        M = np.ascontiguousarray(np.concatenate(
+            [np.swapaxes(np.array([g.M for g in leaves]), 1, 2),
+             np.array([g.c for g in leaves])[:, None, :]], axis=1))
+        # a singleton's mean is its point, bit for bit
+        centroids = np.array([g.points[0] if len(g.rows) == 1 else g.points.mean(axis=0)
+                              for g in leaves])
         M_c = M.copy()
-        M_c[n] += centroid @ M[:n]
-        amap = maps[leaf]
-        for rho in range(mu):
-            rhs = np.concatenate([amap.W[rho], [float(amap.b[rho])]])
-            rhs_c = rhs.copy()
-            rhs_c[n] += float(centroid @ rhs[:n])
-            mode = ("exact_square" if M.shape[1] == n + 1
-                    else "least_norm_underdetermined")
-            out_W[rho, g.dims] = solve_constrained(M_c, rhs_c, mode)
+        M_c[:, n] += np.matmul(centroids[:, None, :], M[:, :n])[:, 0]
+        rhs = np.array([np.column_stack([maps[g.node.leaf].W, maps[g.node.leaf].b])
+                        for g in leaves])           # (leaves, outputs, n + 1)
+        rhs[..., n] += np.matmul(centroids[:, None, None, :], rhs[..., :n, None])[..., 0, 0]
+        if u == n + 1:
+            rank = _ranked(M_c)[0]
+            if (rank < n + 1).any():
+                j = int(np.argmax(rank < n + 1))
+                raise RankDeficientError(
+                    f"output layer (leaf {leaves[j].node.leaf}): centroid-shifted "
+                    f"matrix rank {rank[j]} < {n + 1}", rank=int(rank[j]))
+            sol = solve_square(M_c, rhs)
+        else:
+            sol = [[solve_constrained(A, r, "least_norm_underdetermined") for r in R]
+                   for A, R in zip(M_c, rhs)]
+        for g, x in zip(leaves, sol):
+            out_W[:, g.dims.start:g.dims.stop] = x
     layers.append(Layer(out_W, np.zeros(mu), "linear"))
 
     net = Network(n, tuple(layers))
@@ -417,79 +688,8 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
     )
     build = DeepBuild(net, pwl, tree, stage_plan, cfg, seed, report)
     if max_residual > 1e-8:
-        raise RuntimeError(f"synthesis residual {max_residual:.3g} above 1e-8")
+        raise BuildFailure(f"synthesis residual {max_residual:.3g} above 1e-8", report)
     return build
-
-
-def _audit_layer(layer, layer_no, prev_groups, images, new_groups, leaf_of_row,
-                 activation_audits, affine_fit_residuals, rank_audits, cfg):
-    """Group isolation and affine-transmission checks for one hidden layer.
-
-    The previous groups' images are stacked once in root row order, so one
-    product gives every point's preactivations; each new group takes its
-    own rows and the foreign rows by leaf mask.
-    """
-    def group_of_row(groups):
-        of_leaf = np.empty(leaf_of_row.max() + 1, dtype=int)
-        for i, g in enumerate(groups):
-            of_leaf[g.leaf_ids] = i
-        return of_leaf[leaf_of_row]
-
-    A = np.empty((leaf_of_row.size, images[0].shape[1]))
-    A[np.argsort(group_of_row(prev_groups), kind="stable")] = np.vstack(images)
-    Z = A @ layer.weights.T + layer.biases
-    new_of_row = group_of_row(new_groups)
-    for gi, g in enumerate(new_groups):
-        own = new_of_row == gi
-        own_pre = Z[np.ix_(own, g.dims)]
-        foreign_pre = Z[np.ix_(~own, g.dims)]
-        worst_foreign = float(foreign_pre.max()) if foreign_pre.size else -np.inf
-        audit = {
-            "layer": layer_no,
-            "leaves": [int(i) for i in g.leaf_ids],
-            "own_min_preactivation": float(own_pre.min()),
-            "foreign_max_preactivation": worst_foreign,
-        }
-        activation_audits.append(audit)
-        if own_pre.min() <= cfg.margin / 2.0 - 1e-12:
-            raise RuntimeError(
-                f"layer {layer_no}: a group's own preactivation fell to "
-                f"{own_pre.min():.3g}"
-            )
-        if worst_foreign > -cfg.margin / 2.0:
-            raise RuntimeError(
-                f"layer {layer_no}: foreign preactivation {worst_foreign:.3g} "
-                f"not below -margin/2"
-            )
-        n = g.points.shape[1]
-        witness = AffineMap(g.M[:n], g.c[:n])
-        resid = float(np.max(np.abs(witness.apply(g.points) - own_pre[:, :n])))
-        nonsingular = witness.is_nonsingular()
-        centered = g.points - g.points.mean(axis=0)
-        if g.points.shape[0] > n and numeric_rank(np.atleast_2d(centered)) == n:
-            # enough affine span for an independent fit
-            fit, fit_resid = affine_fit(g.points, own_pre[:, :n])
-            resid = max(resid, fit_resid)
-            nonsingular = nonsingular and fit.is_nonsingular()
-        affine_fit_residuals.append({
-            "layer": layer_no,
-            "leaves": [int(i) for i in g.leaf_ids],
-            "residual": resid,
-            "witness_nonsingular": bool(nonsingular),
-        })
-        if resid > 1e-8 or not nonsingular:
-            raise RuntimeError(f"layer {layer_no}: affine transmission broke")
-        W_blk = layer.weights[g.dims]
-        need = min(n, len(g.dims))
-        if W_blk.shape[1] > need:
-            ok, rank = rank_condition_check(W_blk, n=need)
-        else:
-            rank = numeric_rank(W_blk)
-            ok = rank >= need
-        rank_audits.append({"layer": layer_no, "leaves": [int(i) for i in g.leaf_ids],
-                            "rank_ok": bool(ok), "rank": int(rank)})
-        if not ok:
-            raise RuntimeError(f"layer {layer_no}: block weight rank {rank} too low")
 
 
 def _final_pwl(pwl, tree):

@@ -12,6 +12,16 @@ import json
 from dataclasses import dataclass, field
 
 
+class BuildFailure(RuntimeError):
+    """A build that failed a check after its report was made.  The report
+    rides along as ``report``, so the failure can be diagnosed from it
+    alone."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
+
+
 @dataclass
 class ConstructionReport:
     architecture: str = ""

@@ -30,12 +30,14 @@ from .core import (
     forward_batch,
     numeric_rank,
     solve_constrained,
+    solve_square,
+    stack_rank,
     RankDeficientError,
 )
 from .core import supporting_hyperplane
 from .bundles import BundleConfig, MarginError, axis_family
 from .ordering import DistinguishableOrder, check_distinguishable, projection_order, separate
-from .report import ConstructionReport
+from .report import BuildFailure, ConstructionReport
 
 
 class GeometryError(ValueError):
@@ -132,7 +134,7 @@ def _stage_margin_error(what, pos, subdomain, margin, floor, point):
 def _stage_ranks(s, n, what, stage_ids, subdomain):
     """Numeric ranks from a stack's singular values (one row per stage);
     raises RankDeficientError naming the first stage below rank n + 1."""
-    rank = (s > RANK_TOL * s[:, :1]).sum(axis=1)
+    rank = stack_rank(s)
     low = np.flatnonzero(rank < n + 1)
     if low.size:
         pos = int(stage_ids[low[0]])
@@ -161,7 +163,8 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
     activation audit and the solves' contributions from earlier units read
     one product with the hidden layer.  The stage matrices, and their
     centroid-shifted copies, are ranked by one batched SVD per stack of
-    equal width, and each output of each stage is one direct solve.
+    equal width, and each exact stage is one ``solve_square`` call, one
+    LAPACK solve per output.
     """
     t_start = time.monotonic()
     if extra_units < 0:
@@ -323,12 +326,7 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
         rhs[:, n] += [float(centroid @ r[:n]) for r in rhs]
         rhs[:, n] -= out_b
         if square[pos]:
-            # one right-hand side per LAPACK solve, one refinement step, as
-            # in solve_constrained
-            rhs = rhs[:, :, None]
-            sol = np.linalg.solve(A, rhs)
-            sol += np.linalg.solve(A, rhs - A @ sol)
-            out_W[:, cols] = sol[:, :, 0]
+            out_W[:, cols] = solve_square(A, rhs)
         else:
             sol = np.array([solve_constrained(A, r, "least_norm_underdetermined")
                             for r in rhs])
@@ -379,9 +377,9 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
         report.traces.append({"event": "activation_claim_mismatch"})
     build = ShallowBuild(net, pwl, order, stages, cfg, seed, relu_output, report)
     if max_residual > 1e-8:
-        raise RuntimeError(f"synthesis residual {max_residual:.3g} above 1e-8")
+        raise BuildFailure(f"synthesis residual {max_residual:.3g} above 1e-8", report)
     if not claims_ok:
-        raise RuntimeError("hidden-layer activation audit failed")
+        raise BuildFailure("hidden-layer activation audit failed", report)
     return build
 
 

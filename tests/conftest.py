@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from relusynth import ordering
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves without it
@@ -29,3 +31,37 @@ def det_cofactor(M):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Every np.linalg.svd call, one entry per call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every LP the ordering module solves: one per solve_lp call and one
+    per LP of a solve_lps batch."""
+    calls = []
+    solve, solve_many = ordering.solve_lp, ordering.solve_lps
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    def counting_many(c, As, bs):
+        calls.extend(1 for _ in As)
+        return solve_many(c, As, bs)
+
+    monkeypatch.setattr(ordering, "solve_lp", counting)
+    monkeypatch.setattr(ordering, "solve_lps", counting_many)
+    return calls

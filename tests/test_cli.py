@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from relusynth import cli
 from relusynth.cli import InputError, main, verify_network
 from relusynth.core import (
     AffineMap,
@@ -13,6 +14,7 @@ from relusynth.core import (
     forward_traced,
 )
 from relusynth.deep import deep_build
+from relusynth.report import BuildFailure, ConstructionReport
 from relusynth.shallow import classifier_build, multi_output_build
 
 
@@ -314,3 +316,49 @@ def test_verify_fails_on_nan_output():
     report, code = verify_network(net, pwl)
     assert code == 1
     assert np.isnan(report.max_residual)
+
+
+def _failing(message, report=None):
+    def build(*args, **kwargs):
+        if report is None:
+            raise RuntimeError(message)
+        raise BuildFailure(message, report)
+    return build
+
+
+def test_failed_build_exits_3_and_writes_its_report(workdir, capsys, monkeypatch):
+    report = ConstructionReport(architecture="2(1)15(1)1'(1)", max_residual=2.34e-7)
+    monkeypatch.setattr(cli, "multi_output_build",
+                        _failing("synthesis residual 2.34e-07 above 1e-8", report))
+    net, rep = workdir / "net.json", workdir / "rep.json"
+    assert main(["synth3", "--pwl", str(workdir / "pwl.json"), "--out", str(net),
+                 "--report", str(rep)]) == 3
+    err = capsys.readouterr().err
+    assert err == "build failed: synthesis residual 2.34e-07 above 1e-8\n"
+    assert not net.exists()
+    kept = ConstructionReport.from_json(rep.read_text())
+    assert (kept.architecture, kept.max_residual) == ("2(1)15(1)1'(1)", 2.34e-7)
+
+
+def test_failed_build_without_report_exits_3(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "deep_build", _failing("layer 2: affine transmission broke"))
+    net, rep = workdir / "net.json", workdir / "rep.json"
+    assert main(["synthdeep", "--pwl", str(workdir / "pwl.json"), "--out", str(net),
+                 "--report", str(rep)]) == 3
+    assert capsys.readouterr().err == "build failed: layer 2: affine transmission broke\n"
+    assert not net.exists() and not rep.exists()
+
+
+def test_failed_widen_keeps_the_plan_it_read(workdir, capsys, monkeypatch):
+    # widen reads its plan from --report; a failure must not overwrite it
+    net, rep = workdir / "net.json", workdir / "rep.json"
+    main(["synth3", "--pwl", str(workdir / "pwl.json"), "--out", str(net),
+          "--report", str(rep)])
+    plan = rep.read_text()
+    monkeypatch.setattr(cli, "widen_network",
+                        _failing("widening changed outputs by 1e-3", ConstructionReport()))
+    wide = workdir / "wide.json"
+    assert main(["widen", "--report", str(rep), "--uniform", "30",
+                 "--out", str(wide)]) == 3
+    assert capsys.readouterr().err.endswith("build failed: widening changed outputs by 1e-3\n")
+    assert rep.read_text() == plan and not wide.exists()

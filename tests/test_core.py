@@ -18,6 +18,8 @@ from relusynth.core import (
     forward_traced,
     numeric_rank,
     solve_constrained,
+    solve_square,
+    stack_rank,
 )
 from conftest import det_cofactor
 
@@ -254,3 +256,23 @@ def test_activation_pattern_from_preactivation():
     p = ActivationPattern.from_preactivation([1.0, 0.0, 5e-10, 2e-9])
     assert str(p) == "+00+"
     assert p.active_units() == (0, 3)
+
+
+def test_solve_square_is_one_refined_solve_per_right_hand_side(rng):
+    A = rng.normal(size=(5, 4, 4))
+    Y = rng.normal(size=(5, 3, 4))
+    X = solve_square(A, Y)
+    for a, ys, xs in zip(A, Y, X):
+        for y, x in zip(ys, xs):
+            ref = np.linalg.solve(a, y)
+            ref += np.linalg.solve(a, y - a @ ref)
+            assert x.tobytes() == ref.tobytes()
+            assert x.tobytes() == solve_constrained(a, y, "exact_square").tobytes()
+
+
+def test_stack_rank_is_numeric_rank_per_matrix(rng):
+    M = rng.normal(size=(6, 3, 5))
+    M[1, 2] = M[1, 0] + M[1, 1]
+    M[2] = 0.0
+    s = np.linalg.svd(M, compute_uv=False)
+    assert stack_rank(s).tolist() == [numeric_rank(m) for m in M] == [3, 2, 0, 3, 3, 3]

@@ -1,15 +1,33 @@
 import numpy as np
 import pytest
 
-from relusynth.core import AffineMap, DiscretePWL, forward_batch
-from relusynth.affine import interference_avoiding_weights
+from relusynth.core import (
+    AffineMap,
+    DiscretePWL,
+    Layer,
+    RankDeficientError,
+    affine_fit,
+    forward_batch,
+    numeric_rank,
+    solve_constrained,
+    supporting_hyperplane,
+)
+from relusynth.affine import interference_avoiding_weights, transform_hyperplane
+from relusynth.bundles import (
+    BundleConfig,
+    MarginError,
+    common_point_bundle,
+    same_classification_bundle,
+)
 from relusynth.ordering import separate
+from relusynth.report import BuildFailure
 import relusynth.deep as deep_module
 from relusynth.deep import (
     build_partition_tree,
     decoder_build,
     deep_build,
     rebuild_deep_from_plan,
+    rebuild_deep_with_widths,
     synth_decoder,
     synth_deep,
     synth_deep_multi,
@@ -422,3 +440,242 @@ def test_deep_exact_when_the_balanced_cut_is_thin():
         pwl = DiscretePWL(4, 1, tuple(
             (P, AffineMap(r.normal(size=(1, 4)), r.normal(size=1))) for P in S))
         assert _input_residual(deep_build(pwl), pwl) <= 1e-8, seed
+
+
+def reference_deep(pwl, tree, extras=None, cfg=BundleConfig()):
+    """The per-group loop that the stacked pass replaced: each group's
+    bundles built, checked and lifted one at a time, one interference
+    solve per group, one audit per block and one solve per output of each
+    leaf.  Returns the layers and the report's audit lists."""
+    n, mu = pwl.dim, pwl.output_dim
+    sets = [p for p, _ in pwl.subdomains]
+    maps = [m for _, m in pwl.subdomains]
+    leaf_of_row = np.repeat(np.arange(len(sets)), [len(p) for p in sets])
+
+    def points(node):
+        return np.vstack([sets[i] for i in sorted(node.leaves())])
+
+    groups = [(tree.root, np.eye(n), np.zeros(n), list(range(n)), True)]  # node, M, c, dims
+    width = n
+    layers, acts, fits, ranks = [], [], [], []
+    last = False
+    while not last:
+        last = all(g[0].is_leaf() for g in groups)
+        layer_no = len(layers) + 1
+        extra = extras[len(layers)] if extras and len(layers) < len(extras) else 0
+        images = []
+        for node, M, c, dims, is_input in groups:
+            vals = points(node) @ M.T + c
+            img = np.zeros((len(vals), width))
+            img[:, dims] = vals if is_input else np.maximum(vals, 0.0)
+            images.append(img)
+        rows, biases, owner, new = [], [], [], []
+        for gi, (node, M, c, dims, _) in enumerate(groups):
+            count = n + (extra if gi == 0 else 0)
+            pts = points(node)
+            if last or node.is_leaf():
+                base = supporting_hyperplane(pts)
+                if last:
+                    bundle = same_classification_bundle(base, pts, None, count + 1, cfg)
+                else:
+                    anchor = pts[0] - float(base.value(pts[0])) * base.w / float(base.w @ base.w)
+                    bundle = common_point_bundle(base, anchor, pts, cfg, count=count)
+                blocks = [(node, bundle)]
+            else:
+                pa, pb, sep = points(node.a), points(node.b), node.separator
+                blocks = [(node.a, same_classification_bundle(sep, pa, pb, count, cfg)),
+                          (node.b, same_classification_bundle(sep.negated(), pb, pa, n, cfg))]
+            for child, bundle in blocks:
+                lifted = transform_hyperplane(bundle, AffineMap(M[:n], c[:n]))
+                W = np.zeros((len(lifted), width))
+                W[:, dims[:n]] = [t.w for t in lifted]
+                rows.append(W)
+                biases.append([t.b for t in lifted])
+                owner.extend([gi] * len(bundle))
+                start = sum(len(g[3]) for g in new)
+                new.append((child, np.array([t.w for t in bundle]),
+                            np.array([t.b for t in bundle]),
+                            list(range(start, start + len(bundle))), False))
+        W, b, owner = np.vstack(rows), np.concatenate(biases), np.array(owner)
+        if len(groups) > 1:
+            for hi, h in enumerate(groups):
+                other = owner != hi
+                W[np.ix_(other, h[3])] = interference_avoiding_weights(
+                    W[other], b[other], [h[3]], [images[hi]])
+        layers.append(Layer(W, b))
+
+        A = np.empty((len(leaf_of_row), width))
+        for g, img in zip(groups, images):
+            A[np.isin(leaf_of_row, g[0].leaves())] = img
+        Z = A @ W.T + b
+        for node, M, c, dims, _ in new:
+            leaves = sorted(node.leaves())
+            own = np.isin(leaf_of_row, leaves)
+            own_pre, foreign = Z[np.ix_(own, dims)], Z[np.ix_(~own, dims)]
+            acts.append({"layer": layer_no, "leaves": leaves,
+                         "own_min_preactivation": float(own_pre.min()),
+                         "foreign_max_preactivation":
+                             float(foreign.max()) if foreign.size else -np.inf})
+            pts = points(node)
+            witness = AffineMap(M[:n], c[:n])
+            resid = float(np.max(np.abs(witness.apply(pts) - own_pre[:, :n])))
+            ok = witness.is_nonsingular()
+            if len(pts) > n and numeric_rank(pts - pts.mean(axis=0)) == n:
+                fit, fit_resid = affine_fit(pts, own_pre[:, :n])
+                resid, ok = max(resid, fit_resid), ok and fit.is_nonsingular()
+            fits.append({"layer": layer_no, "leaves": leaves, "residual": resid,
+                         "witness_nonsingular": ok})
+            rank = numeric_rank(W[dims])
+            ranks.append({"layer": layer_no, "leaves": leaves,
+                          "rank_ok": rank >= min(n, len(dims)), "rank": rank})
+        groups, width = new, len(b)
+
+    out_W = np.zeros((mu, width))
+    for node, M, c, dims, _ in groups:
+        M = np.ascontiguousarray(np.vstack([M.T, c]))
+        ranks.append({"layer": "output", "leaf": node.leaf, "columns": M.shape[1],
+                      "rank": numeric_rank(M)})
+        centroid = sets[node.leaf].mean(axis=0)
+        M_c = M.copy()
+        M_c[n] += centroid @ M[:n]
+        amap = maps[node.leaf]
+        for rho in range(mu):
+            rhs = np.concatenate([amap.W[rho], [float(amap.b[rho])]])
+            rhs[n] += float(centroid @ rhs[:n])
+            if M.shape[1] == n + 1:
+                x = np.linalg.solve(M_c, rhs)
+                x += np.linalg.solve(M_c, rhs - M_c @ x)
+            else:
+                x = solve_constrained(M_c, rhs, "least_norm_underdetermined")
+            out_W[rho, dims] = x
+    layers.append(Layer(out_W, np.zeros(mu), "linear"))
+    return layers, acts, fits, ranks
+
+
+def assert_equals_reference(build, extras=None):
+    layers, acts, fits, ranks = reference_deep(build.pwl, build.tree, extras)
+    assert len(build.network.layers) == len(layers)
+    for got, ref in zip(build.network.layers, layers):
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert got.biases.tobytes() == ref.biases.tobytes()
+    report = build.report
+    assert report.activation_audits == acts
+    assert report.affine_fit_residuals == fits
+    assert [{k: v for k, v in a.items() if k != "sigma_min"}
+            for a in report.rank_audits] == ranks
+
+
+def _grown(build, r):
+    """The build re-run with 1-3 extra units on every hidden layer, never
+    fewer than on the layer before, so the widths still do not decrease."""
+    widths = [l.units for l in build.network.layers[:-1]]
+    extras = np.sort(r.integers(1, 4, size=len(widths))).tolist()
+    return rebuild_deep_with_widths(build, [w + e for w, e in zip(widths, extras)]), extras
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_pass_equals_the_per_group_loop_bit_for_bit(n):
+    r = np.random.default_rng([n, 12])
+    builds = []
+    for mu, clusters in ((1, 5), (3, 4)):
+        pwl = DiscretePWL(n, mu, tuple(
+            (r.normal(size=(int(m), n)) * 0.8 + c,
+             AffineMap(r.normal(size=(mu, n)), r.normal(size=mu)))
+            for m, c in zip(r.integers(1, 5, size=clusters),
+                            r.normal(size=(clusters, n)) * 10)))
+        builds.append(deep_build(pwl, seed=n))
+    for build in builds:
+        assert_equals_reference(build)
+        grown, extras = _grown(build, r)
+        assert_equals_reference(grown, extras)
+
+
+def test_stacked_pass_equals_the_per_group_loop_on_a_decoder_and_a_refined_tree():
+    r = np.random.default_rng(20)
+    decoder = decoder_build(r.normal(size=(7, 2)), r.uniform(size=(7, 20)), seed=3)
+    assert decoder.network.output_dim == 20
+    assert_equals_reference(decoder)
+    assert_equals_reference(*_grown(decoder, r))
+    # interleaved clusters on a line: no cut separates them, so the tree
+    # is refined to singletons
+    sets = [np.array([[0.0, 0.0], [3.0, 0.0]]), np.array([[1.0, 0.0], [4.0, 0.0]]),
+            np.array([[2.0, 0.0], [5.0, 0.0]])]
+    refined = deep_build(DiscretePWL(2, 2, tuple(
+        (P, AffineMap(r.normal(size=(2, 2)), r.normal(size=2))) for P in sets)))
+    assert len(refined.tree.subdomains) == 6
+    assert_equals_reference(refined)
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 2), (4, 4), (8, 4)])
+def test_svd_count_depends_on_the_layers_not_the_groups(svd_calls, nx, ny):
+    # per hidden layer: the bundles, the centred point sets, the witnesses
+    # with the fits, and the blocks; then the leaves' shifted matrices.
+    # The per-group loop took about eight per group of each layer.
+    build = deep_build(_jittered_grid(np.random.default_rng(1), nx, ny))
+    del svd_calls[:]
+    rebuild_deep_from_plan(build.report.plan)
+    hidden = len(build.network.layers) - 1
+    assert hidden == int(np.log2(nx * ny)) + 1
+    assert len(svd_calls) == 4 * hidden + 1
+
+
+def test_rank_audits_carry_the_block_sigma_ratio():
+    build = deep_build(cluster_fixture())
+    blocks = [a for a in build.report.rank_audits if a["layer"] != "output"]
+    leaves = [a for a in build.report.rank_audits if a["layer"] == "output"]
+    assert len(leaves) == 3
+    for audit in blocks:
+        tags = build.stage_plan[audit["layer"] - 1]
+        start, count = next(t["units"] for t in tags
+                            if t.get("leaves", [t.get("leaf")]) == audit["leaves"])
+        M = build.network.layers[audit["layer"] - 1].weights[start:start + count]
+        s = np.linalg.svd(M, compute_uv=False)
+        assert audit["sigma_min"] == pytest.approx(s[-1] / s[0], rel=1e-12)
+    for audit in blocks + leaves:
+        assert 0.0 < audit["sigma_min"] <= 1.0
+
+
+def test_family_member_margin_failure_names_layer_leaf_point_and_margin():
+    # at 2**52 + 1 one ulp is 1: the output bundle's first member moves the
+    # y weight by 0.5, and x - 0.5 rounds to even, onto x - 1, so with the
+    # bias 1 - x the member passes through the point with margin 0
+    x = 2.0 ** 52 + 1
+    pwl = DiscretePWL(2, 1, ((np.array([[x, -1.0]]), AffineMap.constant([1.0], 2)),))
+    with pytest.raises(MarginError, match=r"layer 1 \(output leaf 0\): family member 1 "
+                                          r"margin 0 at point \[4503599627370497.0, -1.0\]"
+                       ) as err:
+        deep_build(pwl)
+    assert (err.value.stage, err.value.subdomain, err.value.margin) == (1, 0, 0.0)
+    assert err.value.point.tolist() == [x, -1.0]
+
+
+def test_block_rank_failure_names_layer_and_leaves():
+    # two 2-point sets 1e5 from the origin and 1 apart: the split bundle's
+    # bias row is 1e5 times its member's step, so its stacked (w, b)
+    # columns have a sigma ratio far below 1e-9
+    far = 1e5
+    pwl = DiscretePWL(2, 1, (
+        (np.array([[far, far], [far, far + 1]]), AffineMap.constant([1.0], 2)),
+        (np.array([[far + 1, far], [far + 1, far + 1]]), AffineMap.constant([2.0], 2)),
+    ))
+    with pytest.raises(RankDeficientError,
+                       match=r"layer 1 \(leaves \[0\]\): bundle matrix rank 1 < 2") as err:
+        deep_build(pwl)
+    assert err.value.rank == 1
+    # the output leaf's matrix [[1, 1], [1 - x, 1.5 - x]] at x = 1e5
+    pwl = DiscretePWL(1, 1, ((np.array([[0.0]]), AffineMap.constant([1.0], 1)),
+                             (np.array([[far]]), AffineMap.constant([2.0], 1))))
+    with pytest.raises(RankDeficientError,
+                       match=r"layer 2 \(output leaf 1\): bundle matrix rank 1 < 2"):
+        deep_build(pwl)
+
+
+def test_failed_residual_check_carries_the_report(monkeypatch):
+    monkeypatch.setattr(deep_module, "forward_batch",
+                        lambda net, X: forward_batch(net, X) + 1e-6)
+    with pytest.raises(BuildFailure, match="synthesis residual 1e-06 above 1e-8") as err:
+        deep_build(cluster_fixture())
+    report = err.value.report
+    assert report.max_residual == pytest.approx(1e-6, rel=1e-6)
+    assert report.architecture == "2(1)4(1)6(1)9(1)1'(1)"
+    assert report.plan["kind"] == "deep"

@@ -124,26 +124,6 @@ def test_maximum_hyperplane_fallback_keeps_guarantees(rng, monkeypatch):
     assert ok, failures
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Every LP the ordering module solves: one per solve_lp call and one
-    per LP of a solve_lps batch."""
-    calls = []
-    solve, solve_many = ordering.solve_lp, ordering.solve_lps
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    def counting_many(c, As, bs):
-        calls.extend(1 for _ in As)
-        return solve_many(c, As, bs)
-
-    monkeypatch.setattr(ordering, "solve_lp", counting)
-    monkeypatch.setattr(ordering, "solve_lps", counting_many)
-    return calls
-
-
 def test_order_lp_count_on_criterion_3_trial_14(lp_calls):
     # the 2-D, 24-point instance once cost 58,301 ordering LPs, then 55
     r = np.random.default_rng(314)

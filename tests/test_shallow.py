@@ -16,6 +16,8 @@ from relusynth.core import (
 )
 from relusynth.bundles import BundleConfig, MarginError, same_classification_bundle
 from relusynth.ordering import DistinguishableOrder, projection_order
+from relusynth.report import BuildFailure
+import relusynth.shallow as shallow_module
 from relusynth.shallow import (
     GeometryError,
     UniformityError,
@@ -462,20 +464,6 @@ def test_stacked_pass_equals_the_per_stage_loop_bit_for_bit(n):
         assert [a["rank"] for a in build.report.rank_audits] == ranks
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Every np.linalg.svd call, one entry per call."""
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
-
-
 @pytest.mark.parametrize("k", [3, 12, 30])
 def test_one_build_takes_a_fixed_number_of_svds(svd_calls, k):
     # the per-stage loop took three or more per stage: the family's rank,
@@ -531,3 +519,13 @@ def test_family_member_margin_failure_names_stage_point_and_margin():
     assert (err.value.stage, err.value.subdomain, err.value.margin) == (1, 1, 0.0)
     assert err.value.point.tolist() == [far]
 
+
+def test_failed_residual_check_carries_the_report(monkeypatch, rng):
+    monkeypatch.setattr(shallow_module, "forward_batch",
+                        lambda net, X: forward_batch(net, X) + 1e-6)
+    with pytest.raises(BuildFailure, match="synthesis residual 1e-06 above 1e-8") as err:
+        interpolation_build(rng.normal(size=(4, 2)), rng.normal(size=4))
+    report = err.value.report
+    assert report.max_residual == pytest.approx(1e-6, rel=1e-6)
+    assert report.architecture == "2(1)12(1)1'(1)"
+    assert [a["stage"] for a in report.rank_audits] == [0, 1, 2, 3]
