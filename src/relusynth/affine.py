@@ -189,23 +189,16 @@ def lift_hyperplane(target, emb, free_values=None):
 
 
 def transform_hyperplane(h, amap):
-    """Rewrite a hyperplane, or a list of them, in the coordinates x' = W x + b
-    of an invertible map.
+    """Rewrite a hyperplane in the coordinates x' = W x + b of an invertible
+    map.
 
     Preactivations are invariant: the new hyperplane takes the same value
-    at W x + b as the old one takes at x.  A list is rewritten with one
-    nonsingularity check and one inverse and comes back as a list; each
-    row keeps its own matrix-vector product, so its bytes do not depend on
-    the rest of the list.
+    at W x + b as the old one takes at x.
     """
     if not amap.is_nonsingular():
         raise ValueError("coordinate change must be nonsingular")
-    W_inv = np.linalg.inv(amap.W)
-    out = []
-    for t in [h] if isinstance(h, Hyperplane) else h:
-        w_new = W_inv.T @ t.w
-        out.append(Hyperplane(w_new, t.b - float(w_new @ amap.b)))
-    return out[0] if isinstance(h, Hyperplane) else out
+    w_new = np.linalg.inv(amap.W).T @ h.w
+    return Hyperplane(w_new, h.b - float(w_new @ amap.b))
 
 
 def interference_avoiding_weights(fixed_weights, bias, off_dims, D2_images,

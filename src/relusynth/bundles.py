@@ -7,7 +7,9 @@ base's plus a diagonal block, so they have full rank in every dimension.
 Each parameter's step is set in closed form from the base's smallest
 conditioning margin and how far the conditioning points lie along that
 parameter, so every member keeps the base's classification with at least
-half the required margin.
+half the required margin.  ``families`` is the one place that builds
+bundles and checks their margins and ranks: a staircase's stages, a deep
+layer's blocks and the one-base functions all go through it.
 
 The paper perturbs member j by powers eps_i**j of distinct epsilons
 instead.  That stacks into a Vandermonde block whose smallest singular
@@ -22,16 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MARGIN, Hyperplane, affine_fit, numeric_rank
+from .core import MARGIN, Hyperplane, RankDeficientError, affine_fit, numeric_rank, stack_rank
 from .ordering import InseparableError, separate
 
 
 class MarginError(ValueError):
     """A conditioning point violates the required margin; carries the point
-    and its margin.  For a staircase build ``stage`` is the stage position
-    and ``subdomain`` the stage's subdomain; for a deep build ``stage`` is
-    the layer and ``subdomain`` the block's leaves (the leaf, for an output
-    bundle)."""
+    and its margin.  ``stage`` and ``subdomain`` name the bundle as the
+    caller of ``families`` does: for a staircase build the stage position
+    and the stage's subdomain, for a deep build the layer and the block's
+    leaves (the leaf, for an output bundle); the one-base functions leave
+    both None."""
 
     def __init__(self, message, point=None, margin=None, stage=None, subdomain=None):
         super().__init__(message)
@@ -55,27 +58,6 @@ def _non_pivot(W):
     largest-magnitude one: a (k, n - 1) index array."""
     j = np.arange(W.shape[1] - 1)
     return j + (j >= np.argmax(np.abs(W), axis=1)[:, None])
-
-
-def _conditioning(D_plus, D_zero, n):
-    """Stacked conditioning points and the sign that makes each one's
-    preactivation its margin (+1 on D_plus, -1 on D_zero)."""
-    parts = [np.atleast_2d(np.asarray(D, dtype=float)) if D is not None and len(D)
-             else np.zeros((0, n)) for D in (D_plus, D_zero)]
-    signs = np.repeat([1.0, -1.0], [len(P) for P in parts])
-    return np.vstack(parts), signs
-
-
-def _require_margins(margins, pts, floor, what):
-    """Raises MarginError naming the worst point when a margin falls below
-    ``floor``; ``margins`` holds one column per hyperplane when 2-d."""
-    if margins.size and margins.min() < floor:
-        i = np.unravel_index(np.argmin(margins), margins.shape)[0]
-        worst = float(margins.min())
-        raise MarginError(
-            f"{what} margin {worst:.3g} is below the required {floor:.3g}",
-            point=pts[i], margin=worst,
-        )
 
 
 def axis_family(W, b, count, worst, reach, anchor=None):
@@ -124,24 +106,123 @@ def axis_family(W, b, count, worst, reach, anchor=None):
     return params
 
 
-def _bundle(base, params):
-    """The base itself followed by one hyperplane per further row."""
+def _margins(z, signs):
+    """Margins of preactivations ``z``: z on the plus side (sign 1), 0 - z
+    on the zero side, so a zero margin reads 0 rather than -0."""
+    return np.where(signs > 0, z, 0.0 - z)
+
+
+def _margin_error(name, what, margin, floor, point):
+    label, stage, subdomain = name
+    return MarginError(
+        f"{label}: {what} margin {margin:.3g} at point {np.round(point, 6).tolist()} "
+        f"is below the required {floor:.3g}",
+        point=point, margin=margin, stage=stage, subdomain=subdomain)
+
+
+def families(X, rows, signs, bundle_of_row, W, b, counts, anchors, margin, name):
+    """The units of k bundles, built and checked in one stacked pass.
+
+    Bundle j has the base (W[j], b[j]) and counts[j] units; with
+    ``anchors`` (one entry per bundle), a bundle whose entry is not None
+    is a common-point family through that anchor.  Its conditioning
+    points are the rows X[rows[i]] with bundle_of_row[i] == j
+    (``bundle_of_row`` ascending): on the plus side where signs[i] is 1,
+    on the zero side where it is -1.
+
+    Each base's margins are one matrix-vector product over its own rows,
+    since they set its family's steps, and must reach ``margin``; ``worst``
+    and ``reach`` are segment reductions of them (inf and 0 for a bundle
+    without rows).  One ``axis_family`` call builds each stack of bundles
+    of equal count and anchoring.  Every member must keep its base's sides
+    with margin / 2 on its own bundle's rows, read from one product of X
+    with all units, and one batched SVD per unanchored stack ranks its
+    bundles' stacked (w, b) columns, which need rank min(count, dim + 1).
+    A failure raises ``MarginError`` (base, then members) or
+    ``RankDeficientError`` for the first failing bundle j, named by
+    ``name(j)``: a (label, stage, subdomain) triple, the label leading the
+    message and the other two carried by a ``MarginError``.
+
+    Returns the (sum(counts), dim + 1) unit rows, bundle after bundle and
+    each base first; each bundle's rank and sigma_min (its smallest
+    singular value over its largest; 0 and nan when anchored); and the
+    preactivations of X on the units.
+    """
+    X = np.asarray(X, dtype=float)
+    counts = np.asarray(counts)
+    n = X.shape[1]
+    k = len(W)
+    sizes = np.bincount(bundle_of_row, minlength=k)
+    offsets = np.cumsum(sizes) - sizes
+    G = X[rows]
+    margins = _margins(np.concatenate([G[o:o + m] @ w for o, m, w in zip(offsets, sizes, W)])
+                       + b[bundle_of_row], signs)
+    low = margins < margin
+    if low.any():
+        j = bundle_of_row[np.argmax(low)]
+        i = offsets[j] + np.argmin(margins[offsets[j]:offsets[j] + sizes[j]])
+        raise _margin_error(name(j), "base hyperplane", float(margins[i]), margin, G[i])
+    anchored, A = np.zeros(k, dtype=bool), np.zeros((k, n))
+    for j, a in enumerate(anchors or ()):
+        if a is not None:
+            anchored[j], A[j] = True, a
+    # reduceat does not reduce an empty segment
+    worst, reach = np.full(k, np.inf), np.zeros((k, n))
+    has = sizes > 0
+    if has.any():
+        worst[has] = np.minimum.reduceat(margins, offsets[has])
+        D = G - A[bundle_of_row] if anchored.any() else G
+        reach[has] = np.maximum.reduceat(np.abs(D), offsets[has], axis=0)
+
+    unit_start = np.cumsum(counts) - counts
+    P = np.empty((counts.sum(), n + 1))
+    rank, sigma_min = np.zeros(k, dtype=int), np.full(k, np.nan)
+    for with_anchor, count in dict.fromkeys(zip(anchored.tolist(), counts.tolist())):
+        idx = np.flatnonzero((anchored == with_anchor) & (counts == count))
+        F = axis_family(W[idx], b[idx], count, worst[idx], reach[idx],
+                        A[idx] if with_anchor else None)
+        P[unit_start[idx, None] + np.arange(count)] = F
+        if not with_anchor:
+            # a row-major copy: LAPACK's copy-in of a transposed view is slower
+            s = np.linalg.svd(np.ascontiguousarray(np.swapaxes(F, 1, 2)), compute_uv=False)
+            rank[idx], sigma_min[idx] = stack_rank(s), s[:, -1] / s[:, 0]
+
+    Z = X @ np.ascontiguousarray(P[:, :n]).T + P[:, n]
+    # one (row, member) pair per member of each row's own bundle
+    members = counts[bundle_of_row] - 1
+    first = np.cumsum(members) - members
+    pair = np.repeat(np.arange(len(rows)), members)
+    unit = np.arange(len(pair)) + (unit_start[bundle_of_row] + 1 - first)[pair]
+    margins = _margins(Z[rows[pair], unit], signs[pair])
+    floor = margin / 2.0
+    low = margins < floor
+    if low.any():
+        j = bundle_of_row[pair[np.argmax(low)]]
+        start = first[offsets[j]]
+        i = start + np.argmin(margins[start:start + sizes[j] * (counts[j] - 1)])
+        raise _margin_error(name(j), f"family member {unit[i] - unit_start[j]}",
+                            float(margins[i]), floor, G[pair[i]])
+    expected = np.minimum(counts, n + 1)
+    low = ~anchored & (rank < expected)
+    if low.any():
+        j = int(np.argmax(low))
+        raise RankDeficientError(f"{name(j)[0]}: bundle matrix rank {rank[j]} < {expected[j]}",
+                                 rank=int(rank[j]))
+    return P, rank, sigma_min, Z
+
+
+def _one_base(base, D_plus, D_zero, count, cfg, label, anchor=None):
+    """One base's bundle through ``families``: the base itself, then one
+    hyperplane per member."""
     n = base.dim
-    return [base] + [Hyperplane(p[:n], p[n]) for p in params[1:]]
-
-
-def _one_family(base, pts, signs, count, cfg, reach, anchor=None):
-    """The parameter stack of one base's family on its conditioning points,
-    with the base and every member margin checked."""
-    margins = signs * base.value(pts)
-    _require_margins(margins, pts, cfg.margin, "base hyperplane")
-    params = axis_family(base.w[None], np.array([base.b]), count,
-                         margins.min(initial=np.inf)[None], reach[None],
-                         None if anchor is None else anchor[None])[0]
-    members = params[1:]
-    _require_margins(signs[:, None] * (pts @ members[:, :-1].T + members[:, -1]),
-                     pts, cfg.margin / 2.0, "family member")
-    return params
+    sides = [np.atleast_2d(np.asarray(D, dtype=float)) if D is not None and len(D)
+             else np.zeros((0, n)) for D in (D_plus, D_zero)]
+    X = np.vstack(sides)
+    P = families(X, np.arange(len(X)), np.repeat([1.0, -1.0], [len(D) for D in sides]),
+                 np.zeros(len(X), dtype=int), base.w[None], np.array([base.b]),
+                 np.array([count]), None if anchor is None else [anchor], cfg.margin,
+                 lambda j: (label, None, None))[0]
+    return [base] + [Hyperplane(p[:n], p[n]) for p in P[1:]]
 
 
 def same_classification_bundle(base, D_plus, D_zero, count, cfg=BundleConfig()):
@@ -156,16 +237,7 @@ def same_classification_bundle(base, D_plus, D_zero, count, cfg=BundleConfig()):
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    pts, signs = _conditioning(D_plus, D_zero, base.dim)
-    params = _one_family(base, pts, signs, count, cfg,
-                         np.abs(pts).max(axis=0, initial=0.0))
-    if count == 1:
-        return [base]
-    expected = min(count, base.dim + 1)
-    rank = numeric_rank(params.T)
-    if rank < expected:
-        raise RuntimeError(f"bundle parameter matrix rank {rank} < {expected}")
-    return _bundle(base, params)
+    return _one_base(base, D_plus, D_zero, count, cfg, "same-classification bundle")
 
 
 def reversed_pair_bundles(D1, D2, k1, k2, cfg=BundleConfig()):
@@ -218,15 +290,13 @@ def common_point_bundle(base, anchor, D_plus, cfg=BundleConfig(), count=None):
     anchor = np.asarray(anchor, dtype=float)
     if abs(float(base.value(anchor))) > 1e-9:
         raise ValueError("anchor does not lie on the base hyperplane")
-    pts, signs = _conditioning(D_plus, None, n)
-    params = _one_family(base, pts, signs, count, cfg,
-                         np.abs(pts - anchor).max(axis=0, initial=0.0), anchor)
+    bundle = _one_base(base, D_plus, None, count, cfg, "common-point bundle", anchor)
     if count == 1:
-        return [base]
-    W, b = params[:n, :n], params[:n, n]
+        return bundle
+    W, b = np.array([h.w for h in bundle[:n]]), np.array([h.b for h in bundle[:n]])
     if n > 1 and numeric_rank(W) < n:
         raise RuntimeError("common-point weight matrix is singular")
     recovered = np.linalg.solve(W, -b) if n > 1 else -b / W[0]
     if np.max(np.abs(recovered - anchor)) > 1e-9 * (1.0 + np.max(np.abs(anchor))):
         raise RuntimeError("family does not meet at the anchor")
-    return _bundle(base, params)
+    return bundle

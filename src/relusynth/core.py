@@ -230,6 +230,30 @@ class Network:
         return Network.from_json_dict(json.loads(text))
 
 
+def point_key(X):
+    """The duplicate-point rule: points that agree to 12 decimals are one
+    point."""
+    return np.asarray(X, dtype=float).round(decimals=12)
+
+
+def distinct_points(points, targets):
+    """The first occurrence of each point, with its target.
+
+    A point repeated with the same target (``np.allclose``) is dropped; one
+    repeated with a different target raises ValueError naming the row.
+    """
+    first = {}
+    keep = []
+    for i, key in enumerate(map(tuple, point_key(points))):
+        j = first.setdefault(key, i)
+        if j == i:
+            keep.append(i)
+        elif not np.allclose(targets[j], targets[i]):
+            raise ValueError(f"duplicate point at row {i} with a conflicting target; "
+                             "the map from points to targets is not bijective")
+    return points[keep], targets[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class DiscretePWL:
     """Finite disjoint point sets, each carrying a target affine map.
@@ -258,7 +282,7 @@ class DiscretePWL:
             subs.append((pts, amap))
         object.__setattr__(self, "subdomains", tuple(subs))
         all_pts = self.all_points()
-        if len(np.unique(all_pts.round(decimals=12), axis=0)) != len(all_pts):
+        if len(np.unique(point_key(all_pts), axis=0)) != len(all_pts):
             raise ValueError("subdomain point sets must be pairwise disjoint")
 
     def all_points(self):

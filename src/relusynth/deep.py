@@ -13,13 +13,13 @@ gives each leaf a full-rank bundle of dim+1 units and the linear output
 layer solves each leaf's affine target independently.
 
 Each layer is built and audited in one stacked pass, not group by group:
-its bundles' families come from one ``axis_family`` call per stack of
-equal count, their lift from one batched inverse of the groups' frames,
-the interference weights from one block solve, and the audit from one
-product over the previous layer's images stacked in input row order.
-Ranks come from a few batched SVDs per layer, and the output layer is one
-``solve_square`` call per stack of equal-width leaves.  Rows keep their
-own matrix-vector products where a matrix product would round
+its bundles come from one ``bundles.families`` call, which checks their
+margins and ranks them, their lift from one batched inverse of the
+groups' frames, the interference weights from one block solve, and the
+audit from one product over the previous layer's images stacked in input
+row order.  Ranks come from a few batched SVDs per layer, and the output
+layer is one ``solve_square`` call per stack of equal-width leaves.  Rows
+keep their own matrix-vector products where a matrix product would round
 differently, so the networks are the same bytes as a group-by-group loop.
 """
 
@@ -41,13 +41,15 @@ from .core import (
     Network,
     RankDeficientError,
     affine_fit,
+    distinct_points,
     forward_batch,
+    point_key,
     solve_constrained,
     solve_square,
     stack_rank,
     supporting_hyperplane,
 )
-from .bundles import BundleConfig, MarginError, axis_family
+from .bundles import BundleConfig, families
 from .ordering import separate
 from .affine import interference_avoiding_weights
 from .report import BuildFailure, ConstructionReport
@@ -168,7 +170,7 @@ def build_partition_tree(subdomains, seed=0):
     sets = [np.atleast_2d(np.asarray(s, dtype=float)) for s in subdomains]
     origin = list(range(len(sets)))
     pts_all = np.vstack(sets)
-    if len(np.unique(pts_all.round(decimals=12), axis=0)) != pts_all.shape[0]:
+    if len(np.unique(point_key(pts_all), axis=0)) != pts_all.shape[0]:
         raise ValueError("duplicate points across subdomains")
     rng = np.random.default_rng(seed)
 
@@ -235,17 +237,6 @@ def _block_name(node, last):
     return f"output leaf {node.leaf}" if last else f"leaves {sorted(node.leaves())}"
 
 
-def _layer_margin_error(layer_no, node, last, what, margin, floor, point):
-    """A bundle's margin failure, naming the layer, the block's leaves (or
-    the output leaf), the point and the margin; ``stage`` is the layer and
-    ``subdomain`` the leaves (the leaf, for an output bundle)."""
-    return MarginError(
-        f"layer {layer_no} ({_block_name(node, last)}): {what} margin {margin:.3g} "
-        f"at point {np.round(point, 6).tolist()} is below the required {floor:.3g}",
-        point=point, margin=margin, stage=layer_no,
-        subdomain=node.leaf if last else sorted(node.leaves()))
-
-
 class _Bundle(NamedTuple):
     """One bundle a layer adds: the new block's tree node and plan tag, the
     group it lifts into, the base's (w, b), the conditioning rows (plus
@@ -297,87 +288,6 @@ def _layer_bundles(groups, layer_no, last, extra, rows_of):
     return bundles
 
 
-def _families(bundles, layer_no, last, X, cfg):
-    """The parameter rows, (count, dim + 1), of every bundle of a layer.
-
-    The conditioning rows of all bundles are gathered once.  Each base's
-    margins are its own product over its rows, since they set its family's
-    steps; ``worst`` and ``reach`` are segment reductions, and one
-    ``axis_family`` call builds each stack of equal count and anchoring.
-    Member margins are one stacked product per stack, and the stacked
-    (w, b) columns of the bundles without an anchor are ranked by one
-    batched SVD per stack.  Returns the rows and those singular values
-    (None for an anchored bundle).
-    """
-    n = X.shape[1]
-    k = len(bundles)
-    sides = [rows for u in bundles for rows in (u.plus, u.zero)]
-    side_sizes = np.array([len(rows) for rows in sides])
-    sizes = side_sizes[0::2] + side_sizes[1::2]
-    offsets = np.cumsum(sizes) - sizes
-    G = X[np.concatenate(sides)]
-    signs = np.repeat(np.tile([1.0, -1.0], k), side_sizes)
-    bundle_of_row = np.repeat(np.arange(k), sizes)
-    base_W = np.array([u.w for u in bundles])
-    base_b = np.array([u.b for u in bundles])
-    margins = signs * (np.concatenate([G[o:o + m] @ w
-                                       for o, m, w in zip(offsets, sizes, base_W)])
-                       + base_b[bundle_of_row])
-    if margins.min() < cfg.margin:
-        j = bundle_of_row[np.argmax(margins < cfg.margin)]
-        i = offsets[j] + np.argmin(margins[offsets[j]:offsets[j] + sizes[j]])
-        raise _layer_margin_error(layer_no, bundles[j].node, last, "base hyperplane",
-                                  float(margins[i]), cfg.margin, G[i])
-    worst = np.minimum.reduceat(margins, offsets)
-    anchored = np.array([u.anchor is not None for u in bundles])
-    anchors = np.array([np.zeros(n) if u.anchor is None else u.anchor for u in bundles])
-    reach = np.maximum.reduceat(np.abs(G - anchors[bundle_of_row]), offsets, axis=0)
-
-    counts = np.array([u.count for u in bundles])
-    params = [None] * k
-    sv = [None] * k
-    floor = cfg.margin / 2.0
-    member_fail = []        # (bundle, member, conditioning row, margin)
-    rank_fail = []          # (bundle, rank, expected rank)
-    for with_anchor, count in dict.fromkeys(zip(anchored.tolist(), counts.tolist())):
-        idx = np.flatnonzero((anchored == with_anchor) & (counts == count))
-        P = axis_family(base_W[idx], base_b[idx], count, worst[idx], reach[idx],
-                        anchors[idx] if with_anchor else None)
-        for j, i in enumerate(idx):
-            params[i] = P[j]
-        if count > 1:
-            rows = np.flatnonzero(np.isin(bundle_of_row, idx))
-            members = P[np.repeat(np.arange(len(idx)), sizes[idx]), 1:]
-            vals = signs[rows, None] * (np.matmul(members[:, :, :n], G[rows, :, None])[..., 0]
-                                        + members[:, :, n])
-            bad = (vals < floor).any(axis=1)
-            if bad.any():
-                # the stack's first failing bundle, at its worst member
-                mine = bundle_of_row[rows] == bundle_of_row[rows[bad]].min()
-                r, m = np.unravel_index(np.argmin(np.where(mine[:, None], vals, np.inf)),
-                                        vals.shape)
-                member_fail.append((bundle_of_row[rows[r]], m + 1, rows[r], float(vals[r, m])))
-        if not with_anchor:
-            # for an output bundle this is the leaf's coefficient-matching
-            # matrix, so its rank serves the output layer too
-            s = np.linalg.svd(np.swapaxes(P, 1, 2), compute_uv=False)
-            rank = stack_rank(s)
-            for j, i in enumerate(idx):
-                sv[i] = s[j]
-            expected = min(count, n + 1)
-            rank_fail.extend((idx[j], int(rank[j]), expected)
-                             for j in np.flatnonzero(rank < expected))
-    if member_fail:
-        j, m, r, margin = min(member_fail)
-        raise _layer_margin_error(layer_no, bundles[j].node, last, f"family member {m}",
-                                  margin, floor, G[r])
-    if rank_fail:
-        j, rank, expected = min(rank_fail)
-        raise RankDeficientError(f"layer {layer_no} ({_block_name(bundles[j].node, last)}): "
-                                 f"bundle matrix rank {rank} < {expected}", rank=rank)
-    return params, sv
-
-
 def _images(groups, width, n_rows):
     """The previous layer's outputs on each group's points: its block's
     values on its own units, zero on every other unit.  Returns one array
@@ -402,18 +312,31 @@ def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, rows_of
     """One hidden layer in one stacked pass: every group's bundles, their
     lift into the groups' frames, and the interference weights.  Returns
     the layer, its plan tags, the groups it carries on and each new
-    block's bundle singular values."""
+    block's bundle rank and sigma_min."""
     n = X.shape[1]
     bundles = _layer_bundles(groups, layer_no, last, extra, rows_of)
-    params, sv = _families(bundles, layer_no, last, X, cfg)
+    sides = [rows for u in bundles for rows in (u.plus, u.zero)]
+    side_sizes = np.array([len(rows) for rows in sides])
+    counts = [u.count for u in bundles]
+
+    def name(j):
+        node = bundles[j].node
+        return (f"layer {layer_no} ({_block_name(node, last)})", layer_no,
+                node.leaf if last else sorted(node.leaves()))
+
+    # for an output bundle the stacked (w, b) columns are the leaf's
+    # coefficient-matching matrix, so its rank serves the output layer too
+    P, rank, sigma_min, _ = families(
+        X, np.concatenate(sides), np.repeat(np.tile([1.0, -1.0], len(bundles)), side_sizes),
+        np.repeat(np.arange(len(bundles)), side_sizes[0::2] + side_sizes[1::2]),
+        np.array([u.w for u in bundles]), np.array([u.b for u in bundles]), counts,
+        [u.anchor for u in bundles], cfg.margin, name)
 
     # the lift: one inverse per frame, then each row's own matrix-vector
     # product with the transposed inverse and dot product for its bias,
     # stacked; each frame is nonsingular, as the previous layer's audit
     # (or the identity of the input) certified
-    counts = [u.count for u in bundles]
     unit_group = np.repeat([u.group for u in bundles], counts)
-    P = np.concatenate(params)
     W_inv = np.linalg.inv(np.array([g.M[:n] for g in groups]))
     w = np.matmul(np.swapaxes(W_inv[unit_group], 1, 2), P[:, :n, None])
     c = np.array([g.c[:n] for g in groups])[unit_group]
@@ -430,21 +353,22 @@ def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, rows_of
         except ValueError as exc:
             bad = [h for h, img in zip(groups, images)
                    if img[:, h.dims.start:h.dims.stop].min() <= ACTIVATION_TOL]
-            name = sorted((bad or groups)[0].leaf_ids)
-            raise ValueError(f"layer {layer_no}, foreign group {name}: {exc}") from exc
+            foreign = sorted((bad or groups)[0].leaf_ids)
+            raise ValueError(f"layer {layer_no}, foreign group {foreign}: {exc}") from exc
         owner = np.repeat(np.arange(len(groups)), [len(g.dims) for g in groups])
         W = np.where(unit_group[:, None] == owner[None, :], W, weights[:, owner])
 
     tags, new_groups = [], []
     start = 0
-    for u, p in zip(bundles, params):
+    for u in bundles:
         leaves, rows = rows_of(u.node)
+        p = P[start:start + u.count]
         tags.append(dict(u.tag, units=[start, u.count]))
         new_groups.append(_Group(u.node, leaves, rows, X[rows],
                                  np.ascontiguousarray(p[:, :n]), p[:, n].copy(),
                                  range(start, start + u.count), anchor=u.anchor))
         start += u.count
-    return Layer(W, b, "relu"), tags, new_groups, sv
+    return Layer(W, b, "relu"), tags, new_groups, rank, sigma_min
 
 
 def _ranked(mats):
@@ -605,8 +529,8 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
         layer_no = len(layers) + 1
         extra = int(extras[len(layers)]) if extras and len(layers) < len(extras) else 0
         images, A = _images(groups, prev_width, len(X))
-        layer, tags, groups, sv = _build_layer(groups, images, layer_no, last, extra,
-                                               prev_width, cfg, rows_of, X)
+        layer, tags, groups, rank, sigma_min = _build_layer(
+            groups, images, layer_no, last, extra, prev_width, cfg, rows_of, X)
         layers.append(layer)
         stage_plan.append(tags)
         _audit_layer(layer, layer_no, A, groups, X, cfg,
@@ -618,10 +542,9 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
     # when the bundle was built.  It is solved with the bias row
     # re-expressed at the leaf centroid, which drops the condition number
     # for leaves far from the origin without changing the solution.
-    for g, s in zip(groups, sv):
+    for g, r, s in zip(groups, rank.tolist(), sigma_min.tolist()):
         rank_audits.append({"layer": "output", "leaf": int(g.node.leaf),
-                            "columns": len(g.dims), "rank": int(stack_rank(s)),
-                            "sigma_min": float(s[-1] / s[0])})
+                            "columns": len(g.dims), "rank": r, "sigma_min": s})
     out_W = np.zeros((mu, prev_width))
     units = np.array([len(g.dims) for g in groups])
     for u in dict.fromkeys(units.tolist()):
@@ -724,20 +647,7 @@ def decoder_build(codes, targets, cfg=None, seed=0):
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if codes.shape[0] != targets.shape[0]:
         raise ValueError("need one target per code")
-    seen = {}
-    keep = []
-    for i, c in enumerate(codes):
-        key = tuple(c.round(decimals=12))
-        if key in seen:
-            if not np.allclose(targets[seen[key]], targets[i]):
-                raise ValueError(
-                    f"duplicate code at row {i} with a different target; "
-                    "the code map is not bijective"
-                )
-            continue
-        seen[key] = i
-        keep.append(i)
-    codes, targets = codes[keep], targets[keep]
+    codes, targets = distinct_points(codes, targets)
     subs = tuple(
         (c[None, :], AffineMap.constant(t, codes.shape[1]))
         for c, t in zip(codes, targets)

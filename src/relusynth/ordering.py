@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MARGIN, Hyperplane
+from .core import MARGIN, Hyperplane, point_key
 from .simplex import OPTIMAL, solve_lp, solve_lps
 
 SEPARABLE_THRESHOLD = 1e-7
@@ -257,7 +257,7 @@ def maximum_hyperplane(delta_samples, star, trace=None):
     k, n = delta.shape
     if k == 0:
         raise ValueError("need at least one zero-side sample")
-    if (delta.round(decimals=12) == star.round(decimals=12)).all(axis=1).any():
+    if (point_key(delta) == point_key(star)).all(axis=1).any():
         raise ValueError("star must not be one of the zero-side samples")
 
     full = separate(star[None, :], delta)
@@ -374,7 +374,7 @@ def _singleton_points(sets):
             "supply hyperplanes to validate an existing order instead"
         )
     points = np.vstack(sets)
-    if len(np.unique(points.round(decimals=12), axis=0)) != len(sets):
+    if len(np.unique(point_key(points), axis=0)) != len(sets):
         raise ValueError("duplicate points across subdomains")
     return points
 

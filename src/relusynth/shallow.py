@@ -27,6 +27,7 @@ from .core import (
     Hyperplane,
     Layer,
     Network,
+    distinct_points,
     forward_batch,
     numeric_rank,
     solve_constrained,
@@ -35,7 +36,7 @@ from .core import (
     RankDeficientError,
 )
 from .core import supporting_hyperplane
-from .bundles import BundleConfig, MarginError, axis_family
+from .bundles import BundleConfig, families
 from .ordering import DistinguishableOrder, check_distinguishable, projection_order, separate
 from .report import BuildFailure, ConstructionReport
 
@@ -124,26 +125,6 @@ class ShallowBuild:
     report: ConstructionReport
 
 
-def _stage_margin_error(what, pos, subdomain, margin, floor, point):
-    return MarginError(
-        f"stage {pos} (subdomain {subdomain}): {what} margin {margin:.3g} at point "
-        f"{np.round(point, 6).tolist()} is below the required {floor:.3g}",
-        point=point, margin=margin, stage=pos, subdomain=subdomain)
-
-
-def _stage_ranks(s, n, what, stage_ids, subdomain):
-    """Numeric ranks from a stack's singular values (one row per stage);
-    raises RankDeficientError naming the first stage below rank n + 1."""
-    rank = stack_rank(s)
-    low = np.flatnonzero(rank < n + 1)
-    if low.size:
-        pos = int(stage_ids[low[0]])
-        raise RankDeficientError(
-            f"stage {pos} (subdomain {subdomain[pos]}): {what} rank {rank[low[0]]} < {n + 1}",
-            rank=int(rank[low[0]]))
-    return rank
-
-
 def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
                     relu_output=False):
     """Staircase synthesis engine shared by every three-layer route.
@@ -157,14 +138,14 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
 
     All k stages are built in one stacked pass.  Which later sets each base
     holds with margin is read from one product of the ordered points with
-    the bases.  Each base's margins on its conditioning rows take their own
-    product, since they set its family's steps; the families are one
-    ``axis_family`` stack.  The member margins, the uniformity check, the
-    activation audit and the solves' contributions from earlier units read
-    one product with the hidden layer.  The stage matrices, and their
-    centroid-shifted copies, are ranked by one batched SVD per stack of
-    equal width, and each exact stage is one ``solve_square`` call, one
-    LAPACK solve per output.
+    the bases.  One ``bundles.families`` call then builds every stage's
+    bundle: it checks the base and member margins and ranks the stage
+    matrices, one batched SVD per stack of equal width.  The product of the
+    points with the hidden layer that it returns also serves the
+    uniformity check, the activation audit and the solves' contributions
+    from earlier units.  One more batched SVD per stack ranks the
+    centroid-shifted copies, and each exact stage is one ``solve_square``
+    call, one LAPACK solve per output.
     """
     t_start = time.monotonic()
     if extra_units < 0:
@@ -204,33 +185,19 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
     zero = later.T | (later & (np.maximum.reduceat(V, starts, axis=0) <= -cfg.margin).T)
 
     # each stage's conditioning rows, its plus rows then its zero rows in
-    # point order, gathered once; each base's margins are one product over
-    # its own rows, so their rounding is that of the base alone
+    # point order
     stage_of, col = np.nonzero(np.hstack([plus[:, row_pos], zero[:, row_pos]]))
     N = len(X)
-    rows = col % N
-    signs = np.where(col < N, 1.0, -1.0)
-    offsets = np.searchsorted(stage_of, positions)
-    G = X[rows]
-    ends = np.append(offsets[1:], len(G))
-    margins = signs * (np.concatenate([G[a:e] @ h.w for a, e, h in zip(offsets, ends, bases)])
-                       + base_b[stage_of])
-    if margins.min() < cfg.margin:
-        s = stage_of[np.argmax(margins < cfg.margin)]
-        i = offsets[s] + np.argmin(margins[offsets[s]:ends[s]])
-        raise _stage_margin_error("base hyperplane", int(s), int(subdomain[s]),
-                                  float(margins[i]), cfg.margin, G[i])
-    worst = np.minimum.reduceat(margins, offsets)
-    reach = np.maximum.reduceat(np.abs(G), offsets, axis=0)
-
     counts = np.full(k, n + 1)
     counts[0] += extra_units
     unit_start = np.cumsum(counts) - counts
-    # stages of equal width stack: stage 0 alone when extra units widen it
-    groups = [slice(0, k)] if extra_units == 0 or k == 1 else [slice(0, 1), slice(1, k)]
-    families = [axis_family(base_W[g], base_b[g], counts[g.start], worst[g], reach[g])
-                for g in groups]
-    params = np.concatenate([f.reshape(-1, n + 1) for f in families])
+    # the stage matrix, its bundle's stacked (w, b) columns, is ranked once:
+    # as bundle, stage and audit check
+    params, rank, sigma_min, Z = families(
+        X, col % N, np.where(col < N, 1.0, -1.0), stage_of, base_W, base_b, counts, None,
+        cfg.margin, lambda s: (f"stage {s} (subdomain {subdomain[s]})", int(s), int(subdomain[s])))
+    rank_audits = [{"stage": pos, "columns": int(counts[pos]), "rank": int(rank[pos]),
+                    "sigma_min": float(sigma_min[pos])} for pos in positions.tolist()]
     stages = [ShallowStage(pos, int(j), bases[pos], int(counts[pos]),
                            params[unit_start[pos]:unit_start[pos] + counts[pos]],
                            int(unit_start[pos]))
@@ -238,38 +205,8 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
 
     hidden = Layer(params[:, :n].copy(), params[:, n].copy(), "relu")
     unit_stage = np.repeat(positions, counts)
-    Z = hidden.preactivation(X)
     low = np.minimum.reduceat(Z, starts, axis=0)     # per set and unit
     high = np.maximum.reduceat(Z, starts, axis=0)
-
-    # every member keeps its base's sides on the sets the base conditions
-    floor = cfg.margin / 2.0
-    member = np.ones(len(unit_stage), dtype=bool)
-    member[unit_start] = False
-    bad = (plus[unit_stage] & (low.T < floor)) | (zero[unit_stage] & (-high.T < floor))
-    bad &= member[:, None]
-    if bad.any():
-        u, m = np.argwhere(bad)[0]
-        s = unit_stage[u]
-        set_rows = slice(starts[m], starts[m] + sizes[m])
-        if plus[s, m]:
-            i = starts[m] + np.argmin(Z[set_rows, u])
-            margin = Z[i, u]
-        else:
-            i = starts[m] + np.argmax(Z[set_rows, u])
-            margin = 0.0 - Z[i, u]
-        raise _stage_margin_error(f"family member {u - unit_start[s]}", int(s),
-                                  int(subdomain[s]), float(margin), floor, X[i])
-
-    # one rank per stage matrix, the stacked (w, b) columns of its bundle:
-    # it serves as bundle, stage and audit check
-    stage_M = [np.ascontiguousarray(f.transpose(0, 2, 1)) for f in families]
-    sv = [np.linalg.svd(M, compute_uv=False) for M in stage_M]
-    rank = np.concatenate([_stage_ranks(s, n, "matrix", positions[g], subdomain)
-                           for s, g in zip(sv, groups)])
-    sigma_min = np.concatenate([s[:, -1] / s[:, 0] for s in sv])
-    rank_audits = [{"stage": pos, "columns": int(counts[pos]), "rank": int(rank[pos]),
-                    "sigma_min": float(sigma_min[pos])} for pos in positions.tolist()]
 
     # uniformity precondition: every earlier member classifies each later
     # subdomain entirely on one side
@@ -291,11 +228,15 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
     centroids = X[starts]    # a singleton's mean is its point, bit for bit
     for m in np.flatnonzero(sizes > 1):
         centroids[m] = ordered[m].mean(axis=0)
+    # stages of equal width stack: stage 0 alone when extra units widen it
+    groups = [slice(0, k)] if extra_units == 0 or k == 1 else [slice(0, 1), slice(1, k)]
+    bounds = np.append(unit_start, len(params))
     shifted = []
-    for g, M in zip(groups, stage_M):
-        M_c = M.copy()
-        M_c[:, n] += np.matmul(centroids[g, None, :], M[:, :n])[:, 0]
-        shifted.extend(M_c)
+    for g in groups:
+        M = np.ascontiguousarray(params[bounds[g.start]:bounds[g.stop]]
+                                 .reshape(-1, counts[g.start], n + 1).transpose(0, 2, 1))
+        M[:, n] += np.matmul(centroids[g, None, :], M[:, :n])[:, 0]
+        shifted.extend(M)
     square = counts == n + 1
     if relu_output:
         # bias unknown appended: it only feeds the constant row
@@ -303,8 +244,13 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
         square[0] = False
     if square.any():
         sq = np.flatnonzero(square)
-        _stage_ranks(np.linalg.svd(np.stack([shifted[s] for s in sq]), compute_uv=False),
-                     n, "centroid-shifted matrix", sq, subdomain)
+        rank_c = stack_rank(np.linalg.svd(np.stack([shifted[s] for s in sq]),
+                                          compute_uv=False))
+        if (rank_c < n + 1).any():
+            s = int(np.argmax(rank_c < n + 1))
+            raise RankDeficientError(
+                f"stage {sq[s]} (subdomain {subdomain[sq[s]]}): centroid-shifted matrix "
+                f"rank {rank_c[s]} < {n + 1}", rank=int(rank_c[s]))
 
     mu = pwl.output_dim
     out_W = np.zeros((mu, hidden.units))
@@ -453,17 +399,7 @@ def interpolation_build(points, values, cfg=None, seed=0, extra_units=0):
         values = values[:, None]
     if points.shape[0] != values.shape[0]:
         raise ValueError("need one value row per point")
-    seen = {}
-    keep = []
-    for i, p in enumerate(points):
-        key = tuple(p.round(decimals=12))
-        if key in seen:
-            if not np.allclose(values[seen[key]], values[i]):
-                raise ValueError(f"duplicate x with conflicting values at row {i}")
-            continue
-        seen[key] = i
-        keep.append(i)
-    points, values = points[keep], values[keep]
+    points, values = distinct_points(points, values)
     subs = tuple(
         (p[None, :], AffineMap.constant(v, points.shape[1]))
         for p, v in zip(points, values)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relusynth import ordering
+from relusynth import bundles, deep, ordering, shallow
 
 try:
     from hypothesis import settings
@@ -64,4 +64,20 @@ def lp_calls(monkeypatch):
 
     monkeypatch.setattr(ordering, "solve_lp", counting)
     monkeypatch.setattr(ordering, "solve_lps", counting_many)
+    return calls
+
+
+@pytest.fixture
+def family_calls(monkeypatch):
+    """Every call of the stacked bundle builder ``bundles.families``, one
+    entry per call, from the one-base functions and from both builders."""
+    calls = []
+    families = bundles.families
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return families(*args, **kwargs)
+
+    for module in (bundles, shallow, deep):
+        monkeypatch.setattr(module, "families", counting)
     return calls

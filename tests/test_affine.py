@@ -200,14 +200,6 @@ def test_interference_block_rejects_nonpositive_off_coordinate(rng):
                                       dims, images)
 
 
-def test_transform_list_equals_single_calls(rng):
-    amap = AffineMap(rng.normal(size=(3, 3)) + 3 * np.eye(3), rng.normal(size=3))
-    hs = [Hyperplane(rng.normal(size=3), rng.normal()) for _ in range(5)]
-    for one, many in zip((transform_hyperplane(h, amap) for h in hs),
-                         transform_hyperplane(hs, amap)):
-        assert one.w.tobytes() == many.w.tobytes() and one.b == many.b
-
-
 def test_transform_preserves_preactivation(rng):
     for _ in range(50):
         n = int(rng.integers(1, 5))

@@ -11,7 +11,7 @@ from relusynth.bundles import (
     reversed_pair_bundles,
     same_classification_bundle,
 )
-from relusynth.core import Hyperplane, affine_fit, numeric_rank
+from relusynth.core import Hyperplane, RankDeficientError, affine_fit, numeric_rank
 from relusynth.ordering import InseparableError
 from conftest import det_cofactor
 
@@ -73,6 +73,24 @@ def test_base_must_separate_with_margin():
     with pytest.raises(MarginError) as err:
         same_classification_bundle(base, [[1.0, 0.0]], [[0.5, 0.0]], 3)
     assert err.value.point.tolist() == [0.5, 0.0] and err.value.margin == -0.5
+
+
+def test_rank_failure_raises_rank_deficient_error():
+    # a margin of 2e-6 at 1e4 gives the bias step 1e-6, so the stacked
+    # parameters [[1, 1], [b, b + 1e-6]] have sigma ratio about 5e-15
+    base = Hyperplane([1.0], -1e4 + 2e-6)
+    with pytest.raises(RankDeficientError,
+                       match=r"same-classification bundle: bundle matrix rank 1 < 2") as err:
+        same_classification_bundle(base, [[1e4]], [[0.0]], 2)
+    assert err.value.rank == 1
+
+
+def test_one_base_calls_take_one_builder_call_each(family_calls):
+    base = Hyperplane([1.0, 1.0], -1.0)
+    same_classification_bundle(base, [[2.0, 2.0]], [[0.0, 0.0]], 3)
+    common_point_bundle(base, [1.0, 0.0], [[2.0, 2.0]])
+    reversed_pair_bundles([[2.0, 2.0]], [[0.0, 0.0]], 2, 2)
+    assert len(family_calls) == 4
 
 
 def test_reversed_pair_singletons():
@@ -200,3 +218,29 @@ def test_stacked_family_equals_one_base_calls_bit_for_bit(rng):
         assert params.shape == (6, count, n + 1)
         for P, bundle in zip(params, bundles):
             assert P.tobytes() == stacked(bundle).T.tobytes()
+
+
+def test_empty_sides_equal_axis_family(rng):
+    # reduceat does not reduce an empty segment: a bundle with one side
+    # empty takes worst and reach from the other, and one without any
+    # conditioning point takes worst = inf and reach = 0
+    n, count = 3, 5
+    base = Hyperplane(rng.normal(size=n), 0.5)
+    pts = rng.normal(size=(12, n)) * 3
+    v = base.value(pts)
+    plus, zero = pts[v > 0.1], pts[v < -0.1]
+    for D_plus, D_zero in ((plus, None), (None, zero), ([], zero), (None, None)):
+        cond = np.vstack([np.zeros((0, n))] + [D for D in (D_plus, D_zero)
+                                               if D is not None and len(D)])
+        bundle = same_classification_bundle(base, D_plus, D_zero, count)
+        P = axis_family(base.w[None], np.array([base.b]), count,
+                        np.abs(base.value(cond)).min(initial=np.inf)[None],
+                        np.abs(cond).max(axis=0, initial=0.0)[None])[0]
+        assert P.tobytes() == stacked(bundle).T.tobytes()
+    # a common-point family without plus points
+    anchor = rng.normal(size=n)
+    base = Hyperplane(base.w, -float(base.w @ anchor))
+    bundle = common_point_bundle(base, anchor, [], count=count)
+    P = axis_family(base.w[None], np.array([base.b]), count, np.array([np.inf]),
+                    np.zeros((1, n)), anchor[None])[0]
+    assert P.tobytes() == stacked(bundle).T.tobytes()

@@ -12,6 +12,7 @@ from relusynth.core import (
     RankDeficientError,
     activation_pattern,
     affine_fit,
+    distinct_points,
     forward,
     forward_batch,
     forward_masks,
@@ -276,3 +277,13 @@ def test_stack_rank_is_numeric_rank_per_matrix(rng):
     M[2] = 0.0
     s = np.linalg.svd(M, compute_uv=False)
     assert stack_rank(s).tolist() == [numeric_rank(m) for m in M] == [3, 2, 0, 3, 3, 3]
+
+
+def test_distinct_points_keep_the_first_occurrence_and_name_a_conflict():
+    pts = np.array([[0.0, 1.0], [2.0, 3.0], [1e-13, 1.0], [2.0, 3.0]])
+    vals = np.array([[1.0], [2.0], [1.0], [2.0]])
+    P, V = distinct_points(pts, vals)
+    assert P.tolist() == [[0.0, 1.0], [2.0, 3.0]] and V.tolist() == [[1.0], [2.0]]
+    vals[3] = 5.0
+    with pytest.raises(ValueError, match=r"row 3 with a conflicting target.*bijective"):
+        distinct_points(pts, vals)

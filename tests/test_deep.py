@@ -486,7 +486,7 @@ def reference_deep(pwl, tree, extras=None, cfg=BundleConfig()):
                 blocks = [(node.a, same_classification_bundle(sep, pa, pb, count, cfg)),
                           (node.b, same_classification_bundle(sep.negated(), pb, pa, n, cfg))]
             for child, bundle in blocks:
-                lifted = transform_hyperplane(bundle, AffineMap(M[:n], c[:n]))
+                lifted = [transform_hyperplane(t, AffineMap(M[:n], c[:n])) for t in bundle]
                 W = np.zeros((len(lifted), width))
                 W[:, dims[:n]] = [t.w for t in lifted]
                 rows.append(W)
@@ -617,6 +617,14 @@ def test_svd_count_depends_on_the_layers_not_the_groups(svd_calls, nx, ny):
     hidden = len(build.network.layers) - 1
     assert hidden == int(np.log2(nx * ny)) + 1
     assert len(svd_calls) == 4 * hidden + 1
+
+
+def test_bundle_builder_runs_once_per_hidden_layer(family_calls):
+    # split, pass-through and output bundles of a layer come from one call
+    build = deep_build(cluster_fixture())
+    hidden = len(build.network.layers) - 1
+    assert hidden == 3
+    assert len(family_calls) == hidden
 
 
 def test_rank_audits_carry_the_block_sigma_ratio():

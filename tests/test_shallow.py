@@ -477,6 +477,13 @@ def test_one_build_takes_a_fixed_number_of_svds(svd_calls, k):
     assert len(svd_calls) == 3    # the wider first stage is its own stack
 
 
+def test_one_build_calls_the_bundle_builder_once(family_calls):
+    # every stage's bundle, the widened first one too, comes from one call
+    r = np.random.default_rng(4)
+    interpolation_build(r.normal(size=(12, 3)) * 3, r.normal(size=12), extra_units=2)
+    assert len(family_calls) == 1
+
+
 def test_rank_audits_carry_the_stage_sigma_ratio(rng):
     build = interpolation_build(rng.normal(size=(6, 3)) * 3, rng.normal(size=6),
                                 extra_units=2)
@@ -498,7 +505,7 @@ def test_stage_rank_failure_names_the_stage_and_subdomain():
     ))
     bases = (Hyperplane([1.0], 1.0), Hyperplane([1.0], -1e4 + 2e-6))
     with pytest.raises(RankDeficientError,
-                       match=r"stage 1 \(subdomain 1\): matrix rank 1 < 2") as err:
+                       match=r"stage 1 \(subdomain 1\): bundle matrix rank 1 < 2") as err:
         build_staircase(pwl, order=DistinguishableOrder((0, 1), bases))
     assert err.value.rank == 1
 
