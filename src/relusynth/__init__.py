@@ -47,8 +47,6 @@ from .ordering import (
     separate,
 )
 from .shallow import (
-    LinearOutputMatrix,
-    solve_output_weights,
     synth_classifier,
     synth_interpolate,
     synth_multi_output,

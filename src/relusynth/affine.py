@@ -29,6 +29,9 @@ from .core import (
 )
 from .bundles import BundleConfig, common_point_bundle
 
+# training points plus about this many interior probes per widened network
+PROBE_POINTS = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingDecomposition:
@@ -299,21 +302,24 @@ def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None):
     return layer
 
 
-def widen_network(build, target_widths=None, uniform=None, probe_points=1000,
-                  seed=0):
+def widen_network(build, target_widths=None, uniform=None):
     """Rebuild a synthesized network with wider hidden layers, same function.
 
     New last-hidden units come from extending each stage's bundle with
     redundant members and re-solving the output weights; new units
     elsewhere extend pass-through and split blocks with redundant members
-    whose downstream weights are fixed to zero.  Output invariance is probed on the training
-    points plus random convex combinations inside each subdomain.
+    whose downstream weights are fixed to zero.  Each layer's base width
+    is its width less the extra units its plan records; the plan is
+    re-run with the target widths' extras.  Output invariance is probed
+    on the training points plus random convex combinations inside each
+    subdomain.
     """
-    from .deep import DeepBuild, rebuild_deep_with_widths
+    from .deep import DeepBuild, rebuild_deep_from_plan
     from .shallow import ShallowBuild, rebuild_from_plan
 
-    old_net = build.network
-    hidden_widths = [layer.units for layer in old_net.layers[:-1]]
+    if not isinstance(build, (ShallowBuild, DeepBuild)):
+        raise TypeError(f"cannot widen a {type(build).__name__}")
+    hidden_widths = [layer.units for layer in build.network.layers[:-1]]
     if uniform is not None:
         target_widths = [uniform] * len(hidden_widths)
     if target_widths is None:
@@ -326,30 +332,29 @@ def widen_network(build, target_widths=None, uniform=None, probe_points=1000,
     for have, want in zip(hidden_widths, target_widths):
         if want < have:
             raise ValueError(f"target width {want} below existing {have}")
+    plan = build.report.plan
+    if plan is None:
+        raise ValueError("build carries no synthesis plan")
 
     if isinstance(build, ShallowBuild):
-        plan = build.report.plan
-        if plan is None:
-            raise ValueError("build carries no synthesis plan")
-        base_width = sum(s.count for s in build.stages) - (
-            plan.get("extra_units", 0) or 0
-        )
-        extra = target_widths[0] - base_width
+        extra = target_widths[0] - hidden_widths[0] + (plan.get("extra_units") or 0)
         new_build = rebuild_from_plan(plan, cfg=build.cfg, extra_units=extra)
-    elif isinstance(build, DeepBuild):
-        new_build = rebuild_deep_with_widths(build, target_widths)
     else:
-        raise TypeError(f"cannot widen a {type(build).__name__}")
+        had = list(plan.get("extras") or [])
+        had += [0] * (len(hidden_widths) - len(had))
+        extras = [want - have + int(e)
+                  for want, have, e in zip(target_widths, hidden_widths, had)]
+        new_build = rebuild_deep_from_plan(plan, cfg=build.cfg, extras=extras)
 
-    _check_output_invariance(build, new_build, probe_points, seed)
+    _check_output_invariance(build, new_build)
     return new_build
 
 
-def _check_output_invariance(old_build, new_build, probe_points, seed):
-    rng = np.random.default_rng(seed)
+def _check_output_invariance(old_build, new_build):
+    rng = np.random.default_rng(0)
     pwl = old_build.pwl
     probes = [pwl.all_points()]
-    per_sub = max(1, probe_points // max(1, len(pwl.subdomains)))
+    per_sub = max(1, PROBE_POINTS // len(pwl.subdomains))
     for pts, _ in pwl.subdomains:
         if pts.shape[0] == 1:
             continue

@@ -205,6 +205,8 @@ def cmd_widen(args):
     report = ConstructionReport.from_json_dict(_load_json(args.report, "report"))
     if report.plan is None:
         raise InputError("report carries no synthesis plan; cannot widen")
+    if not isinstance(report.plan, dict):
+        raise InputError("malformed synthesis plan: not a JSON object")
     if report.plan.get("kind") == "deep":
         build = rebuild_deep_from_plan(report.plan)
     else:

@@ -478,32 +478,56 @@ def solve_square(A, Y):
     return X[..., 0]
 
 
-def solve_constrained(A, y, mode, rank_tol=RANK_TOL):
-    """Solve A x = y under one of three contracts.
-
-    'exact_square' requires a square system of full numeric rank;
-    'least_norm_underdetermined' returns the minimum-norm solution of the
-    infinite family; 'least_squares' returns the residual minimizer.
-    """
+def solve_constrained(A, y):
+    """The minimum-norm solution of A x = y, with one refinement step."""
     A = _as_matrix(A, "A")
     y = _as_vector(y, "y")
     if A.shape[0] != y.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but y has length {y.shape[0]}")
-    if mode == "exact_square":
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("exact_square requires a square matrix")
-        rank = numeric_rank(A, rank_tol)
-        if rank < A.shape[0]:
-            raise RankDeficientError(
-                f"square system is singular (numeric rank {rank} < {A.shape[0]})",
-                rank=rank,
-            )
-        return solve_square(A, y[None])[0]
-    if mode in ("least_norm_underdetermined", "least_squares"):
-        x, *_ = np.linalg.lstsq(A, y, rcond=None)
-        dx, *_ = np.linalg.lstsq(A, y - A @ x, rcond=None)
-        return x + dx
-    raise ValueError(f"unknown mode {mode!r}")
+    x, *_ = np.linalg.lstsq(A, y, rcond=None)
+    dx, *_ = np.linalg.lstsq(A, y - A @ x, rcond=None)
+    return x + dx
+
+
+def shifted_systems(M, centroids, square, name):
+    """Coefficient-matching systems with each bias row moved to its centroid.
+
+    ``M`` is (s, n + 1, c): each system's columns are the stacked (w, b) of
+    its bundle.  Adding ``centroid @ w`` to each bias gives the same
+    solution with the constant term measured at the centroid, which keeps
+    systems far from the origin well conditioned.  The systems that
+    ``square`` marks, the ones solved exactly, are ranked by one batched
+    SVD; the first of them short of full rank raises
+    ``RankDeficientError`` under ``name(j)``, j its index in the stack.
+    Returns the shifted stack, C-contiguous: a solve's last bits depend on
+    the memory layout.
+    """
+    M = np.array(M, dtype=float, order="C")
+    n = M.shape[1] - 1
+    M[:, n] += np.matmul(np.asarray(centroids)[:, None, :], M[:, :n])[:, 0]
+    idx = np.flatnonzero(square)
+    if idx.size:
+        rank = stack_rank(np.linalg.svd(M[idx], compute_uv=False))
+        if (rank < n + 1).any():
+            j = int(np.argmax(rank < n + 1))
+            raise RankDeficientError(f"{name(int(idx[j]))}: centroid-shifted matrix "
+                                     f"rank {rank[j]} < {n + 1}", rank=int(rank[j]))
+    return M
+
+
+def match(A, Y):
+    """The coefficient-matching solve of ``A`` (..., m, c) against ``Y``
+    (..., k, m): ``solve_square`` when A is square, the minimum-norm
+    ``solve_constrained`` of each right-hand side otherwise.  The result
+    is (..., k, c)."""
+    A = np.asarray(A, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if A.shape[-1] == A.shape[-2]:
+        return solve_square(A, Y)
+    X = np.empty(Y.shape[:-1] + A.shape[-1:])
+    for i in np.ndindex(A.shape[:-2]):
+        X[i] = [solve_constrained(A[i], y) for y in Y[i]]
+    return X
 
 
 def supporting_hyperplane(points, direction=None):

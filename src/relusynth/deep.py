@@ -17,8 +17,10 @@ its bundles come from one ``bundles.families`` call, which checks their
 margins and ranks them, their lift from one batched inverse of the
 groups' frames, the interference weights from one block solve, and the
 audit from one product over the previous layer's images stacked in input
-row order.  Ranks come from a few batched SVDs per layer, and the output
-layer is one ``solve_square`` call per stack of equal-width leaves.  Rows
+row order.  Ranks come from a few batched SVDs per layer.  The output
+layer is the shallow stages' coefficient-matching solve: one
+``core.shifted_systems`` and one ``core.match`` call per stack of
+equal-width leaves.  Rows
 keep their own matrix-vector products where a matrix product would round
 differently, so the networks are the same bytes as a group-by-group loop.
 """
@@ -39,13 +41,12 @@ from .core import (
     Hyperplane,
     Layer,
     Network,
-    RankDeficientError,
     affine_fit,
     distinct_points,
     forward_batch,
+    match,
     point_key,
-    solve_constrained,
-    solve_square,
+    shifted_systems,
     stack_rank,
     supporting_hyperplane,
 )
@@ -64,7 +65,6 @@ __all__ = [
     "synth_decoder",
     "deep_build",
     "decoder_build",
-    "rebuild_deep_with_widths",
     "interference_avoiding_weights",
 ]
 
@@ -539,9 +539,8 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
 
     # output layer: per-leaf coefficient match, independent per coordinate.
     # A leaf's matrix is its output bundle's stacked (w, b) columns, ranked
-    # when the bundle was built.  It is solved with the bias row
-    # re-expressed at the leaf centroid, which drops the condition number
-    # for leaves far from the origin without changing the solution.
+    # when the bundle was built; ``core.shifted_systems`` moves its bias
+    # row to the leaf centroid and ranks it again if it is square.
     for g, r, s in zip(groups, rank.tolist(), sigma_min.tolist()):
         rank_audits.append({"layer": "output", "leaf": int(g.node.leaf),
                             "columns": len(g.dims), "rank": r, "sigma_min": s})
@@ -549,30 +548,18 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
     units = np.array([len(g.dims) for g in groups])
     for u in dict.fromkeys(units.tolist()):
         leaves = [groups[i] for i in np.flatnonzero(units == u)]
-        # row-major: the solve's last bits depend on the memory layout
-        M = np.ascontiguousarray(np.concatenate(
-            [np.swapaxes(np.array([g.M for g in leaves]), 1, 2),
-             np.array([g.c for g in leaves])[:, None, :]], axis=1))
         # a singleton's mean is its point, bit for bit
         centroids = np.array([g.points[0] if len(g.rows) == 1 else g.points.mean(axis=0)
                               for g in leaves])
-        M_c = M.copy()
-        M_c[:, n] += np.matmul(centroids[:, None, :], M[:, :n])[:, 0]
+        M_c = shifted_systems(
+            np.concatenate([np.swapaxes(np.array([g.M for g in leaves]), 1, 2),
+                            np.array([g.c for g in leaves])[:, None, :]], axis=1),
+            centroids, np.full(len(leaves), u == n + 1),
+            lambda j: f"output layer (leaf {leaves[j].node.leaf})")
         rhs = np.array([np.column_stack([maps[g.node.leaf].W, maps[g.node.leaf].b])
                         for g in leaves])           # (leaves, outputs, n + 1)
         rhs[..., n] += np.matmul(centroids[:, None, None, :], rhs[..., :n, None])[..., 0, 0]
-        if u == n + 1:
-            rank = _ranked(M_c)[0]
-            if (rank < n + 1).any():
-                j = int(np.argmax(rank < n + 1))
-                raise RankDeficientError(
-                    f"output layer (leaf {leaves[j].node.leaf}): centroid-shifted "
-                    f"matrix rank {rank[j]} < {n + 1}", rank=int(rank[j]))
-            sol = solve_square(M_c, rhs)
-        else:
-            sol = [[solve_constrained(A, r, "least_norm_underdetermined") for r in R]
-                   for A, R in zip(M_c, rhs)]
-        for g, x in zip(leaves, sol):
+        for g, x in zip(leaves, match(M_c, rhs)):
             out_W[:, g.dims.start:g.dims.stop] = x
     layers.append(Layer(out_W, np.zeros(mu), "linear"))
 
@@ -670,10 +657,13 @@ def _plan_tree(plan):
     """The final PWL and the partition tree a deep synthesis plan records."""
     if plan is None or plan.get("kind") != "deep":
         raise ValueError("not a deep synthesis plan")
-    pwl = DiscretePWL.from_json_dict(plan["pwl"])
-    tree = PartitionTree(TreeNode.from_json_dict(plan["tree"]),
-                         [pts for pts, _ in pwl.subdomains],
-                         [int(i) for i in plan["origin"]])
+    try:
+        pwl = DiscretePWL.from_json_dict(plan["pwl"])
+        tree = PartitionTree(TreeNode.from_json_dict(plan["tree"]),
+                             [pts for pts, _ in pwl.subdomains],
+                             [int(i) for i in plan["origin"]])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed synthesis plan: {exc}") from exc
     return pwl, tree
 
 
@@ -683,37 +673,3 @@ def rebuild_deep_from_plan(plan, cfg=None, extras=None):
     if extras is None:
         extras = plan.get("extras")
     return _synth_deep_impl(pwl, tree, cfg, plan.get("seed", 0), extras=extras)
-
-
-def rebuild_deep_with_widths(build, target_widths):
-    """Re-run a deep synthesis allocating extra redundant units per layer."""
-    pwl, tree = _plan_tree(build.report.plan)
-    base = _base_widths(tree, pwl.dim)
-    if len(target_widths) != len(base):
-        raise ValueError(f"expected {len(base)} hidden widths, got {len(target_widths)}")
-    extras = []
-    for have, want in zip(base, target_widths):
-        if want < have:
-            raise ValueError(f"target width {want} below base width {have}")
-        extras.append(want - have)
-    return _synth_deep_impl(pwl, tree, build.cfg, build.seed, extras=extras)
-
-
-def _base_widths(tree, n):
-    """Hidden widths the tree produces with no extra units."""
-    groups = [tree.root]
-    widths = []
-    while any(not g.is_leaf() for g in groups):
-        nxt = []
-        w = 0
-        for g in groups:
-            if g.is_leaf():
-                w += n
-                nxt.append(g)
-            else:
-                w += 2 * n
-                nxt.extend([g.a, g.b])
-        widths.append(w)
-        groups = nxt
-    widths.append(len(groups) * (n + 1))
-    return widths

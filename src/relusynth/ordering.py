@@ -29,6 +29,10 @@ SEPARABLE_THRESHOLD = 1e-7
 # need over 1 GB for the SVD input alone.  The largest tested instance,
 # n = 4 with 25 samples, has 14,950.
 MAX_TOUCH_SUBSETS = 20_000
+# Tie breaking in ``distinguishable_order``: random weight perturbations
+# tried, and halvings of each one's step, before the order gives up.
+MAX_PERTURB_ROUNDS = 30
+MAX_HALVINGS = 60
 
 
 class InseparableError(ValueError):
@@ -98,39 +102,34 @@ def _point_sets(D1, D2):
     return D1, D2
 
 
-def _separation_result(D1, D2, w, b, t_opt, rescale_margin=None,
-                       threshold=SEPARABLE_THRESHOLD):
+def _separation_result(D1, D2, w, b, t_opt):
     if not np.any(w != 0.0):
         cert = Hyperplane(np.eye(D1.shape[1])[0], b)
     else:
         cert = Hyperplane(w, b)
-    if t_opt <= threshold:
+    if t_opt <= SEPARABLE_THRESHOLD:
         return SeparationResult(False, None, 0.0, t_opt, cert)
     margins = np.concatenate([D1 @ cert.w + cert.b, -(D2 @ cert.w + cert.b)])
     worst = float(margins.min())
     if worst <= 0:
         return SeparationResult(False, None, 0.0, t_opt, cert)
-    if rescale_margin is not None:
-        scale = rescale_margin / worst
-    else:
-        scale = max(1.0, 2.0 * MARGIN / worst)
+    scale = max(1.0, 2.0 * MARGIN / worst)
     h = cert.scaled(scale)
     return SeparationResult(True, h, worst * scale, t_opt, cert)
 
 
-def separate(D1, D2, rescale_margin=None, threshold=SEPARABLE_THRESHOLD):
+def separate(D1, D2):
     """Max-margin strict separation: D1 on the plus side, D2 on the zero side.
 
-    Separable iff the LP optimum exceeds the threshold.  By default the
+    Separable iff the LP optimum exceeds ``SEPARABLE_THRESHOLD``.  The
     hyperplane keeps the LP's unit weight normalization and is only scaled
     up when its margin falls below twice the global margin floor; that
     keeps margins contractual without inflating weight norms on close
     point sets (which would poison downstream perturbation families).
-    Passing ``rescale_margin`` forces the smallest margin to that value.
     The raw LP direction is always returned as a certificate.
     """
     D1, D2 = _point_sets(D1, D2)
-    return _separation_result(D1, D2, *_separation_lp(D1, D2), rescale_margin, threshold)
+    return _separation_result(D1, D2, *_separation_lp(D1, D2))
 
 
 def separate_many(pairs):
@@ -433,8 +432,6 @@ def distinguishable_order(
     margin=MARGIN,
     hyperplanes=None,
     order=None,
-    max_perturb_rounds=30,
-    max_halvings=60,
     trace=None,
 ):
     """Order subdomains into the staircase structure with one hyperplane each.
@@ -495,9 +492,7 @@ def distinguishable_order(
 
         if uncovered_global:
             _reprocess_uncovered(
-                points, order_list, lines, i, uncovered_global, h, rng,
-                max_perturb_rounds, max_halvings, trace,
-            )
+                points, order_list, lines, i, uncovered_global, h, rng, trace)
 
     hps = _staircase_lines(points, order_list, [lines[j] for j in order_list])
     ok, failures = check_distinguishable([points[j][None, :] for j in order_list], hps, margin)
@@ -506,8 +501,7 @@ def distinguishable_order(
     return DistinguishableOrder(tuple(order_list), tuple(hps))
 
 
-def _reprocess_uncovered(points, order_list, lines, star_idx, uncovered, h, rng,
-                         max_perturb_rounds, max_halvings, trace):
+def _reprocess_uncovered(points, order_list, lines, star_idx, uncovered, h, rng, trace):
     """Give translated lines to the points left on the new plus side."""
     star_and_up = [star_idx] + list(uncovered)
     zero_side = [j for j in order_list if j not in star_and_up]
@@ -546,7 +540,7 @@ def _reprocess_uncovered(points, order_list, lines, star_idx, uncovered, h, rng,
     rounds = 0
     while not tie_free(proj, w):
         rounds += 1
-        if rounds > max_perturb_rounds:
+        if rounds > MAX_PERTURB_ROUNDS:
             raise RuntimeError("perturbation budget exhausted while breaking ties")
         eps = rng.normal(size=points.shape[1])
         eps /= np.linalg.norm(eps)
@@ -558,7 +552,7 @@ def _reprocess_uncovered(points, order_list, lines, star_idx, uncovered, h, rng,
         # instead of by a random walk
         best = None
         alpha = 1e-3 * np.linalg.norm(w)
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             for sign in (1.0, -1.0):
                 w_try = w + sign * alpha * eps
                 if not classification_ok(w_try):

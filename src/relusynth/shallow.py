@@ -4,7 +4,10 @@ The staircase engine: give each subdomain, in distinguishable order, a
 full-rank bundle of dim+1 hyperplanes, then solve output weights stage by
 stage.  Because every earlier subdomain sits on the zero side of later
 bundles, each stage's solve matches the target coefficients exactly
-without disturbing what came before.
+without disturbing what came before.  That solve is the deep output
+layer's too: ``core.shifted_systems`` moves each stage's bias row to its
+centroid and ranks the stages solved exactly, and ``core.match`` solves
+each stage against the target less the earlier units' contributions.
 
 Builds order their singleton points along one seeded direction
 (``ordering.projection_order``), which takes one LP per point after the
@@ -29,11 +32,8 @@ from .core import (
     Network,
     distinct_points,
     forward_batch,
-    numeric_rank,
-    solve_constrained,
-    solve_square,
-    stack_rank,
-    RankDeficientError,
+    match,
+    shifted_systems,
 )
 from .core import supporting_hyperplane
 from .bundles import BundleConfig, families
@@ -52,47 +52,6 @@ class UniformityError(ValueError):
         super().__init__(message)
         self.subdomain = subdomain
         self.hyperplane = hyperplane
-
-
-@dataclass(frozen=True)
-class LinearOutputMatrix:
-    """Stacked (w, b) columns of the hyperplanes activated by a data set."""
-
-    columns: tuple
-
-    def matrix(self):
-        return np.vstack([
-            np.column_stack([h.w for h in self.columns]),
-            np.array([[h.b for h in self.columns]]),
-        ])
-
-
-def solve_output_weights(W, target, fixed_contributions=(), rank_tol=RANK_TOL):
-    """Output weights realizing an affine target through activated columns.
-
-    Solves the coefficient-matching system: the weighted sum of the
-    columns' (w, b) pairs, plus the fixed contributions, must equal the
-    target's coefficients.  Requires at least dim+1 columns of full rank.
-    """
-    if target.out_dim != 1:
-        raise ValueError("target must be scalar-valued")
-    M = W.matrix()
-    n_plus_1 = M.shape[0]
-    if M.shape[1] < n_plus_1:
-        raise ValueError(f"need at least {n_plus_1} columns, got {M.shape[1]}")
-    rank = numeric_rank(M, rank_tol)
-    if rank < n_plus_1:
-        raise RankDeficientError(
-            f"linear-output matrix rank {rank} < {n_plus_1}", rank=rank
-        )
-    rhs = np.concatenate([target.W[0], target.b])
-    for h, weight in fixed_contributions:
-        rhs = rhs - weight * np.concatenate([h.w, [h.b]])
-    mode = "exact_square" if M.shape[1] == n_plus_1 else "least_norm_underdetermined"
-    alpha = solve_constrained(M, rhs, mode, rank_tol)
-    if np.max(np.abs(M @ alpha - rhs)) > 1e-9:
-        raise RuntimeError("output-weight solve residual above tolerance")
-    return alpha
 
 
 @dataclass
@@ -143,9 +102,9 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
     matrices, one batched SVD per stack of equal width.  The product of the
     points with the hidden layer that it returns also serves the
     uniformity check, the activation audit and the solves' contributions
-    from earlier units.  One more batched SVD per stack ranks the
-    centroid-shifted copies, and each exact stage is one ``solve_square``
-    call, one LAPACK solve per output.
+    from earlier units.  One ``core.shifted_systems`` call per stack
+    shifts the stage matrices and ranks the square ones with one more
+    batched SVD, and each stage is one ``core.match`` call.
     """
     t_start = time.monotonic()
     if extra_units < 0:
@@ -222,42 +181,31 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
             hyperplane=stage.bundle[u[first] - stage.unit_start],
         )
 
-    # the bias row is re-expressed at the stage centroid for the solves:
-    # same solution, tighter conditioning for data away from the origin;
-    # a square stage is solved exactly once its shifted copy is ranked
+    # the solves match coefficients with each bias row moved to the stage
+    # centroid (``core.shifted_systems``); stages of equal width stack:
+    # stage 0 alone when extra units widen it
     centroids = X[starts]    # a singleton's mean is its point, bit for bit
     for m in np.flatnonzero(sizes > 1):
         centroids[m] = ordered[m].mean(axis=0)
-    # stages of equal width stack: stage 0 alone when extra units widen it
+    square = counts == n + 1
+    square[0] &= not relu_output    # its bias unknown makes it wide
     groups = [slice(0, k)] if extra_units == 0 or k == 1 else [slice(0, 1), slice(1, k)]
     bounds = np.append(unit_start, len(params))
     shifted = []
     for g in groups:
-        M = np.ascontiguousarray(params[bounds[g.start]:bounds[g.stop]]
-                                 .reshape(-1, counts[g.start], n + 1).transpose(0, 2, 1))
-        M[:, n] += np.matmul(centroids[g, None, :], M[:, :n])[:, 0]
-        shifted.extend(M)
-    square = counts == n + 1
+        shifted.extend(shifted_systems(
+            params[bounds[g.start]:bounds[g.stop]].reshape(-1, counts[g.start], n + 1)
+            .transpose(0, 2, 1), centroids[g], square[g],
+            lambda j: f"stage {g.start + j} (subdomain {subdomain[g.start + j]})"))
     if relu_output:
         # bias unknown appended: it only feeds the constant row
         shifted[0] = np.hstack([shifted[0], np.eye(n + 1)[:, -1:]])
-        square[0] = False
-    if square.any():
-        sq = np.flatnonzero(square)
-        rank_c = stack_rank(np.linalg.svd(np.stack([shifted[s] for s in sq]),
-                                          compute_uv=False))
-        if (rank_c < n + 1).any():
-            s = int(np.argmax(rank_c < n + 1))
-            raise RankDeficientError(
-                f"stage {sq[s]} (subdomain {subdomain[sq[s]]}): centroid-shifted matrix "
-                f"rank {rank_c[s]} < {n + 1}", rank=int(rank_c[s]))
 
     mu = pwl.output_dim
     out_W = np.zeros((mu, hidden.units))
     out_b = np.zeros(mu)    # a relu output's bias, solved in the first stage
     for pos in positions.tolist():
         cols = slice(unit_start[pos], unit_start[pos] + counts[pos])
-        A = shifted[pos]
         centroid = centroids[pos]
         # units of earlier stages active at the stage's first point
         active = np.flatnonzero(Z[starts[pos], : unit_start[pos]] > ACTIVATION_TOL)
@@ -271,15 +219,11 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
                 axis=0)
         rhs[:, n] += [float(centroid @ r[:n]) for r in rhs]
         rhs[:, n] -= out_b
-        if square[pos]:
-            out_W[:, cols] = solve_square(A, rhs)
+        sol = match(shifted[pos], rhs)
+        if relu_output and pos == 0:
+            out_W[:, cols], out_b[:] = sol[:, :-1], sol[:, -1]
         else:
-            sol = np.array([solve_constrained(A, r, "least_norm_underdetermined")
-                            for r in rhs])
-            if relu_output and pos == 0:
-                out_W[:, cols], out_b[:] = sol[:, :-1], sol[:, -1]
-            else:
-                out_W[:, cols] = sol
+            out_W[:, cols] = sol
 
     out_layer = Layer(out_W, out_b, "relu" if relu_output else "linear")
     net = Network(n, (hidden, out_layer))
@@ -343,19 +287,19 @@ def _shallow_plan(pwl, order, stages, seed, relu_output, extra_units):
 
 def rebuild_from_plan(plan, cfg=None, extra_units=None):
     """Re-run a staircase synthesis recorded in a report's plan."""
-    if plan["kind"] != "shallow":
-        raise ValueError("not a three-layer synthesis plan")
-    pwl = DiscretePWL.from_json_dict(plan["pwl"])
-    hps = tuple(Hyperplane(np.array(h["w"]), h["b"]) for h in plan["hyperplanes"])
-    order = DistinguishableOrder(tuple(plan["order"]), hps)
-    return build_staircase(
-        pwl,
-        order=order,
-        cfg=cfg,
-        seed=plan["seed"],
-        extra_units=plan["extra_units"] if extra_units is None else extra_units,
-        relu_output=plan["relu_output"],
-    )
+    try:
+        if plan["kind"] != "shallow":
+            raise ValueError("not a three-layer synthesis plan")
+        pwl = DiscretePWL.from_json_dict(plan["pwl"])
+        hps = tuple(Hyperplane(np.array(h["w"]), h["b"]) for h in plan["hyperplanes"])
+        order = DistinguishableOrder(tuple(plan["order"]), hps)
+        seed, relu_output = plan["seed"], plan["relu_output"]
+        if extra_units is None:
+            extra_units = plan["extra_units"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed synthesis plan: {exc}") from exc
+    return build_staircase(pwl, order=order, cfg=cfg, seed=seed,
+                           extra_units=extra_units, relu_output=relu_output)
 
 
 def _singleton_decomposition(pwl):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relusynth import bundles, deep, ordering, shallow
+from relusynth import bundles, core, deep, ordering, shallow
 
 try:
     from hypothesis import settings
@@ -80,4 +80,21 @@ def family_calls(monkeypatch):
 
     for module in (bundles, shallow, deep):
         monkeypatch.setattr(module, "families", counting)
+    return calls
+
+
+@pytest.fixture
+def shifted_calls(monkeypatch):
+    """Every ``core.shifted_systems`` call the builders make, one entry per
+    call: its number of systems and their columns."""
+    calls = []
+    shifted_systems = core.shifted_systems
+
+    def counting(M, *args, **kwargs):
+        M = np.asarray(M)
+        calls.append((M.shape[0], M.shape[2]))
+        return shifted_systems(M, *args, **kwargs)
+
+    for module in (shallow, deep):
+        monkeypatch.setattr(module, "shifted_systems", counting)
     return calls

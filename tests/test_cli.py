@@ -349,6 +349,22 @@ def test_failed_build_without_report_exits_3(workdir, capsys, monkeypatch):
     assert not net.exists() and not rep.exists()
 
 
+@pytest.mark.parametrize("plan, missing", [
+    ([1], "not a JSON object"),
+    ({"kind": "shallow"}, "'pwl'"),
+    ({"pwl": {"dim": 1, "output_dim": 1, "subdomains": []}}, "'kind'"),
+    ({"kind": "deep", "pwl": {"dim": 1, "output_dim": 1, "subdomains": [
+        {"points": [[0.0]], "W": [[0.0]], "b": [1.0]}]}}, "'tree'"),
+])
+def test_widen_on_a_malformed_plan_is_an_input_error(tmp_path, capsys, plan, missing):
+    rep = tmp_path / "bad.json"
+    rep.write_text(json.dumps({"plan": plan}))
+    out = tmp_path / "o.json"
+    assert main(["widen", "--report", str(rep), "--uniform", "9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: malformed synthesis plan: {missing}\n"
+    assert not out.exists()
+
+
 def test_failed_widen_keeps_the_plan_it_read(workdir, capsys, monkeypatch):
     # widen reads its plan from --report; a failure must not overwrite it
     net, rep = workdir / "net.json", workdir / "rep.json"

@@ -18,6 +18,8 @@ from relusynth.core import (
     forward_masks,
     forward_traced,
     numeric_rank,
+    match,
+    shifted_systems,
     solve_constrained,
     solve_square,
     stack_rank,
@@ -124,14 +126,8 @@ def test_numeric_rank_perturbation_family_matrix():
 
 
 def test_solve_constrained_modes():
-    assert solve_constrained(np.eye(2), [3.0, 4.0], "exact_square") == pytest.approx([3, 4])
-    x = solve_constrained(np.array([[1.0, 1.0]]), [2.0], "least_norm_underdetermined")
+    x = solve_constrained(np.array([[1.0, 1.0]]), [2.0])
     assert x == pytest.approx([1.0, 1.0])
-    with pytest.raises(RankDeficientError) as err:
-        solve_constrained(np.ones((2, 2)), [1.0, 2.0], "exact_square")
-    assert err.value.rank == 1
-    with pytest.raises(ValueError):
-        solve_constrained(np.eye(2), [1.0, 2.0], "nonsense")
 
 
 def test_solve_constrained_wide_family_matrix(rng):
@@ -144,7 +140,7 @@ def test_solve_constrained_wide_family_matrix(rng):
     assert numeric_rank(A) == 3
     for _ in range(10):
         y = rng.normal(size=3)
-        x = solve_constrained(A, y, "least_norm_underdetermined")
+        x = solve_constrained(A, y)
         assert np.max(np.abs(A @ x - y)) < 1e-10
 
 
@@ -152,7 +148,7 @@ def test_exact_square_roundtrip(rng):
     for _ in range(20):
         A = rng.normal(size=(4, 4)) + 4 * np.eye(4)
         y = rng.normal(size=4)
-        x = solve_constrained(A, y, "exact_square")
+        x = solve_square(A, y[None])[0]
         assert np.max(np.abs(A @ x - y)) <= 1e-10 * (1 + np.max(np.abs(y)))
 
 
@@ -268,7 +264,51 @@ def test_solve_square_is_one_refined_solve_per_right_hand_side(rng):
             ref = np.linalg.solve(a, y)
             ref += np.linalg.solve(a, y - a @ ref)
             assert x.tobytes() == ref.tobytes()
-            assert x.tobytes() == solve_constrained(a, y, "exact_square").tobytes()
+            assert x.tobytes() == solve_square(a, y[None])[0].tobytes()
+
+
+def test_shifted_systems_move_the_bias_row_to_the_centroid(rng):
+    M = rng.normal(size=(3, 3, 3))
+    centroids = rng.normal(size=(3, 2))
+    S = shifted_systems(M, centroids, np.ones(3, dtype=bool), str)
+    assert S.flags.c_contiguous
+    assert S[:, :2].tobytes() == M[:, :2].tobytes()
+    for m, s, c in zip(M, S, centroids):
+        assert s[2] == pytest.approx(m[2] + c @ m[:2], abs=1e-14)
+        # same solution: the target's constant term is measured at c too
+        y = rng.normal(size=3)
+        x = solve_square(m, y[None])[0]
+        assert solve_square(s, np.append(y[:2], y[2] + c @ y[:2])[None])[0] == \
+            pytest.approx(x, rel=1e-9)
+
+
+@pytest.mark.parametrize("label, expect", [
+    (lambda j: f"stage {j + 1} (subdomain {7 + j})", r"^stage 2 \(subdomain 8\): "),
+    (lambda j: f"output layer (leaf {[4, 9, 2][j]})", r"^output layer \(leaf 9\): "),
+])
+def test_shifted_systems_name_the_first_singular_square_system(rng, label, expect):
+    M = rng.normal(size=(3, 3, 3))
+    M[1, :, 2] = M[1, :, 0] + M[1, :, 1]     # rank 2: a column repeats a sum
+    M[2, :, 1] = 2.0 * M[2, :, 0]
+    with pytest.raises(RankDeficientError,
+                       match=expect + r"centroid-shifted matrix rank 2 < 3$") as err:
+        shifted_systems(M, rng.normal(size=(3, 2)), np.ones(3, dtype=bool), label)
+    assert err.value.rank == 2
+    # systems not solved exactly are not ranked
+    shifted_systems(M, rng.normal(size=(3, 2)), np.array([True, False, False]), label)
+
+
+def test_match_solves_square_stacks_exactly_and_wide_ones_by_least_norm(rng):
+    A = rng.normal(size=(2, 3, 3))
+    Y = rng.normal(size=(2, 4, 3))
+    assert match(A, Y).tobytes() == solve_square(A, Y).tobytes()
+    A = rng.normal(size=(2, 3, 5))
+    X = match(A, Y)
+    assert X.shape == (2, 4, 5)
+    for a, ys, xs in zip(A, Y, X):
+        for y, x in zip(ys, xs):
+            assert x.tobytes() == solve_constrained(a, y).tobytes()
+    assert match(A[0], Y[0]).tobytes() == X[0].tobytes()
 
 
 def test_stack_rank_is_numeric_rank_per_matrix(rng):

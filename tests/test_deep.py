@@ -27,7 +27,6 @@ from relusynth.deep import (
     decoder_build,
     deep_build,
     rebuild_deep_from_plan,
-    rebuild_deep_with_widths,
     synth_decoder,
     synth_deep,
     synth_deep_multi,
@@ -546,7 +545,7 @@ def reference_deep(pwl, tree, extras=None, cfg=BundleConfig()):
                 x = np.linalg.solve(M_c, rhs)
                 x += np.linalg.solve(M_c, rhs - M_c @ x)
             else:
-                x = solve_constrained(M_c, rhs, "least_norm_underdetermined")
+                x = solve_constrained(M_c, rhs)
             out_W[rho, dims] = x
     layers.append(Layer(out_W, np.zeros(mu), "linear"))
     return layers, acts, fits, ranks
@@ -568,9 +567,8 @@ def assert_equals_reference(build, extras=None):
 def _grown(build, r):
     """The build re-run with 1-3 extra units on every hidden layer, never
     fewer than on the layer before, so the widths still do not decrease."""
-    widths = [l.units for l in build.network.layers[:-1]]
-    extras = np.sort(r.integers(1, 4, size=len(widths))).tolist()
-    return rebuild_deep_with_widths(build, [w + e for w, e in zip(widths, extras)]), extras
+    extras = np.sort(r.integers(1, 4, size=len(build.network.layers) - 1)).tolist()
+    return rebuild_deep_from_plan(build.report.plan, extras=extras), extras
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -625,6 +623,17 @@ def test_bundle_builder_runs_once_per_hidden_layer(family_calls):
     hidden = len(build.network.layers) - 1
     assert hidden == 3
     assert len(family_calls) == hidden
+
+
+def test_one_shifted_stack_per_leaf_width(shifted_calls):
+    # the output layer shifts and ranks every leaf of one width together:
+    # all leaves, or the widened first leaf and then the rest
+    build = deep_build(cluster_fixture())
+    n = build.pwl.dim
+    assert shifted_calls == [(3, n + 1)]
+    del shifted_calls[:]
+    rebuild_deep_from_plan(build.report.plan, extras=[1, 1, 2])
+    assert shifted_calls == [(1, n + 3), (2, n + 1)]
 
 
 def test_rank_audits_carry_the_block_sigma_ratio():

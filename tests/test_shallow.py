@@ -14,7 +14,7 @@ from relusynth.core import (
     numeric_rank,
     solve_constrained,
 )
-from relusynth.bundles import BundleConfig, MarginError, same_classification_bundle
+from relusynth.bundles import BundleConfig, MarginError
 from relusynth.ordering import DistinguishableOrder, projection_order
 from relusynth.report import BuildFailure
 import relusynth.shallow as shallow_module
@@ -22,61 +22,16 @@ from relusynth.shallow import (
     GeometryError,
     UniformityError,
     build_staircase,
-    LinearOutputMatrix,
     interpolation_build,
     classifier_build,
     multi_output_build,
     rebuild_from_plan,
     resolve_output_unit,
-    solve_output_weights,
     synth_classifier,
     synth_interpolate,
     synth_multi_output,
     synth_two_subdomains,
 )
-
-
-def bundle_columns(n=2, count=3):
-    base = Hyperplane(np.concatenate([[1.0], 0.3 * np.ones(n - 1)]), 0.2)
-    plus = np.ones((1, n))
-    zero = -np.ones((1, n))
-    return same_classification_bundle(base, plus, zero, count)
-
-
-def test_solve_output_weights_reproduces_first_column():
-    cols = bundle_columns()
-    W = LinearOutputMatrix(tuple(cols))
-    target = AffineMap(cols[0].w[None, :], [cols[0].b])
-    alpha = solve_output_weights(W, target)
-    assert alpha == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
-
-
-def test_solve_output_weights_zero_target():
-    cols = bundle_columns()
-    W = LinearOutputMatrix(tuple(cols))
-    alpha = solve_output_weights(W, AffineMap.constant([0.0], 2))
-    assert np.max(np.abs(alpha)) < 1e-9
-
-
-def test_solve_output_weights_with_fixed_contribution(rng):
-    cols = bundle_columns(count=4)
-    W = LinearOutputMatrix(tuple(cols))
-    target = AffineMap([[0.7, -0.3]], [1.1])
-    fixed = [(Hyperplane([1.0, 0.0], 0.0), 2.0)]
-    alpha = solve_output_weights(W, target, fixed)
-    for _ in range(20):
-        x = rng.normal(size=2)
-        total = sum(a * h.value(x) for a, h in zip(alpha, cols))
-        total += 2.0 * (x[0])
-        assert total == pytest.approx(target.apply(x)[0], abs=1e-8)
-
-
-def test_solve_output_weights_rank_error():
-    cols = (Hyperplane([1.0, 0.0], 0.0), Hyperplane([2.0, 0.0], 0.0),
-            Hyperplane([3.0, 0.0], 0.0))
-    with pytest.raises(RankDeficientError) as err:
-        solve_output_weights(LinearOutputMatrix(cols), AffineMap.constant([1.0], 2))
-    assert err.value.rank < 3
 
 
 def two_cluster_pwl(rng, n=2, per_side=4):
@@ -398,7 +353,6 @@ def reference_staircase(pwl, order, margin, extra_units=0, relu_output=False):
         relu_first = relu_output and pos == 0
         if relu_first:
             M_c = np.hstack([M_c, np.eye(n + 1)[:, -1:]])
-        mode = "exact_square" if M_c.shape[1] == n + 1 else "least_norm_underdetermined"
         active = np.flatnonzero(Z[starts[pos], :start] > ACTIVATION_TOL)
         amap = pwl.subdomains[j][1]
         for rho in range(mu):
@@ -407,7 +361,11 @@ def reference_staircase(pwl, order, margin, extra_units=0, relu_output=False):
                 rhs = rhs - out_W[rho, u] * params[u]
             rhs[n] += float(centroid @ rhs[:n])
             rhs[n] -= out_b[rho]
-            sol = solve_constrained(M_c, rhs, mode)
+            if M_c.shape[1] == n + 1:
+                sol = np.linalg.solve(M_c, rhs)
+                sol += np.linalg.solve(M_c, rhs - M_c @ sol)
+            else:
+                sol = solve_constrained(M_c, rhs)
             if relu_first:
                 out_W[rho, cols], out_b[rho] = sol[:-1], sol[-1]
             else:
@@ -482,6 +440,18 @@ def test_one_build_calls_the_bundle_builder_once(family_calls):
     r = np.random.default_rng(4)
     interpolation_build(r.normal(size=(12, 3)) * 3, r.normal(size=12), extra_units=2)
     assert len(family_calls) == 1
+
+
+def test_one_shifted_stack_per_stage_width(shifted_calls):
+    # the coefficient-matching systems of equal-width stages shift and rank
+    # together: all k stages, or the widened first stage and then the rest
+    r = np.random.default_rng(4)
+    pts, vals = r.normal(size=(12, 3)) * 3, r.normal(size=12)
+    interpolation_build(pts, vals)
+    assert shifted_calls == [(12, 4)]
+    del shifted_calls[:]
+    interpolation_build(pts, vals, extra_units=2)
+    assert shifted_calls == [(1, 6), (11, 4)]
 
 
 def test_rank_audits_carry_the_stage_sigma_ratio(rng):
