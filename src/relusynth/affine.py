@@ -25,9 +25,8 @@ from .core import (
     affine_fit,
     forward_batch,
     numeric_rank,
-    supporting_hyperplane,
 )
-from .bundles import BundleConfig, common_point_bundle
+from .bundles import BundleConfig, anchored_base, common_point_bundle
 
 # training points plus about this many interior probes per widened network
 PROBE_POINTS = 1000
@@ -264,10 +263,12 @@ def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None):
 
     Builds a common-point family in the embedded coordinates (so the block's
     weight frame is invertible and the group's image stays an affine
-    transform of the group), lifts each member with zero weights on the
-    embedding's dependent rows, then sets interference weights on every
+    transform of the group) and writes its rows into the pivot columns,
+    zero on the embedding's dependent rows (a deep layer's stacked lift
+    with the identity frame), then sets interference weights on every
     foreign group's exclusive dimensions so those points produce all-zero
-    outputs.  ``foreign`` is a sequence of (dims, images) pairs.
+    outputs, which is checked.  ``foreign`` is a sequence of (dims,
+    images) pairs.
     """
     cfg = cfg or BundleConfig()
     D_images = np.atleast_2d(np.asarray(D_images, dtype=float))
@@ -276,15 +277,10 @@ def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None):
     if float(np.max(np.abs(recon - D_images))) > 1e-8:
         raise ValueError("images do not lie on the embedded subspace")
 
-    base = supporting_hyperplane(x_prime)
-    p = x_prime[0]
-    anchor = p - float(base.value(p)) * base.w / float(base.w @ base.w)
-    bundle = common_point_bundle(base, anchor, x_prime, cfg, count=count)
-
-    lifted = [lift_hyperplane(t, emb, free_values=np.zeros(len(emb.free_rows)))
-              for t in bundle]
-    W = np.array([t.w for t in lifted])
-    b = np.array([t.b for t in lifted])
+    bundle = common_point_bundle(*anchored_base(x_prime), x_prime, cfg, count=count)
+    W = np.zeros((len(bundle), emb.m))
+    W[:, list(emb.pivot_rows)] = [t.w for t in bundle]
+    b = np.array([t.b for t in bundle])
     if foreign:
         dims = [d for d, _ in foreign]
         weights = interference_avoiding_weights(W, b, dims, [x for _, x in foreign])

@@ -8,8 +8,8 @@ Each parameter's step is set in closed form from the base's smallest
 conditioning margin and how far the conditioning points lie along that
 parameter, so every member keeps the base's classification with at least
 half the required margin.  ``families`` is the one place that builds
-bundles and checks their margins and ranks: a staircase's stages, a deep
-layer's blocks and the one-base functions all go through it.
+bundles and checks their margins, ranks and anchors: a staircase's
+stages, a deep layer's blocks and the one-base functions all go through it.
 
 The paper perturbs member j by powers eps_i**j of distinct epsilons
 instead.  That stacks into a Vandermonde block whose smallest singular
@@ -20,11 +20,13 @@ and stacks to full rank.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MARGIN, Hyperplane, RankDeficientError, affine_fit, numeric_rank, stack_rank
+from .core import (MARGIN, Hyperplane, RankDeficientError, affine_fit, numeric_rank, ranked,
+                   supporting_hyperplane)
 from .ordering import InseparableError, separate
 
 
@@ -49,8 +51,9 @@ class BundleConfig:
     margin: float = MARGIN
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        m = self.margin
+        if isinstance(m, bool) or not isinstance(m, numbers.Real) or not 0 < m < np.inf:
+            raise ValueError(f"margin must be a finite positive number, got {m!r}")
 
 
 def _non_pivot(W):
@@ -125,21 +128,26 @@ def families(X, rows, signs, bundle_of_row, W, b, counts, anchors, margin, name)
 
     Bundle j has the base (W[j], b[j]) and counts[j] units; with
     ``anchors`` (one entry per bundle), a bundle whose entry is not None
-    is a common-point family through that anchor.  Its conditioning
-    points are the rows X[rows[i]] with bundle_of_row[i] == j
-    (``bundle_of_row`` ascending): on the plus side where signs[i] is 1,
-    on the zero side where it is -1.
+    is a common-point family of at least dim units through that anchor,
+    which must lie on the base (to 1e-9).  Its conditioning points are the
+    rows X[rows[i]] with bundle_of_row[i] == j (``bundle_of_row``
+    ascending): on the plus side where signs[i] is 1, on the zero side
+    where it is -1.
 
     Each base's margins are one matrix-vector product over its own rows,
     since they set its family's steps, and must reach ``margin``; ``worst``
     and ``reach`` are segment reductions of them (inf and 0 for a bundle
     without rows).  One ``axis_family`` call builds each stack of bundles
-    of equal count and anchoring.  Every member must keep its base's sides
-    with margin / 2 on its own bundle's rows, read from one product of X
-    with all units, and one batched SVD per unanchored stack ranks its
-    bundles' stacked (w, b) columns, which need rank min(count, dim + 1).
-    A failure raises ``MarginError`` (base, then members) or
-    ``RankDeficientError`` for the first failing bundle j, named by
+    of equal count and anchoring, and one batched solve per anchored stack
+    checks that each family's first dim members meet at its anchor (to
+    1e-9 relative).  Every member must keep its base's sides with
+    margin / 2 on its own bundle's rows, read from one product of X with
+    all units, and one batched SVD per unanchored stack ranks its bundles'
+    stacked (w, b) columns, which need rank min(count, dim + 1).  The first
+    failing bundle j raises, in this order, ``ValueError`` (anchor off its
+    base), ``MarginError`` (base), ``RuntimeError`` (a singular
+    common-point frame, or a family that misses its anchor),
+    ``MarginError`` (members) or ``RankDeficientError``, named by
     ``name(j)``: a (label, stage, subdomain) triple, the label leading the
     message and the other two carried by a ``MarginError``.
 
@@ -152,6 +160,14 @@ def families(X, rows, signs, bundle_of_row, W, b, counts, anchors, margin, name)
     counts = np.asarray(counts)
     n = X.shape[1]
     k = len(W)
+    anchored, A = np.zeros(k, dtype=bool), np.zeros((k, n))
+    for j, a in enumerate(anchors or ()):
+        if a is not None:
+            anchored[j], A[j] = True, a
+    off = anchored & (np.abs(np.einsum("ij,ij->i", A, W) + b) > 1e-9)
+    if off.any():
+        raise ValueError(f"{name(int(np.argmax(off)))[0]}: "
+                         "anchor does not lie on the base hyperplane")
     sizes = np.bincount(bundle_of_row, minlength=k)
     offsets = np.cumsum(sizes) - sizes
     G = X[rows]
@@ -162,10 +178,6 @@ def families(X, rows, signs, bundle_of_row, W, b, counts, anchors, margin, name)
         j = bundle_of_row[np.argmax(low)]
         i = offsets[j] + np.argmin(margins[offsets[j]:offsets[j] + sizes[j]])
         raise _margin_error(name(j), "base hyperplane", float(margins[i]), margin, G[i])
-    anchored, A = np.zeros(k, dtype=bool), np.zeros((k, n))
-    for j, a in enumerate(anchors or ()):
-        if a is not None:
-            anchored[j], A[j] = True, a
     # reduceat does not reduce an empty segment
     worst, reach = np.full(k, np.inf), np.zeros((k, n))
     has = sizes > 0
@@ -177,15 +189,27 @@ def families(X, rows, signs, bundle_of_row, W, b, counts, anchors, margin, name)
     unit_start = np.cumsum(counts) - counts
     P = np.empty((counts.sum(), n + 1))
     rank, sigma_min = np.zeros(k, dtype=int), np.full(k, np.nan)
+    apart = np.zeros(k, dtype=bool)
     for with_anchor, count in dict.fromkeys(zip(anchored.tolist(), counts.tolist())):
         idx = np.flatnonzero((anchored == with_anchor) & (counts == count))
         F = axis_family(W[idx], b[idx], count, worst[idx], reach[idx],
                         A[idx] if with_anchor else None)
         P[unit_start[idx, None] + np.arange(count)] = F
-        if not with_anchor:
+        if with_anchor:
+            # the first dim members' frame and biases must recover the anchor
+            try:
+                found = np.linalg.solve(F[:, :n, :n], -F[:, :n, n:])[..., 0]
+            except np.linalg.LinAlgError:
+                j = idx[np.argmax(np.linalg.det(F[:, :n, :n]) == 0.0)]
+                raise RuntimeError(f"{name(j)[0]}: common-point frame is singular") from None
+            a = A[idx]
+            apart[idx] = np.abs(found - a).max(axis=1) > 1e-9 * (1.0 + np.abs(a).max(axis=1))
+        else:
             # a row-major copy: LAPACK's copy-in of a transposed view is slower
-            s = np.linalg.svd(np.ascontiguousarray(np.swapaxes(F, 1, 2)), compute_uv=False)
-            rank[idx], sigma_min[idx] = stack_rank(s), s[:, -1] / s[:, 0]
+            rank[idx], sigma_min[idx] = ranked(np.ascontiguousarray(np.swapaxes(F, 1, 2)))
+    if apart.any():
+        raise RuntimeError(f"{name(int(np.argmax(apart)))[0]}: "
+                           "family does not meet at the anchor")
 
     Z = X @ np.ascontiguousarray(P[:, :n]).T + P[:, n]
     # one (row, member) pair per member of each row's own bundle
@@ -280,23 +304,19 @@ def common_point_bundle(base, anchor, D_plus, cfg=BundleConfig(), count=None):
     family over the non-pivot weights, each with its bias recomputed from
     the anchor, so the whole family meets exactly there; the weight rows of
     the first dim members are the base's plus a diagonal block, so their
-    intersection is the anchor alone.  ``count`` beyond dim cycles through
-    the same weights again with growing multiples.
+    intersection is the anchor alone, which ``families`` checks.  ``count``
+    beyond dim cycles through the same weights again with growing multiples.
     """
     n = base.dim
     count = n if count is None else count
     if count < n:
         raise ValueError("count below the dimension breaks the frame property")
-    anchor = np.asarray(anchor, dtype=float)
-    if abs(float(base.value(anchor))) > 1e-9:
-        raise ValueError("anchor does not lie on the base hyperplane")
-    bundle = _one_base(base, D_plus, None, count, cfg, "common-point bundle", anchor)
-    if count == 1:
-        return bundle
-    W, b = np.array([h.w for h in bundle[:n]]), np.array([h.b for h in bundle[:n]])
-    if n > 1 and numeric_rank(W) < n:
-        raise RuntimeError("common-point weight matrix is singular")
-    recovered = np.linalg.solve(W, -b) if n > 1 else -b / W[0]
-    if np.max(np.abs(recovered - anchor)) > 1e-9 * (1.0 + np.max(np.abs(anchor))):
-        raise RuntimeError("family does not meet at the anchor")
-    return bundle
+    return _one_base(base, D_plus, None, count, cfg, "common-point bundle", anchor)
+
+
+def anchored_base(points):
+    """The base and anchor of a pass-through family: the points' supporting
+    hyperplane and the first point's projection onto it."""
+    base = supporting_hyperplane(points)
+    p = points[0]
+    return base, p - float(base.value(p)) * base.w / float(base.w @ base.w)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     ACTIVATION_TOL,
+    MARGIN,
     AffineMap,
     DiscretePWL,
     Network,
@@ -77,13 +78,13 @@ def _emit(obj, summary=None):
 
 
 def _config(args):
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = _load_json(args.config, "config")
-    seed = args.seed if getattr(args, "seed", None) is not None else cfg.get("seed", 0)
-    margin = cfg.get("margin", 1e-6)
-    bundle_cfg = BundleConfig(margin=margin)
-    return seed, bundle_cfg, cfg
+    cfg = _load_json(args.config, "config") if args.config else {}
+    if not isinstance(cfg, dict):
+        raise InputError("config must be a JSON object")
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed, BundleConfig(margin=cfg.get("margin", MARGIN))
 
 
 def verify_network(net, pwl, tol=VERIFY_TOL, activation_tol=ACTIVATION_TOL):
@@ -167,7 +168,7 @@ def _finish_synthesis(args, build):
 
 
 def cmd_synth3(args):
-    seed, bundle_cfg, _ = _config(args)
+    seed, bundle_cfg = _config(args)
     pwl = DiscretePWL.from_json_dict(_load_json(args.pwl, "function"))
     if args.classify:
         pts = pwl.all_points()
@@ -184,7 +185,7 @@ def cmd_synth3(args):
 
 
 def cmd_synthdeep(args):
-    seed, bundle_cfg, _ = _config(args)
+    seed, bundle_cfg = _config(args)
     pwl = DiscretePWL.from_json_dict(_load_json(args.pwl, "function"))
     if args.outputs is not None and args.outputs != pwl.output_dim:
         raise InputError(
@@ -194,7 +195,7 @@ def cmd_synthdeep(args):
 
 
 def cmd_decode(args):
-    seed, bundle_cfg, _ = _config(args)
+    seed, bundle_cfg = _config(args)
     codes = _load_points(args.codes, "codes")
     targets = _load_points(args.targets, "targets")
     build = decoder_build(codes, targets, cfg=bundle_cfg, seed=seed)
@@ -202,6 +203,8 @@ def cmd_decode(args):
 
 
 def cmd_widen(args):
+    if args.widths is None and args.uniform is None:
+        raise InputError("give --widths or --uniform")
     report = ConstructionReport.from_json_dict(_load_json(args.report, "report"))
     if report.plan is None:
         raise InputError("report carries no synthesis plan; cannot widen")
@@ -217,16 +220,13 @@ def cmd_widen(args):
             print(
                 f"warning: report plan rebuilds {build.network.architecture()} "
                 f"but --net holds {net.architecture()}", file=sys.stderr)
-    if args.uniform is not None:
-        widened = widen_network(build, uniform=args.uniform)
-    else:
-        widths = [int(w) for w in args.widths.split(",")]
-        widened = widen_network(build, target_widths=widths)
+    widths = args.widths and [int(w) for w in args.widths.split(",")]
+    widened = widen_network(build, target_widths=widths, uniform=args.uniform)
     return _finish_synthesis(args, widened)
 
 
 def cmd_order(args):
-    seed, _, _ = _config(args)
+    seed, _ = _config(args)
     pts = _load_points(args.points)
     result = distinguishable_order([p[None, :] for p in pts], seed=seed)
     payload = {
@@ -395,8 +395,7 @@ def cmd_demo(args):
         _write_json(os.path.join(outdir, "fig9_pwl.json"), pwl.to_json_dict())
         _write_json(os.path.join(outdir, "fig9_net.json"),
                     build.network.to_json_dict())
-        with open(os.path.join(outdir, "fig9_report.json"), "w") as fh:
-            fh.write(build.report.to_json(indent=2))
+        _write_report(os.path.join(outdir, "fig9_report.json"), build.report)
         _emit({"fixture": name, "architecture": build.network.architecture(),
                "max_residual": build.report.max_residual}, None)
         return 0
@@ -408,8 +407,7 @@ def cmd_demo(args):
                     {"points": patterns.tolist()})
         _write_json(os.path.join(outdir, "decoder_net.json"),
                     build.network.to_json_dict())
-        with open(os.path.join(outdir, "decoder_report.json"), "w") as fh:
-            fh.write(build.report.to_json(indent=2))
+        _write_report(os.path.join(outdir, "decoder_report.json"), build.report)
         _emit({"fixture": name, "architecture": build.network.architecture(),
                "max_residual": build.report.max_residual}, None)
         return 0

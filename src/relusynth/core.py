@@ -448,16 +448,22 @@ def numeric_rank(M, tol=RANK_TOL):
     M = _as_matrix(M, "M")
     if M.size == 0:
         raise ValueError("rank of an empty matrix is undefined")
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(ranked(M[None], tol)[0][0])
 
 
 def stack_rank(s, tol=RANK_TOL):
     """Numeric ranks from stacked singular values, one descending row per
     matrix: ``numeric_rank`` for each matrix of a batched SVD."""
     return (s > tol * s[..., :1]).sum(axis=-1)
+
+
+def ranked(mats, tol=RANK_TOL):
+    """The one rank rule: numeric ranks of a stack of equal-shape matrices
+    from one batched SVD, and each one's smallest singular value over its
+    largest (nan for a zero matrix)."""
+    s = np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return stack_rank(s, tol), s[:, -1] / s[:, 0]
 
 
 def solve_square(A, Y):
@@ -507,7 +513,7 @@ def shifted_systems(M, centroids, square, name):
     M[:, n] += np.matmul(np.asarray(centroids)[:, None, :], M[:, :n])[:, 0]
     idx = np.flatnonzero(square)
     if idx.size:
-        rank = stack_rank(np.linalg.svd(M[idx], compute_uv=False))
+        rank = ranked(M[idx])[0]
         if (rank < n + 1).any():
             j = int(np.argmax(rank < n + 1))
             raise RankDeficientError(f"{name(int(idx[j]))}: centroid-shifted matrix "

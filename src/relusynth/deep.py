@@ -14,15 +14,16 @@ layer solves each leaf's affine target independently.
 
 Each layer is built and audited in one stacked pass, not group by group:
 its bundles come from one ``bundles.families`` call, which checks their
-margins and ranks them, their lift from one batched inverse of the
-groups' frames, the interference weights from one block solve, and the
-audit from one product over the previous layer's images stacked in input
-row order.  Ranks come from a few batched SVDs per layer.  The output
-layer is the shallow stages' coefficient-matching solve: one
+margins and ranks and that each pass-through family's anchor lies on its
+base and the family meets there; their lift from one batched inverse of
+the groups' frames, the interference weights from one block solve, and
+the audit from one product over the previous layer's images stacked in
+input row order.  Ranks come from a few batched SVDs per layer.  The
+output layer is the shallow stages' coefficient-matching solve: one
 ``core.shifted_systems`` and one ``core.match`` call per stack of
-equal-width leaves.  Rows
-keep their own matrix-vector products where a matrix product would round
-differently, so the networks are the same bytes as a group-by-group loop.
+equal-width leaves.  Rows keep their own matrix-vector products where a
+matrix product would round differently, so the networks are the same
+bytes as a group-by-group loop.
 """
 
 from __future__ import annotations
@@ -46,11 +47,10 @@ from .core import (
     forward_batch,
     match,
     point_key,
+    ranked,
     shifted_systems,
-    stack_rank,
-    supporting_hyperplane,
 )
-from .bundles import BundleConfig, families
+from .bundles import BundleConfig, anchored_base, families
 from .ordering import separate
 from .affine import interference_avoiding_weights
 from .report import BuildFailure, ConstructionReport
@@ -216,7 +216,6 @@ class _Group:
     M: np.ndarray           # frame: x -> block preactivations
     c: np.ndarray
     dims: range             # unit indices of the block in the current layer
-    anchor: np.ndarray | None = None   # a pass-through family's common point
     is_input: bool = False  # frame refers to the raw input, not relu outputs
 
 
@@ -254,7 +253,7 @@ class _Bundle(NamedTuple):
     anchor: np.ndarray | None
 
 
-def _layer_bundles(groups, layer_no, last, extra, rows_of):
+def _layer_bundles(groups, last, extra, rows_of):
     """The bundles one layer adds, in unit order."""
     n = groups[0].points.shape[1]
     none = np.zeros(0, dtype=int)
@@ -263,21 +262,14 @@ def _layer_bundles(groups, layer_no, last, extra, rows_of):
         count = n + (extra if gi == 0 else 0)
         node = g.node
         if last or node.is_leaf():
-            base = supporting_hyperplane(g.points)
-            if last:
-                bundles.append(_Bundle(node, {"kind": "output-bundle", "leaf": node.leaf},
-                                       gi, base.w, base.b, g.rows, none, count + 1, None))
-                continue
-            # common-point family anchored in original coordinates, so frame
-            # conditioning does not accumulate with depth; its restriction to
-            # the group's embedded subspace still meets in the anchor's image
-            p0 = g.points[0]
-            anchor = p0 - float(base.value(p0)) * base.w / float(base.w @ base.w)
-            if abs(float(base.value(anchor))) > 1e-9:
-                raise ValueError(f"layer {layer_no} ({_block_name(node, last)}): "
-                                 "anchor does not lie on the base hyperplane")
-            bundles.append(_Bundle(node, {"kind": "passthrough", "leaf": node.leaf},
-                                   gi, base.w, base.b, g.rows, none, count, anchor))
+            # a pass-through block is a common-point family anchored in
+            # original coordinates, so frame conditioning does not
+            # accumulate with depth; its restriction to the group's embedded
+            # subspace still meets in the anchor's image
+            base, anchor = anchored_base(g.points)
+            tag = {"kind": "output-bundle" if last else "passthrough", "leaf": node.leaf}
+            bundles.append(_Bundle(node, tag, gi, base.w, base.b, g.rows, none,
+                                   count + 1 if last else count, None if last else anchor))
             continue
         sep = node.separator
         (leaves_a, rows_a), (leaves_b, rows_b) = rows_of(node.a), rows_of(node.b)
@@ -314,7 +306,7 @@ def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, rows_of
     the layer, its plan tags, the groups it carries on and each new
     block's bundle rank and sigma_min."""
     n = X.shape[1]
-    bundles = _layer_bundles(groups, layer_no, last, extra, rows_of)
+    bundles = _layer_bundles(groups, last, extra, rows_of)
     sides = [rows for u in bundles for rows in (u.plus, u.zero)]
     side_sizes = np.array([len(rows) for rows in sides])
     counts = [u.count for u in bundles]
@@ -366,16 +358,9 @@ def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, rows_of
         tags.append(dict(u.tag, units=[start, u.count]))
         new_groups.append(_Group(u.node, leaves, rows, X[rows],
                                  np.ascontiguousarray(p[:, :n]), p[:, n].copy(),
-                                 range(start, start + u.count), anchor=u.anchor))
+                                 range(start, start + u.count)))
         start += u.count
     return Layer(W, b, "relu"), tags, new_groups, rank, sigma_min
-
-
-def _ranked(mats):
-    """Numeric ranks of equal-shape matrices from one batched SVD, and each
-    one's smallest singular value over its largest."""
-    s = np.linalg.svd(np.asarray(mats), compute_uv=False)
-    return stack_rank(s), s[:, -1] / s[:, 0]
 
 
 def _audit_layer(layer, layer_no, A, groups, X, cfg,
@@ -439,13 +424,13 @@ def _audit_layer(layer, layer_no, A, groups, X, cfg,
         for j, i in enumerate(many):
             p = groups[i].points
             centred[j, :len(p)] = p - p.mean(axis=0)
-        fitted = [i for i, r in zip(many, _ranked(centred)[0]) if r == n]
+        fitted = [i for i, r in zip(many, ranked(centred)[0]) if r == n]
     fits = []
     for i in fitted:
         fit, fit_resid = affine_fit(groups[i].points, own_pre[i])
         resid[i] = max(resid[i], fit_resid)
         fits.append(fit.W)
-    rank = _ranked([g.M[:n] for g in groups] + fits)[0] == n
+    rank = ranked([g.M[:n] for g in groups] + fits)[0] == n
     nonsingular = rank[:len(groups)]
     nonsingular[fitted] &= rank[len(groups):]
     for g, r, ok in zip(groups, resid, nonsingular.tolist()):
@@ -461,23 +446,11 @@ def _audit_layer(layer, layer_no, A, groups, X, cfg,
         raise RuntimeError(f"layer {layer_no}: affine transmission broke (block of "
                            f"leaves {g.leaf_ids}, residual {resid[broken[0]]:.3g})")
 
-    # a pass-through family meets in its anchor: its frame and biases
-    # recover the anchor
-    through = [g for g in groups if g.anchor is not None]
-    if through:
-        anchor = np.array([g.anchor for g in through])
-        found = np.linalg.solve(np.array([g.M[:n] for g in through]),
-                                -np.array([g.c[:n] for g in through])[:, :, None])[:, :, 0]
-        off = np.abs(found - anchor).max(axis=1) > 1e-9 * (1.0 + np.abs(anchor).max(axis=1))
-        if off.any():
-            raise RuntimeError(f"layer {layer_no} (leaves {through[np.argmax(off)].leaf_ids}): "
-                               "family does not meet at the anchor")
-
     rank = np.zeros(len(groups), dtype=int)
     sigma_min = np.zeros(len(groups))
     for u in dict.fromkeys(units.tolist()):
         idx = np.flatnonzero(units == u)
-        rank[idx], sigma_min[idx] = _ranked(
+        rank[idx], sigma_min[idx] = ranked(
             [W[groups[i].dims.start:groups[i].dims.stop] for i in idx])
     ok = rank >= np.minimum(n, units)
     for g, r, good, s in zip(groups, rank.tolist(), ok.tolist(), sigma_min.tolist()):

@@ -98,3 +98,30 @@ def shifted_calls(monkeypatch):
     for module in (shallow, deep):
         monkeypatch.setattr(module, "shifted_systems", counting)
     return calls
+
+
+def nudge_bias(P):
+    """Member 1 of each family no longer passes through its anchor."""
+    P[:, 1, -1] += 1e-3
+
+
+def repeat_base(P):
+    """Member 1 of each family repeats its base: an exactly singular frame."""
+    P[:, 1] = P[:, 0]
+
+
+@pytest.fixture
+def edit_anchored(monkeypatch):
+    """``edit_anchored(change)`` makes ``bundles.families`` see every
+    anchored ``axis_family`` stack P after ``change(P)`` edits it."""
+    def install(change):
+        axis_family = bundles.axis_family
+
+        def edited(W, b, count, worst, reach, anchor=None):
+            P = axis_family(W, b, count, worst, reach, anchor)
+            if anchor is not None:
+                change(P)
+            return P
+
+        monkeypatch.setattr(bundles, "axis_family", edited)
+    return install

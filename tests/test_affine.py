@@ -7,7 +7,9 @@ from relusynth.core import (
     Hyperplane,
     Layer,
     forward_batch,
+    supporting_hyperplane,
 )
+import relusynth.affine as affine_module
 from relusynth.affine import (
     decompose_embedding,
     embedding_from_affine,
@@ -20,6 +22,7 @@ from relusynth.affine import (
     widen_network,
 )
 from relusynth.shallow import interpolation_build, multi_output_build
+from relusynth.bundles import common_point_bundle
 from relusynth.deep import deep_build
 
 
@@ -248,6 +251,70 @@ def test_passthrough_darkens_foreign_group(rng):
     block = passthrough_layer(emb, own, foreign=[([2], foreign)])
     assert (foreign @ block.weights.T + block.biases < 0).all()
     assert (own @ block.weights.T + block.biases > 0).all()
+
+
+def test_passthrough_rejects_images_off_the_subspace(rng):
+    pts = rng.normal(size=(8, 2)) + 5
+    layer0 = activating_layer(rng, 4, 2, pts)
+    emb = decompose_embedding(layer0, pts)
+    images = np.maximum(pts @ layer0.weights.T + layer0.biases, 0.0)
+    images[0, emb.free_rows[0]] += 1e-3
+    with pytest.raises(ValueError, match="^images do not lie on the embedded subspace$"):
+        passthrough_layer(emb, images)
+
+
+def test_passthrough_rejects_a_foreign_point_left_active(monkeypatch, rng):
+    # interference weights far above the bound leave the foreign group lit
+    emb = embedding_from_affine(np.vstack([np.eye(2), np.zeros((1, 2))]), np.zeros(3),
+                                pivot_rows=(0, 1))
+    own = np.column_stack([rng.normal(size=(6, 2)) + 5, np.zeros(6)])
+    foreign = np.zeros((4, 3))
+    foreign[:, 2] = rng.uniform(1.0, 3.0, size=4)
+    monkeypatch.setattr(affine_module, "interference_avoiding_weights",
+                        lambda W, b, dims, images: np.full((len(W), len(dims)), 100.0))
+    with pytest.raises(RuntimeError, match="^a foreign point is not strictly deactivated$"):
+        passthrough_layer(emb, own, foreign=[([2], foreign)])
+
+
+def member_by_member_passthrough(emb, images, foreign=(), count=None):
+    """The pass-through block built member by member: the common-point
+    family in pivot coordinates, each member lifted with zero weights on
+    the free rows, then the interference weights."""
+    x = images[:, list(emb.pivot_rows)]
+    base = supporting_hyperplane(x)
+    anchor = x[0] - float(base.value(x[0])) * base.w / float(base.w @ base.w)
+    lifted = [lift_hyperplane(t, emb, free_values=np.zeros(len(emb.free_rows)))
+              for t in common_point_bundle(base, anchor, x, count=count)]
+    W = np.array([t.w for t in lifted])
+    b = np.array([t.b for t in lifted])
+    if foreign:
+        dims = [d for d, _ in foreign]
+        weights = interference_avoiding_weights(W, b, dims, [img for _, img in foreign])
+        W[:, np.concatenate(dims)] = np.repeat(weights, [len(d) for d in dims], axis=1)
+    return W, b
+
+
+@pytest.mark.parametrize("n, foreign_dims, count", [
+    (1, 0, None), (2, 0, 4), (2, 2, None), (3, 1, 5), (4, 2, 6), (5, 0, None),
+])
+def test_passthrough_equals_the_member_by_member_lift(n, foreign_dims, count):
+    rng = np.random.default_rng([n, foreign_dims])
+    m = n + 2
+    pts = rng.normal(size=(n + 3, n)) * 2 + 4
+    layer0 = activating_layer(rng, m, n, pts)
+    M = np.vstack([layer0.weights, np.zeros((foreign_dims, n))])
+    c = np.concatenate([layer0.biases, np.zeros(foreign_dims)])
+    emb = embedding_from_affine(M, c)
+    images = pts @ M.T + c
+    foreign = ()
+    if foreign_dims:
+        X = np.zeros((4, m + foreign_dims))
+        X[:, m:] = rng.uniform(1.0, 3.0, size=(4, foreign_dims))
+        foreign = [(list(range(m, m + foreign_dims)), X)]
+    block = passthrough_layer(emb, images, foreign=foreign, count=count)
+    W, b = member_by_member_passthrough(emb, images, foreign, count)
+    assert block.weights.tobytes() == W.tobytes()
+    assert block.biases.tobytes() == b.tobytes()
 
 
 def test_passthrough_chain_depth_three(rng):

@@ -13,7 +13,7 @@ from relusynth.bundles import (
 )
 from relusynth.core import Hyperplane, RankDeficientError, affine_fit, numeric_rank
 from relusynth.ordering import InseparableError
-from conftest import det_cofactor
+from conftest import det_cofactor, nudge_bias, repeat_base
 
 
 def stacked(bundle):
@@ -170,6 +170,30 @@ def test_common_point_anchor_must_lie_on_base():
 def test_bundle_config_validation():
     with pytest.raises(ValueError):
         BundleConfig(margin=0.0)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1e-6, "x", True])
+def test_bundle_config_rejects_a_margin_that_is_not_finite_positive(margin):
+    # a NaN margin would pass every margin test (margins < nan is false)
+    with pytest.raises(ValueError, match="margin must be a finite positive number"):
+        BundleConfig(margin=margin)
+
+
+def test_common_point_anchor_off_base_is_named_before_the_margins():
+    # the plus point is on the base's zero side too; the anchor fails first
+    with pytest.raises(ValueError, match=r"^common-point bundle: anchor does not lie "
+                                         r"on the base hyperplane$"):
+        common_point_bundle(Hyperplane([1.0, 0.0], 0.0), [1.0, 0.0], [[-2.0, 0.0]])
+
+
+@pytest.mark.parametrize("change, what", [
+    (nudge_bias, "family does not meet at the anchor"),
+    (repeat_base, "common-point frame is singular"),
+])
+def test_common_point_family_must_meet_at_its_anchor(edit_anchored, change, what):
+    edit_anchored(change)
+    with pytest.raises(RuntimeError, match=f"^common-point bundle: {what}$"):
+        common_point_bundle(Hyperplane([1.0, 1.0], -1.0), [1.0, 0.0], [[2.0, 2.0]])
 
 
 def condition_ratio(M):

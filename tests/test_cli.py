@@ -206,6 +206,14 @@ def test_demo_unknown_fixture(tmp_path):
     assert main(["demo", "nonsense", "--outdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("fixture", ["fig9", "decoder"])
+def test_demo_reports_end_with_a_newline(fixture, tmp_path, capsys):
+    assert main(["demo", fixture, "--outdir", str(tmp_path)]) == 0
+    text = (tmp_path / f"{fixture}_report.json").read_text()
+    assert text.endswith("}\n")
+    assert ConstructionReport.from_json(text).max_residual <= 1e-8
+
+
 def test_emitted_reports_reverify(workdir, rng):
     # a synthesis report's claimed residual is reproducible from the files
     net_path = workdir / "net.json"
@@ -378,3 +386,39 @@ def test_failed_widen_keeps_the_plan_it_read(workdir, capsys, monkeypatch):
                  "--out", str(wide)]) == 3
     assert capsys.readouterr().err.endswith("build failed: widening changed outputs by 1e-3\n")
     assert rep.read_text() == plan and not wide.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"margin": "x"}', "margin must be a finite positive number, got 'x'"),
+    ("[1, 2]", "config must be a JSON object"),
+    ('{"seed": "abc"}', "seed must be a non-negative integer, got 'abc'"),
+    ('{"seed": 1.5}', "seed must be a non-negative integer, got 1.5"),
+    # json reads NaN; a NaN margin would pass every margin test
+    ('{"margin": NaN}', "margin must be a finite positive number, got nan"),
+])
+def test_bad_config_is_an_input_error(workdir, capsys, config, message):
+    cfg, net = workdir / "c.json", workdir / "net.json"
+    cfg.write_text(config)
+    assert main(["synth3", "--pwl", str(workdir / "pwl.json"), "--out", str(net),
+                 "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not net.exists()
+
+
+def test_config_sets_seed_and_margin(workdir, capsys):
+    cfg, rep = workdir / "c.json", workdir / "rep.json"
+    cfg.write_text('{"seed": 3, "margin": 1e-5}')
+    assert main(["synth3", "--pwl", str(workdir / "pwl.json"), "--out",
+                 str(workdir / "net.json"), "--report", str(rep), "--config", str(cfg)]) == 0
+    report = ConstructionReport.from_json(rep.read_text())
+    assert (report.seed, report.tolerances["margin"]) == (3, 1e-5)
+
+
+def test_widen_without_widths_is_an_input_error(workdir, capsys):
+    rep, wide = workdir / "rep.json", workdir / "wide.json"
+    main(["synth3", "--pwl", str(workdir / "pwl.json"), "--out", str(workdir / "net.json"),
+          "--report", str(rep)])
+    capsys.readouterr()
+    assert main(["widen", "--report", str(rep), "--out", str(wide)]) == 2
+    assert capsys.readouterr().err == "input error: give --widths or --uniform\n"
+    assert not wide.exists()

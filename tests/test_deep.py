@@ -16,6 +16,7 @@ from relusynth.affine import interference_avoiding_weights, transform_hyperplane
 from relusynth.bundles import (
     BundleConfig,
     MarginError,
+    anchored_base,
     common_point_bundle,
     same_classification_bundle,
 )
@@ -32,6 +33,7 @@ from relusynth.deep import (
     synth_deep_multi,
 )
 from relusynth.cli import fig7_fixture
+from conftest import nudge_bias, repeat_base
 
 
 def cluster_fixture():
@@ -326,6 +328,28 @@ def test_audit_catches_broken_isolation(monkeypatch):
                         lambda W, b, dims, images: np.zeros((len(W), len(dims))))
     with pytest.raises(RuntimeError, match=r"layer \d+: foreign preactivation"):
         deep_build(pwl)
+
+
+def test_pass_through_anchor_off_base_names_its_layer(monkeypatch):
+    # layer 2 of the fixture passes leaf 2 through
+    def off_base(points):
+        base, anchor = anchored_base(points)
+        return base, anchor + base.w
+
+    monkeypatch.setattr(deep_module, "anchored_base", off_base)
+    with pytest.raises(ValueError, match=r"^layer 2 \(leaves \[2\]\): anchor does not "
+                                         r"lie on the base hyperplane$"):
+        deep_build(cluster_fixture())
+
+
+@pytest.mark.parametrize("change, what", [
+    (nudge_bias, "family does not meet at the anchor"),
+    (repeat_base, "common-point frame is singular"),
+])
+def test_pass_through_family_must_meet_at_its_anchor(edit_anchored, change, what):
+    edit_anchored(change)
+    with pytest.raises(RuntimeError, match=rf"^layer 2 \(leaves \[2\]\): {what}$"):
+        deep_build(cluster_fixture())
 
 
 def test_rebuild_from_plan_is_byte_identical(rng):
