@@ -81,6 +81,9 @@ def _config(args):
     cfg = _load_json(args.config, "config") if args.config else {}
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
+    unknown = sorted(set(cfg) - {"seed", "margin"})
+    if unknown:
+        raise InputError(f"unknown config keys {unknown}; known: seed, margin")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
@@ -226,9 +229,8 @@ def cmd_widen(args):
 
 
 def cmd_order(args):
-    seed, _ = _config(args)
     pts = _load_points(args.points)
-    result = distinguishable_order([p[None, :] for p in pts], seed=seed)
+    result = distinguishable_order([p[None, :] for p in pts])
     payload = {
         "order": [int(j) for j in result.order],
         "hyperplanes": [{"w": h.w.tolist(), "b": h.b} for h in result.hyperplanes],
@@ -366,7 +368,7 @@ def cmd_demo(args):
         rng = np.random.default_rng(seed)
         pts = np.vstack([rng.normal(size=(6, 2)) * 2,
                          [[1.0, 3.0], [3.0, 3.0]]])  # deliberate tie pair
-        result = distinguishable_order([p[None, :] for p in pts], seed=seed)
+        result = distinguishable_order([p[None, :] for p in pts])
         _write_json(os.path.join(outdir, "fig5_points.json"),
                     {"points": pts.tolist()})
         _write_json(os.path.join(outdir, "fig5_order.json"), {

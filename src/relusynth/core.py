@@ -285,6 +285,16 @@ class DiscretePWL:
         if len(np.unique(point_key(all_pts), axis=0)) != len(all_pts):
             raise ValueError("subdomain point sets must be pairwise disjoint")
 
+    @staticmethod
+    def singletons(points, targets):
+        """One singleton subdomain per row of ``points``, each carrying the
+        constant map to the same row of ``targets``."""
+        points = np.asarray(points, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        return DiscretePWL(points.shape[1], targets.shape[1], tuple(
+            (p[None, :], AffineMap.constant(t, points.shape[1]))
+            for p, t in zip(points, targets)))
+
     def all_points(self):
         return np.vstack([pts for pts, _ in self.subdomains])
 

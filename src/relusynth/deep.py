@@ -37,7 +37,6 @@ import numpy as np
 from .core import (
     ACTIVATION_TOL,
     RANK_TOL,
-    AffineMap,
     DiscretePWL,
     Hyperplane,
     Layer,
@@ -608,12 +607,7 @@ def decoder_build(codes, targets, cfg=None, seed=0):
     if codes.shape[0] != targets.shape[0]:
         raise ValueError("need one target per code")
     codes, targets = distinct_points(codes, targets)
-    subs = tuple(
-        (c[None, :], AffineMap.constant(t, codes.shape[1]))
-        for c, t in zip(codes, targets)
-    )
-    pwl = DiscretePWL(codes.shape[1], targets.shape[1], subs)
-    return deep_build(pwl, cfg, seed)
+    return deep_build(DiscretePWL.singletons(codes, targets), cfg, seed)
 
 
 def synth_decoder(codes, targets, cfg=None, seed=0):

@@ -8,7 +8,9 @@ solve output weights stage by stage.  ``projection_order`` is the one
 builds use: an order along a seeded direction, one LP per position, all
 solved together by ``separate_many``.
 ``distinguishable_order`` is the paper's construction by maximum
-hyperplanes, which ``relusynth order`` runs.
+hyperplanes, which ``relusynth order`` runs.  It is deterministic: the
+points each new point leaves on its plus side are placed after it by one
+lexicographic sort, and the greedy cover is its search's one fallback.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ SEPARABLE_THRESHOLD = 1e-7
 # need over 1 GB for the SVD input alone.  The largest tested instance,
 # n = 4 with 25 samples, has 14,950.
 MAX_TOUCH_SUBSETS = 20_000
-# Tie breaking in ``distinguishable_order``: random weight perturbations
-# tried, and halvings of each one's step, before the order gives up.
-MAX_PERTURB_ROUNDS = 30
-MAX_HALVINGS = 60
 
 
 class InseparableError(ValueError):
@@ -41,6 +39,11 @@ class InseparableError(ValueError):
     def __init__(self, message, result):
         super().__init__(message)
         self.result = result
+
+
+class EmptyCoverError(RuntimeError):
+    """Raised when the greedy fallback of ``maximum_hyperplane`` can keep no
+    sample on the zero side."""
 
 
 @dataclass(frozen=True)
@@ -243,13 +246,13 @@ def maximum_hyperplane(delta_samples, star, trace=None):
     ``_vertex_candidate_covers`` are verified by the separation LP, largest
     first, over every candidate of the largest size; the first that
     separates is returned (exact for samples in generic position).  When
-    none of them verifies, or C(k+1, n) exceeds ``MAX_TOUCH_SUBSETS``, the
-    one fallback runs: greedy largest-violation removal with a
-    translation-improvement fixpoint, or the empty cover when nothing can
-    be covered.  It records a ``maximum_hyperplane_fallback`` trace event
-    with its reason (``cap`` or ``unverified``).  Returns (hyperplane,
-    covered) with covered a tuple of sample indices placed on the zero
-    side.
+    none of them verifies, C(k+1, n) exceeds ``MAX_TOUCH_SUBSETS``, or there
+    are fewer than n points and so no touch set, the one fallback runs:
+    greedy largest-violation removal with a translation-improvement
+    fixpoint.  It records a ``maximum_hyperplane_fallback`` trace event
+    with its reason (``unverified``, ``cap`` or ``no-touch-set``); an empty
+    greedy cover raises ``EmptyCoverError``.  Returns (hyperplane, covered)
+    with covered a tuple of sample indices placed on the zero side.
     """
     delta = np.atleast_2d(np.asarray(delta_samples, dtype=float))
     star = np.asarray(star, dtype=float)
@@ -264,8 +267,12 @@ def maximum_hyperplane(delta_samples, star, trace=None):
         _check_translation_property(full, delta, list(range(k)), star)
         return full.hyperplane, tuple(range(k))
 
-    reason = "cap"
-    if math.comb(k + 1, n) <= MAX_TOUCH_SUBSETS:
+    touch_sets = math.comb(k + 1, n)
+    if touch_sets == 0:
+        reason = "no-touch-set"
+    elif touch_sets > MAX_TOUCH_SUBSETS:
+        reason = "cap"
+    else:
         reason = "unverified"
         best_size = None
         for cover in _vertex_candidate_covers(delta, star):
@@ -282,9 +289,11 @@ def maximum_hyperplane(delta_samples, star, trace=None):
         trace.append({"event": "maximum_hyperplane_fallback", "samples": k,
                       "reason": reason})
     covered = set(_greedy_removal(delta, star))
+    if not covered:
+        raise EmptyCoverError(
+            f"greedy cover is empty: removal left none of the {k} samples on "
+            f"the zero side of the star {star.tolist()}")
     while True:
-        if not covered:
-            return _cover_nothing(delta, star, trace), ()
         excl = [i for i in range(k) if i not in covered]
         plus = np.vstack([star[None, :], delta[excl]]) if excl else star[None, :]
         res = separate(plus, delta[sorted(covered)])
@@ -326,30 +335,6 @@ def _check_translation_property(res, delta, covered, star):
             "translation property violated: an uncovered sample sits between "
             "the hyperplane and the star sample"
         )
-
-
-def _cover_nothing(delta, star, trace):
-    """Terminal fallback: no sample can be covered; put the boundary at star."""
-    n = star.shape[0]
-    rows = np.zeros((delta.shape[0] + 2 * n, n + 1))
-    rhs = np.zeros(rows.shape[0])
-    rows[: delta.shape[0], :n] = star[None, :] - delta
-    rows[: delta.shape[0], n] = 1.0
-    rows[delta.shape[0]: delta.shape[0] + n, :n] = np.eye(n)
-    rows[delta.shape[0] + n:, :n] = -np.eye(n)
-    rhs[delta.shape[0]:] = 1.0
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    res = solve_lp(c, rows, rhs)
-    if res.status == OPTIMAL and res.value > SEPARABLE_THRESHOLD:
-        w = res.z[:n]
-        b = -float(w @ star) + res.value / 2.0
-        return Hyperplane(w, b).scaled(2.0 / res.value)
-    if trace is not None:
-        trace.append({"event": "empty_cover_degenerate"})
-    w = np.zeros(n)
-    w[0] = 1.0
-    return Hyperplane(w, 1.0 - star[0])
 
 
 def _rescale_for(h, constrained_points):
@@ -426,14 +411,37 @@ def projection_order(subdomains, seed=0):
                                 tuple(_staircase_lines(points, order, lines)))
 
 
-def distinguishable_order(
-    subdomains,
-    seed=0,
-    margin=MARGIN,
-    hyperplanes=None,
-    order=None,
-    trace=None,
-):
+def _place_plus_side(points, star, uncovered, h, lines):
+    """The star and the points ``h`` leaves on its plus side, in staircase
+    order, with a line for each in ``lines``.
+
+    They sort by projection onto ``h.w``.  Projections within the tie
+    tolerance 1e-9 (1 + |w|)(1 + max|x|) of their sorted neighbour form one
+    level, and a level sorts by coordinates x0, x1, ... in turn.  The first
+    point keeps ``h``; each later one gets the cut halfway along ``h.w``
+    from its predecessor.  Each point so placed is the lexicographic
+    maximum, under (h.w, e0, ..., e(n-1)), of everything placed before it,
+    the covered points lying below ``h``.  So it is a vertex of their hull
+    and separates strictly, and ``_staircase_lines`` replaces every cut,
+    including the placeholder cuts inside a level, with an LP separator.
+    """
+    idx = np.array([star] + uncovered)
+    w = h.w
+    proj = np.array([float(w @ points[j]) for j in idx])
+    tol = 1e-9 * (1.0 + np.linalg.norm(w)) * (1.0 + float(np.max(np.abs(points[idx]))))
+    by_proj = np.argsort(proj, kind="stable")
+    level = np.zeros(len(idx))
+    level[by_proj[1:]] = np.cumsum(np.diff(proj[by_proj]) > tol)
+    rank = np.lexsort(np.vstack([points[idx].T[::-1], level]))  # last key first
+    placed = idx[rank].tolist()
+    lines[placed[0]] = h
+    for j, lo, hi in zip(placed[1:], rank, rank[1:]):
+        lines[j] = Hyperplane(w, -0.5 * (proj[lo] + proj[hi]))
+    return placed
+
+
+def distinguishable_order(subdomains, margin=MARGIN, hyperplanes=None, order=None,
+                          trace=None):
     """Order subdomains into the staircase structure with one hyperplane each.
 
     This is the paper's construction and the route of ``relusynth order``;
@@ -441,13 +449,12 @@ def distinguishable_order(
     every subdomain must be a singleton; points are processed in index
     order, each via its maximum hyperplane over the already-placed points
     (``maximum_hyperplane``: the LP-verified touch-set cover, or the greedy
-    fallback on degenerate inputs and above ``MAX_TOUCH_SUBSETS``).  Points
-    left stranded on the new plus side are reprocessed by translating the
-    new hyperplane past them one at a time (boundary at the midpoint
-    between consecutive points along the normal), with a seeded random
-    weight perturbation whenever several of them tie along the normal
-    direction.  Once the order is fixed, ``_staircase_lines`` replaces each
-    line with its max-margin separator.
+    fallback on degenerate inputs and above ``MAX_TOUCH_SUBSETS``).  The
+    covered points keep their places, and the new point and the points
+    left on its plus side follow them in the lexicographic order of
+    ``_place_plus_side``.  Once the order is fixed, ``_staircase_lines``
+    replaces each line with its max-margin separator.  The result depends
+    on the points alone.
 
     Validation route: pass ``hyperplanes`` (and optionally ``order``) to
     check an existing staircase instead of building one.
@@ -466,116 +473,17 @@ def distinguishable_order(
         return DistinguishableOrder(order, tuple(hyperplanes))
 
     points = _singleton_points(sets)
-    rng = np.random.default_rng(seed)
-    n = points.shape[1]
-
-    order_list = []      # subdomain indices in staircase order
-    lines = {}           # subdomain index -> Hyperplane
-
-    for i in range(k):
-        p = points[i]
-        if not order_list:
-            w = np.zeros(n)
-            w[0] = 1.0
-            order_list.append(i)
-            lines[i] = Hyperplane(w, 1.0 - p[0])
-            continue
-        delta_idx = list(order_list)
-        delta = points[delta_idx]
-        h, covered = maximum_hyperplane(delta, p, trace=trace)
-        covered_global = {delta_idx[c] for c in covered}
-        uncovered_global = [j for j in order_list if j not in covered_global]
-
-        order_list = [j for j in order_list if j in covered_global]
-        order_list.append(i)
-        lines[i] = h
-
-        if uncovered_global:
-            _reprocess_uncovered(
-                points, order_list, lines, i, uncovered_global, h, rng, trace)
+    order_list = [0]     # subdomain indices in staircase order
+    lines = {0: Hyperplane(np.eye(points.shape[1])[0], 1.0 - points[0, 0])}
+    for i in range(1, k):
+        h, covered = maximum_hyperplane(points[order_list], points[i], trace=trace)
+        covered = {order_list[c] for c in covered}
+        uncovered = [j for j in order_list if j not in covered]
+        order_list = [j for j in order_list if j in covered]
+        order_list += _place_plus_side(points, i, uncovered, h, lines)
 
     hps = _staircase_lines(points, order_list, [lines[j] for j in order_list])
     ok, failures = check_distinguishable([points[j][None, :] for j in order_list], hps, margin)
     if not ok:
         raise RuntimeError(f"constructed order fails its own staircase check: {failures}")
     return DistinguishableOrder(tuple(order_list), tuple(hps))
-
-
-def _reprocess_uncovered(points, order_list, lines, star_idx, uncovered, h, rng, trace):
-    """Give translated lines to the points left on the new plus side."""
-    star_and_up = [star_idx] + list(uncovered)
-    zero_side = [j for j in order_list if j not in star_and_up]
-
-    w, b = h.w, h.b
-    scale = 1.0 + float(np.max(np.abs(points[star_and_up])))
-
-    def projections(wv):
-        return {j: float(wv @ points[j]) for j in star_and_up}
-
-    def tie_free(proj, wv):
-        tol = 1e-9 * (1.0 + np.linalg.norm(wv)) * scale
-        star_first = all(proj[star_idx] < proj[j] - tol for j in uncovered)
-        svals = sorted(proj.values())
-        gaps_ok = all(hi - lo > tol for lo, hi in zip(svals, svals[1:]))
-        return star_first and gaps_ok
-
-    def classification_ok(w_try):
-        plus_vals = points[star_and_up] @ w_try + b
-        if not (plus_vals >= 0.5 * plus_ref).all():
-            return False
-        if zero_side:
-            zero_vals = points[zero_side] @ w_try + b
-            return (zero_vals <= 0.5 * zero_ref).all()
-        return True
-
-    def tie_score(proj_try):
-        """Smallest of the star gap and the internal ordering gaps."""
-        star_gap = min(proj_try[j] - proj_try[star_idx] for j in uncovered)
-        svals = sorted(proj_try.values())
-        internal = min((hi - lo for lo, hi in zip(svals, svals[1:])),
-                       default=np.inf)
-        return min(star_gap, internal)
-
-    proj = projections(w)
-    rounds = 0
-    while not tie_free(proj, w):
-        rounds += 1
-        if rounds > MAX_PERTURB_ROUNDS:
-            raise RuntimeError("perturbation budget exhausted while breaking ties")
-        eps = rng.normal(size=points.shape[1])
-        eps /= np.linalg.norm(eps)
-        plus_ref = points[star_and_up] @ w + b
-        zero_ref = (points[zero_side] @ w + b) if zero_side else None
-        # the perturbation magnitude can be arbitrarily small and its sign
-        # is free: among the classification-preserving candidates take the
-        # one that widens the binding gap, so ties break monotonically
-        # instead of by a random walk
-        best = None
-        alpha = 1e-3 * np.linalg.norm(w)
-        for _ in range(MAX_HALVINGS):
-            for sign in (1.0, -1.0):
-                w_try = w + sign * alpha * eps
-                if not classification_ok(w_try):
-                    continue
-                proj_try = projections(w_try)
-                score = tie_score(proj_try)
-                if best is None or score > best[0]:
-                    best = (score, w_try, proj_try)
-            if best is not None:
-                break
-            alpha *= 0.5
-        if best is None:
-            raise RuntimeError("perturbation halving budget exhausted")
-        if best[0] > tie_score(proj):
-            w, proj = best[1], best[2]
-        if trace is not None:
-            trace.append({"event": "tie_perturbation", "round": rounds,
-                          "alpha": alpha, "score": best[0]})
-
-    uncovered_sorted = sorted(uncovered, key=lambda j: proj[j])
-    prev = proj[star_idx]
-    for j in uncovered_sorted:
-        cut = 0.5 * (prev + proj[j])
-        lines[j] = Hyperplane(w, -cut)
-        order_list.append(j)
-        prev = proj[j]

@@ -67,13 +67,7 @@ def rank_probability(sampler, m, n=None, trials=100000, tol=RANK_TOL,
     done = 0
     while done < trials:
         count = min(batch, trials - done)
-        W = rng.normal(size=(count, m, n))
-        norms = np.linalg.norm(W, axis=2, keepdims=True)
-        while (norms < 1e-12).any():  # measure-zero guard
-            bad = (norms < 1e-12)[:, :, 0]
-            W[bad] = rng.normal(size=(int(bad.sum()), n))
-            norms = np.linalg.norm(W, axis=2, keepdims=True)
-        W = W / norms
+        W = _unit_rows(rng, count * m, n).reshape(count, m, n)
         s = np.linalg.svd(W, compute_uv=False)
         s_min = s[:, min(m, n) - 1]
         s_max = s[:, 0]

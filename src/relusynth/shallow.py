@@ -303,12 +303,12 @@ def rebuild_from_plan(plan, cfg=None, extra_units=None):
 
 
 def _singleton_decomposition(pwl):
-    """Split every subdomain into single points carrying constant targets."""
-    subs = []
-    for pts, amap in pwl.subdomains:
-        for p in pts:
-            subs.append((p[None, :], AffineMap.constant(amap.apply(p), pwl.dim)))
-    return DiscretePWL(pwl.dim, pwl.output_dim, tuple(subs))
+    """Split every subdomain into single points carrying constant targets.
+
+    Each target is its own point's ``amap.apply``: one stacked apply could
+    round differently."""
+    return DiscretePWL.singletons(pwl.all_points(), [
+        amap.apply(p) for pts, amap in pwl.subdomains for p in pts])
 
 
 def synth_two_subdomains(pwl, cfg=None, seed=0):
@@ -344,12 +344,8 @@ def interpolation_build(points, values, cfg=None, seed=0, extra_units=0):
     if points.shape[0] != values.shape[0]:
         raise ValueError("need one value row per point")
     points, values = distinct_points(points, values)
-    subs = tuple(
-        (p[None, :], AffineMap.constant(v, points.shape[1]))
-        for p, v in zip(points, values)
-    )
-    pwl = DiscretePWL(points.shape[1], values.shape[1], subs)
-    return build_staircase(pwl, cfg=cfg, seed=seed, extra_units=extra_units)
+    return build_staircase(DiscretePWL.singletons(points, values), cfg=cfg, seed=seed,
+                           extra_units=extra_units)
 
 
 def synth_interpolate(points, values, cfg=None, seed=0, extra_units=0):
@@ -387,12 +383,8 @@ def classifier_build(points, labels, categories=None, cfg=None, seed=0):
         if not (labels == c).any():
             raise ValueError(f"category {c} has no points")
     targets = np.where(labels[:, None] == np.arange(mu)[None, :], 1.0, -1.0)
-    subs = tuple(
-        (p[None, :], AffineMap.constant(t, points.shape[1]))
-        for p, t in zip(points, targets)
-    )
-    pwl = DiscretePWL(points.shape[1], mu, subs)
-    return build_staircase(pwl, cfg=cfg, seed=seed, relu_output=True)
+    return build_staircase(DiscretePWL.singletons(points, targets), cfg=cfg, seed=seed,
+                           relu_output=True)
 
 
 def synth_classifier(points, labels, categories=None, cfg=None, seed=0):

@@ -8,12 +8,14 @@ from relusynth.cli import InputError, main, verify_network
 from relusynth.core import (
     AffineMap,
     DiscretePWL,
+    Hyperplane,
     Layer,
     Network,
     forward_batch,
     forward_traced,
 )
 from relusynth.deep import deep_build
+from relusynth.ordering import check_distinguishable
 from relusynth.report import BuildFailure, ConstructionReport
 from relusynth.shallow import classifier_build, multi_output_build
 
@@ -108,6 +110,18 @@ def test_order_command(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert sorted(payload["order"]) == [0, 1, 2]
     assert len(payload["hyperplanes"]) == 3
+
+
+def test_order_command_with_fewer_earlier_points_than_dimensions(workdir, capsys):
+    # the last point lies between two earlier ones in 4-D: no touch set exists
+    pts = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    pts_path = workdir / "points.json"
+    pts_path.write_text(json.dumps({"points": pts.tolist()}))
+    assert main(["order", "--points", str(pts_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    hps = [Hyperplane(h["w"], h["b"]) for h in payload["hyperplanes"]]
+    ok, failures = check_distinguishable([pts[j][None, :] for j in payload["order"]], hps)
+    assert ok, failures
 
 
 def test_rank_prob_command(capsys):
@@ -395,6 +409,8 @@ def test_failed_widen_keeps_the_plan_it_read(workdir, capsys, monkeypatch):
     ('{"seed": 1.5}', "seed must be a non-negative integer, got 1.5"),
     # json reads NaN; a NaN margin would pass every margin test
     ('{"margin": NaN}', "margin must be a finite positive number, got nan"),
+    # a misspelled key must not fall back to the default silently
+    ('{"margn": 0.5}', "unknown config keys ['margn']; known: seed, margin"),
 ])
 def test_bad_config_is_an_input_error(workdir, capsys, config, message):
     cfg, net = workdir / "c.json", workdir / "net.json"

@@ -117,7 +117,7 @@ def test_maximum_hyperplane_fallback_keeps_guarantees(rng, monkeypatch):
 
     pts = rng.normal(size=(10, 2))
     trace = []
-    result = distinguishable_order([p[None, :] for p in pts], seed=2, trace=trace)
+    result = distinguishable_order([p[None, :] for p in pts], trace=trace)
     assert any(e["event"] == "maximum_hyperplane_fallback" for e in trace)
     ok, failures = check_distinguishable(
         [pts[j][None, :] for j in result.order], result.hyperplanes)
@@ -251,7 +251,7 @@ def test_order_two_points():
 
 def test_order_eight_random_points(rng):
     pts = rng.normal(size=(8, 2))
-    result = distinguishable_order([p[None, :] for p in pts], seed=3)
+    result = distinguishable_order([p[None, :] for p in pts])
     ordered = [pts[j][None, :] for j in result.order]
     ok, failures = check_distinguishable(ordered, result.hyperplanes)
     assert ok, failures
@@ -272,7 +272,7 @@ def test_order_collinear_tie_needs_perturbation():
         [2.0, 1.0],
     ])
     trace = []
-    result = distinguishable_order([p[None, :] for p in pts], seed=5, trace=trace)
+    result = distinguishable_order([p[None, :] for p in pts], trace=trace)
     ordered = [pts[j][None, :] for j in result.order]
     ok, failures = check_distinguishable(ordered, result.hyperplanes)
     assert ok, failures
@@ -301,9 +301,84 @@ def test_order_validation_route():
 
 def test_order_deterministic_given_seed(rng):
     pts = rng.normal(size=(7, 3))
-    a = distinguishable_order([p[None, :] for p in pts], seed=11)
-    b = distinguishable_order([p[None, :] for p in pts], seed=11)
+    a = distinguishable_order([p[None, :] for p in pts])
+    b = distinguishable_order([p[None, :] for p in pts])
     assert a.order == b.order
     for ha, hb in zip(a.hyperplanes, b.hyperplanes):
         assert ha.w.tobytes() == hb.w.tobytes()
         assert ha.b == hb.b
+
+
+def _planar_lattice(rng, k, n):
+    """Distinct points of a 2-D integer lattice mapped into n dimensions,
+    in random order: many of them tie along many normals."""
+    pts = rng.integers(-3, 4, (k, 2)) @ rng.normal(size=(2, n))
+    return rng.permutation(np.unique(pts, axis=0))
+
+
+def assert_staircase(pts, result):
+    ok, failures = check_distinguishable([pts[j][None, :] for j in result.order],
+                                         result.hyperplanes)
+    assert ok, failures
+
+
+def test_order_places_tied_points_in_lexicographic_order(monkeypatch):
+    # with the greedy fallback, one star leaves tied points on its plus side;
+    # a seeded perturbation search once broke that tie
+    pts = np.array([[0, 3], [0, 2], [2, 0], [3, 1], [3, 0], [1, 1]], dtype=float)
+    monkeypatch.setattr(ordering, "MAX_TOUCH_SUBSETS", 0)
+    place = ordering._place_plus_side
+    calls = []
+
+    def recording(points, star, uncovered, h, lines):
+        placed = place(points, star, uncovered, h, lines)
+        calls.append((h.w, points[placed]))
+        return placed
+
+    monkeypatch.setattr(ordering, "_place_plus_side", recording)
+    assert_staircase(pts, distinguishable_order([p[None, :] for p in pts]))
+    tied = 0
+    for w, placed in calls:
+        proj = placed @ w
+        tol = 1e-9 * (1.0 + np.linalg.norm(w)) * (1.0 + np.abs(placed).max())
+        for a, b, gap in zip(placed, placed[1:], np.diff(proj)):
+            assert gap > -tol
+            if gap <= tol:
+                tied += 1
+                assert tuple(a) < tuple(b)
+    assert tied
+
+
+def test_order_tie_tolerance_on_a_planar_lattice(monkeypatch):
+    # projections that tie exactly differ by about 1e-16 here; sorting the
+    # raw floats placed a point on a placeholder cut through another
+    monkeypatch.setattr(ordering, "MAX_TOUCH_SUBSETS", 0)
+    pts = _planar_lattice(np.random.default_rng([20, 0, 5]), 23, 3)
+    assert_staircase(pts, distinguishable_order([p[None, :] for p in pts]))
+
+
+def test_empty_greedy_cover_is_an_error(monkeypatch):
+    monkeypatch.setattr(ordering, "_greedy_removal", lambda delta, star: [])
+    with pytest.raises(ordering.EmptyCoverError, match="greedy cover is empty"):
+        maximum_hyperplane(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 0.0]))
+
+
+def test_maximum_hyperplane_with_fewer_samples_than_dimensions():
+    # C(k + 1, n) = 0: there is no touch set, so the greedy fallback runs
+    delta = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    star = np.array([1.0, 0.0, 0.0, 0.0])
+    trace = []
+    h, covered = maximum_hyperplane(delta, star, trace=trace)
+    assert trace[0] == {"event": "maximum_hyperplane_fallback", "samples": 2,
+                        "reason": "no-touch-set"}
+    assert len(covered) == 1
+    assert h.value(star) > 0 and (h.value(delta[list(covered)]) < 0).all()
+
+
+def test_order_sweep_over_planar_lattices(monkeypatch):
+    for n in range(1, 7):
+        for cap in (ordering.MAX_TOUCH_SUBSETS, 0):
+            monkeypatch.setattr(ordering, "MAX_TOUCH_SUBSETS", cap)
+            for rep in range(3):
+                pts = _planar_lattice(np.random.default_rng([n, cap, rep]), 16, n)
+                assert_staircase(pts, distinguishable_order([p[None, :] for p in pts]))
