@@ -3,7 +3,11 @@
 The partition tree splits each group by its most balanced direction cut,
 certified by a max-margin LP that also sets the separator: k - 1 LPs for k
 subdomains, and depth ceil(log2 k) when every group has a cut into halves.
-Groups that no cut separates are refined to singletons.
+Groups that no cut separates are refined to singletons.  The tree is grown
+topology first: each round takes every group's first cut without an LP,
+a round that refines solves none unless a cut is thin enough for an LP to
+reject it, and the last round's cuts are certified one batch of LPs per
+tree level.
 
 Each tree level becomes one hidden layer: groups being split get a pair of
 reversed-side bundles, groups already isolated get pass-through blocks,
@@ -29,6 +33,7 @@ bytes as a group-by-group loop.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,7 +55,7 @@ from .core import (
     shifted_systems,
 )
 from .bundles import BundleConfig, anchored_base, families
-from .ordering import separate
+from .ordering import SEPARABLE_THRESHOLD, separate_many
 from .affine import interference_avoiding_weights
 from .report import BuildFailure, ConstructionReport
 
@@ -66,6 +71,10 @@ __all__ = [
     "decoder_build",
     "interference_avoiding_weights",
 ]
+
+
+# seeded random directions each group tries, besides its axes and principal axes
+DIRECTION_TRIES = 40
 
 
 class PartitionError(ValueError):
@@ -112,33 +121,109 @@ class PartitionTree:
     origin: list              # final index -> original subdomain index
 
 
-class _NeedRefine(Exception):
-    def __init__(self, indices):
-        self.indices = indices
+@dataclass
+class _Split:
+    """A group of two or more sets in a round's tree: its index in the
+    tree's preorder, which picks its block of random directions, its
+    remaining candidate cuts, the cut it holds (None once none is left),
+    its children (a set index for a leaf) and, once certified, the
+    separator."""
+
+    group: tuple
+    pre: int
+    cuts: Iterator | None = None
+    cut: tuple | None = None
+    a: "_Split | int | None" = None
+    b: "_Split | int | None" = None
+    separator: Hyperplane | None = None
 
 
-def _candidate_direction_cuts(sets, group, rng, tries=40):
+def _grow(sets, blocks, root, wide):
+    """Grow the tree under ``root`` in preorder, solving no LP: each group
+    takes its first candidate cut when it is reached, and child a of group
+    p is group p + 1 and child b group p + |a|, as in a depth-first build.
+    Groups grown before keep their cuts.  Growth does not go below an
+    uncertified cut with a gap of at most ``wide``, which an LP may
+    reject.  Returns the first group with no cut, which is the
+    lowest-preorder failure, or None, and those thin cuts' groups before
+    it."""
+    stack, thin = [root], []
+    while stack:
+        s = stack.pop()
+        if s.cuts is None:
+            s.cuts = _candidate_direction_cuts(sets, s.group, blocks[s.pre])
+            s.cut = next(s.cuts, None)
+        if s.cut is None:
+            return s, thin
+        if s.separator is None and s.cut[2] <= wide:
+            thin.append(s)
+            continue
+        if s.a is None:
+            left, right, _ = s.cut
+            s.a, s.b = (_Split(side, s.pre + skip) if len(side) > 1 else side[0]
+                        for side, skip in ((left, 1), (right, len(left))))
+        stack.extend(c for c in (s.b, s.a) if isinstance(c, _Split))
+    return None, thin
+
+
+def _certify(sets, splits):
+    """Certify the groups' cuts by their max-margin LPs, solved together
+    by ``separate_many``.  A rejected cut gives way to its group's next
+    candidate and drops its subtree, to be regrown.  Returns whether
+    every cut passed."""
+    results = separate_many([
+        tuple(np.vstack([sets[i] for i in side]) for side in s.cut[:2])
+        for s in splits])
+    for s, res in zip(splits, results):
+        if res.separable:
+            s.separator = res.hyperplane
+        else:
+            s.cut, s.a, s.b = next(s.cuts, None), None, None
+    return all(res.separable for res in results)
+
+
+def _certify_levels(sets, root):
+    """Certify every uncertified cut of the tree, one batch per level, so
+    no LP is padded to a shallower level's rows; stops after the first
+    level with a rejection.  Returns whether every cut passed."""
+    level = [root]
+    while level:
+        if not _certify(sets, [s for s in level if s.separator is None]):
+            return False
+        level = [c for s in level for c in (s.a, s.b) if isinstance(c, _Split)]
+    return True
+
+
+def _tree_node(x):
+    if not isinstance(x, _Split):
+        return TreeNode(leaf=x)
+    return TreeNode(a=_tree_node(x.a), b=_tree_node(x.b), separator=x.separator)
+
+
+def _candidate_direction_cuts(sets, group, directions):
     """Direction-projection splits of a group, most balanced first.
 
-    All points go through one product with all unit directions; each set's
-    extent on a direction is a segment min and max over its rows, and the
-    gap of every cut along the sorted order is the next set's low end minus
-    the running max of the high ends so far.  Cuts whose gap is at least
-    1e-3 of the widest come most balanced first (by the smaller side's set
-    count), then by gap, largest first; each left side comes once, and cuts
-    are yielded lazily, so only the ones tried are built.
+    The directions are the axes, the group's principal axes and the given
+    block of random ``directions``.  All points go through one product
+    with all unit directions; each set's extent on a direction is a
+    segment min and max over its rows, and the gap of every cut along the
+    sorted order is the next set's low end minus the running max of the
+    high ends so far.  Cuts whose gap is at least 1e-3 of the widest come
+    most balanced first (by the smaller side's set count), then by gap,
+    largest first; each left side comes once, and cuts are yielded lazily,
+    so only the ones tried are built.  A cut is its left and right set
+    indices and its gap.
     """
     pts = np.vstack([sets[i] for i in group])
     n = pts.shape[1]
-    dirs = [np.eye(n)[i] for i in range(n)]
-    centered = pts - pts.mean(axis=0)
+    dirs = [np.eye(n)]
     if pts.shape[0] > 1:
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        dirs.extend(vt)
-    dirs.extend(rng.normal(size=(tries, n)))
-    # one norm per direction: the axis= form rounds some of them differently
-    norms = np.array([np.linalg.norm(d) for d in dirs])
-    dirs = np.array(dirs)[norms != 0.0] / norms[norms != 0.0, None]
+        _, _, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
+        dirs.append(vt)
+    dirs = np.vstack(dirs + [directions])
+    # the same bits as np.linalg.norm row by row; the axis= form is not
+    norms = np.sqrt(np.vecdot(dirs, dirs))
+    dirs = dirs[norms != 0.0] / norms[norms != 0.0, None]
     proj = pts @ dirs.T
     starts = np.cumsum([0] + [len(sets[i]) for i in group[:-1]])
     lo = np.minimum.reduceat(proj, starts).T        # (directions, sets)
@@ -155,55 +240,76 @@ def _candidate_direction_cuts(sets, group, rng, tries=40):
         left = tuple(sorted(group[j] for j in order[k[i], :c[i] + 1]))
         if left not in seen:
             seen.add(left)
-            yield left, tuple(sorted(group[j] for j in order[k[i], c[i] + 1:]))
+            yield (left, tuple(sorted(group[j] for j in order[k[i], c[i] + 1:])),
+                   gaps[k[i], c[i]])
 
 
 def build_partition_tree(subdomains, seed=0):
     """Recursively bipartition subdomains into linearly separable groups.
 
     Each group is split by its most balanced LP-certified direction cut.
-    When a group of two or more subdomains has none, its multi-point
-    subdomains are split into singletons and the whole tree is rebuilt;
-    distinct points always separate eventually.
+    A round grows the tree from every group's first candidate cut, in
+    preorder and without LPs, up to the first group with no cut.  If there
+    is one, its multi-point subdomains are split into single points and
+    the next round starts; distinct points always separate eventually.
+    Otherwise every cut is certified, one batch of separation LPs per tree
+    level.  A group whose cut an LP rejects moves to its next candidate
+    and regrows its subtree; a cut thin enough for that is certified
+    before anything grows below it.  Group p of the preorder takes block
+    p of the round's random directions, so the tree is the one a
+    depth-first build draws that certifies each cut when it reaches it.
     """
     sets = [np.atleast_2d(np.asarray(s, dtype=float)) for s in subdomains]
     origin = list(range(len(sets)))
     pts_all = np.vstack(sets)
     if len(np.unique(point_key(pts_all), axis=0)) != pts_all.shape[0]:
         raise ValueError("duplicate points across subdomains")
+    if len(sets) == 1:
+        return PartitionTree(TreeNode(leaf=0), sets, origin)
+    # a cut with gap g along unit d is held apart by w = d / |d|_inf, so
+    # its LP optimum is at least g / 2; the simplex stops at most about
+    # 1e-9 short of it (measured), so a cut this wide always passes
+    wide = 20 * SEPARABLE_THRESHOLD * (1.0 + np.abs(pts_all).max())
     rng = np.random.default_rng(seed)
-
-    def grow(group):
-        if len(group) == 1:
-            return TreeNode(leaf=group[0])
-        for left, right in _candidate_direction_cuts(sets, group, rng):
-            res = separate(np.vstack([sets[i] for i in left]),
-                           np.vstack([sets[i] for i in right]))
-            if res.separable:
-                return TreeNode(a=grow(list(left)), b=grow(list(right)),
-                                separator=res.hyperplane)
-        raise _NeedRefine(group)
+    n = pts_all.shape[1]
+    # one (DIRECTION_TRIES, n) block per group, in preorder; one draw of
+    # several blocks gives the same numbers as one draw per block
+    blocks = rng.normal(size=(len(sets) - 1, DIRECTION_TRIES, n))
 
     while True:
-        try:
-            root = grow(list(range(len(sets))))
-            return PartitionTree(root, sets, origin)
-        except _NeedRefine as need:
-            refinable = [i for i in need.indices if sets[i].shape[0] > 1]
-            if not refinable:
-                raise PartitionError(
-                    "no separable bipartition exists even for singletons"
-                ) from None
-            new_sets, new_origin = [], []
-            for i, s in enumerate(sets):
-                if i in refinable:
-                    for p in s:
-                        new_sets.append(p[None, :])
-                        new_origin.append(origin[i])
-                else:
-                    new_sets.append(s)
+        root = _Split(tuple(range(len(sets))), 0)
+        while True:
+            failed, thin = _grow(sets, blocks, root, wide)
+            if thin:
+                _certify(sets, thin)
+            elif failed is not None or _certify_levels(sets, root):
+                break
+        if failed is None:
+            return PartitionTree(_tree_node(root), sets, origin)
+        refinable = [i for i in failed.group if sets[i].shape[0] > 1]
+        if not refinable:
+            P = np.vstack([sets[i] for i in failed.group])
+            closest = min(np.linalg.norm(P[i + 1:] - P[i], axis=1).min()
+                          for i in range(len(P) - 1))
+            raise PartitionError(
+                "no separable bipartition of subdomains "
+                f"{sorted({origin[i] for i in failed.group})}, even as single "
+                f"points; their closest points are {closest:.3g} apart")
+        new_sets, new_origin = [], []
+        for i, s in enumerate(sets):
+            if i in refinable:
+                for p in s:
+                    new_sets.append(p[None, :])
                     new_origin.append(origin[i])
-            sets, origin = new_sets, new_origin
+            else:
+                new_sets.append(s)
+                new_origin.append(origin[i])
+        sets, origin = new_sets, new_origin
+        # the next round's draws follow the failed group's block
+        blocks = blocks[failed.pre + 1:]
+        if len(blocks) < len(sets) - 1:
+            blocks = np.concatenate([blocks, rng.normal(
+                size=(len(sets) - 1 - len(blocks), DIRECTION_TRIES, n))])
 
 
 @dataclass

@@ -421,6 +421,20 @@ def test_bad_config_is_an_input_error(workdir, capsys, config, message):
     assert not net.exists()
 
 
+def test_inseparable_subdomains_are_an_input_error(tmp_path, capsys):
+    # point_key keeps the first two points apart, but no LP separates them
+    pwl = tmp_path / "pwl.json"
+    pwl.write_text(json.dumps({"dim": 2, "output_dim": 1, "subdomains": [
+        {"points": [p], "W": [[0.0, 0.0]], "b": [float(i)]}
+        for i, p in enumerate([[4.9e-13, 0.0], [5.1e-13, 0.0], [3.0, 1.0]])]}))
+    net = tmp_path / "net.json"
+    assert main(["synthdeep", "--pwl", str(pwl), "--out", str(net)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: no separable bipartition of subdomains [0, 1], even as single "
+        "points; their closest points are 2e-14 apart\n")
+    assert not net.exists()
+
+
 def test_config_sets_seed_and_margin(workdir, capsys):
     cfg, rep = workdir / "c.json", workdir / "rep.json"
     cfg.write_text('{"seed": 3, "margin": 1e-5}')

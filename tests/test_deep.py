@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,10 @@ from relusynth.ordering import separate
 from relusynth.report import BuildFailure
 import relusynth.deep as deep_module
 from relusynth.deep import (
+    DIRECTION_TRIES,
+    PartitionError,
+    PartitionTree,
+    TreeNode,
     build_partition_tree,
     decoder_build,
     deep_build,
@@ -145,22 +151,14 @@ def _depth(node):
 
 
 @pytest.mark.parametrize("nx, ny", [(4, 4), (8, 4), (8, 8)])
-def test_balanced_tree_on_jittered_grids(monkeypatch, nx, ny):
-    # the max-margin split peeled off about one cluster per level: depths
-    # 6/7/12 and 103/397/961 separation LPs on these grids
+def test_balanced_tree_on_jittered_grids(lp_calls, nx, ny):
+    # every group has a cut into halves, and each cut takes one LP
     k = nx * ny
     pwl = _jittered_grid(np.random.default_rng(0), nx, ny)
-    lps = []
-
-    def counting(A, B):
-        lps.append(1)
-        return separate(A, B)
-
-    monkeypatch.setattr(deep_module, "separate", counting)
     tree = build_partition_tree([pts for pts, _ in pwl.subdomains])
+    assert len(lp_calls) == k - 1
     assert len(tree.subdomains) == k
     assert _depth(tree.root) == int(np.ceil(np.log2(k)))
-    assert len(lps) <= k - 1
 
     def walk(node):
         if node.is_leaf():
@@ -181,6 +179,148 @@ def test_balanced_tree_on_jittered_grids(monkeypatch, nx, ny):
 def test_partition_tree_duplicate_points_rejected():
     with pytest.raises(ValueError):
         build_partition_tree([np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]])])
+
+
+def reference_tree(subdomains, seed=0):
+    """The depth-first build that the topology-first rounds replaced: a
+    group draws its block of random directions when it is reached and
+    tries its cuts one separation LP at a time.  A group with no separable
+    cut refines its multi-point sets and the whole tree is rebuilt, the
+    draws going on from there.  Also returns how many LPs rejected a cut."""
+    sets = [np.atleast_2d(np.asarray(s, dtype=float)) for s in subdomains]
+    origin = list(range(len(sets)))
+    rng = np.random.default_rng(seed)
+    rejected = 0
+
+    class Refine(Exception):
+        pass
+
+    def grow(group):
+        nonlocal rejected
+        if len(group) == 1:
+            return TreeNode(leaf=group[0])
+        block = rng.normal(size=(DIRECTION_TRIES, sets[0].shape[1]))
+        for left, right, _ in deep_module._candidate_direction_cuts(sets, group, block):
+            res = separate(np.vstack([sets[i] for i in left]),
+                           np.vstack([sets[i] for i in right]))
+            if res.separable:
+                return TreeNode(a=grow(left), b=grow(right), separator=res.hyperplane)
+            rejected += 1
+        raise Refine(group)
+
+    while True:
+        try:
+            return PartitionTree(grow(tuple(range(len(sets)))), sets, origin), rejected
+        except Refine as need:
+            refinable = [i for i in need.args[0] if len(sets[i]) > 1]
+            if not refinable:
+                raise PartitionError(rejected) from None
+            new_sets, new_origin = [], []
+            for i, s in enumerate(sets):
+                parts = [p[None, :] for p in s] if i in refinable else [s]
+                new_sets += parts
+                new_origin += [origin[i]] * len(parts)
+            sets, origin = new_sets, new_origin
+
+
+def _tree_bytes(tree):
+    return (json.dumps(tree.root.to_json_dict()), tree.origin,
+            [s.tobytes() for s in tree.subdomains])
+
+
+def _sweep_sets(s):
+    """Seeded inputs for n = 1-4 of four kinds: random labels (these
+    refine), unique integer-grid rows, jittered clusters, and clusters of
+    1-4 points at 1e-6 to 1e-7, the scale of the separation LP's
+    threshold, where LPs reject cuts, some of them ahead of a refinement."""
+    r = np.random.default_rng([s, 17])
+    n, kind = 1 + s % 4, s // 4 % 4
+    if kind == 0:
+        P = r.normal(size=(int(r.integers(4, 20)), n))
+        labels = r.integers(0, int(r.integers(2, 6)), len(P))
+    elif kind == 1:
+        P = np.unique(r.integers(0, 4, (int(r.integers(3, 20)), n)).astype(float), axis=0)
+        P = P[r.permutation(len(P))]
+        labels = r.integers(0, int(r.integers(1, 5)), len(P))
+    else:
+        scale = 10.0 if kind == 2 else r.choice([3e-7, 1e-6])
+        spread, most = (0.8, 3) if kind == 2 else (scale / 3, 4)
+        C = r.normal(size=(int(r.integers(2, 12)), n)) * scale
+        return [c + r.normal(size=(int(r.integers(1, most + 1)), n)) * spread for c in C]
+    return [P[labels == i] for i in np.unique(labels)]
+
+
+def test_topology_first_tree_equals_the_depth_first_build_byte_for_byte():
+    refined = rejected = failed = 0
+    for s in range(128):
+        sets, seed = _sweep_sets(s), s % 7
+        try:
+            ref, lps_rejected = reference_tree(sets, seed)
+        except PartitionError as exc:
+            failed += 1
+            rejected += exc.args[0]
+            with pytest.raises(PartitionError):
+                build_partition_tree(sets, seed)
+            continue
+        assert _tree_bytes(build_partition_tree(sets, seed)) == _tree_bytes(ref), s
+        refined += len(ref.subdomains) > len(sets)
+        rejected += lps_rejected
+    # every path of the rounds ran: refinement, rejected cuts and failure
+    assert refined and rejected and failed
+
+
+def _tiny_clusters(s):
+    """Clusters of 1-4 points at 1e-7 in the plane, where LPs reject cuts."""
+    r = np.random.default_rng([s, 5])
+    return [c + r.normal(size=(int(r.integers(1, 5)), 2)) * 3e-7
+            for c in r.normal(size=(int(r.integers(3, 10)), 2)) * 9e-7]
+
+
+@pytest.mark.parametrize("s", [72, 109])
+def test_thin_cuts_are_certified_before_a_refinement(s):
+    # an LP rejects a thin cut ahead of the group that fails, and the
+    # depth-first build, following the next candidate, refines another
+    # group.  Refined at once, these trees differed.
+    sets = _tiny_clusters(s)
+    ref, rejected = reference_tree(sets)
+    assert rejected and len(ref.subdomains) > len(sets)
+    assert _tree_bytes(build_partition_tree(sets)) == _tree_bytes(ref)
+
+
+@pytest.mark.parametrize("s", [20, 51])
+def test_a_rejected_cut_regrows_its_subtree(monkeypatch, s):
+    # with no cut counted thin, the LP rejects cuts whose subtrees are
+    # already grown; each group moves to its next candidate and regrows
+    monkeypatch.setattr(deep_module, "SEPARABLE_THRESHOLD", -1.0)
+    sets = _tiny_clusters(s)
+    ref, rejected = reference_tree(sets)
+    assert rejected and len(ref.subdomains) == len(sets)
+    assert _tree_bytes(build_partition_tree(sets)) == _tree_bytes(ref)
+
+
+def test_tree_lp_count_is_leaves_minus_one_after_refinement(lp_calls):
+    r = np.random.default_rng([2, 64, 0, 1])
+    sets = [c + r.normal(size=(3, 2)) * 0.8 for c in r.normal(size=(64, 2)) * 10]
+    tree = build_partition_tree(sets)
+    # refinement split clusters to 82 leaves; the depth-first build solved 179 LPs
+    assert len(tree.subdomains) == 82
+    assert len(lp_calls) == 81
+    assert _tree_bytes(tree) == _tree_bytes(reference_tree(sets)[0])
+
+
+def test_partition_error_names_the_subdomains_and_their_distance():
+    # point_key keeps the first two points apart, but no LP separates them
+    with pytest.raises(PartitionError, match=r"subdomains \[0, 1\], even as single "
+                       r"points; their closest points are 2e-14 apart"):
+        build_partition_tree([[[4.9e-13, 0.0]], [[5.1e-13, 0.0]], [[3.0, 1.0]]])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_direction_norms_equal_the_per_row_norm_bit_for_bit(n):
+    r = np.random.default_rng([n, 4])
+    D = r.normal(size=(2000, n)) * r.uniform(0.01, 100.0, size=(2000, 1))
+    loop = np.array([np.linalg.norm(d) for d in D])
+    assert np.sqrt(np.vecdot(D, D)).tobytes() == loop.tobytes()
 
 
 def test_deep_two_singletons_architecture():
