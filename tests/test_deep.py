@@ -317,6 +317,9 @@ def test_partition_error_names_the_subdomains_and_their_distance():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_direction_norms_equal_the_per_row_norm_bit_for_bit(n):
+    # _candidate_direction_cuts normalises its directions with vecdot in
+    # place of a per-row norm loop; trees stay the same bytes only if the
+    # two agree bit for bit
     r = np.random.default_rng([n, 4])
     D = r.normal(size=(2000, n)) * r.uniform(0.01, 100.0, size=(2000, 1))
     loop = np.array([np.linalg.norm(d) for d in D])
