@@ -256,8 +256,8 @@ def build_partition_tree(subdomains, seed=0):
     level.  A group whose cut an LP rejects moves to its next candidate
     and regrows its subtree; a cut thin enough for that is certified
     before anything grows below it.  Group p of the preorder takes block
-    p of the round's random directions, so the tree is the one a
-    depth-first build draws that certifies each cut when it reaches it.
+    p of the round's random directions, so the tree is the one drawn by a
+    depth-first build that certifies each cut when it reaches it.
     """
     sets = [np.atleast_2d(np.asarray(s, dtype=float)) for s in subdomains]
     origin = list(range(len(sets)))
@@ -268,7 +268,7 @@ def build_partition_tree(subdomains, seed=0):
         return PartitionTree(TreeNode(leaf=0), sets, origin)
     # a cut with gap g along unit d is held apart by w = d / |d|_inf, so
     # its LP optimum is at least g / 2; the simplex stops at most about
-    # 1e-9 short of it (measured), so a cut this wide always passes
+    # 1e-9 short of it (measured), so its LP passes every wider cut
     wide = 20 * SEPARABLE_THRESHOLD * (1.0 + np.abs(pts_all).max())
     rng = np.random.default_rng(seed)
     n = pts_all.shape[1]
