@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     ACTIVATION_TOL,
-    RANK_TOL,
     AffineMap,
     Hyperplane,
     Layer,
@@ -76,21 +75,21 @@ def _greedy_pivot_rows(M, n):
     return tuple(sorted(chosen))
 
 
-def embedding_from_affine(M, c, pivot_rows=None, rank_tol=RANK_TOL):
+def embedding_from_affine(M, c, pivot_rows=None):
     """Decomposition of the affine image x -> M x + c, m rows over n inputs."""
     M = np.asarray(M, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = M.shape
     if m <= n:
         raise ValueError("need more rows than input dimensions")
-    if numeric_rank(M, rank_tol) < n:
+    if numeric_rank(M) < n:
         raise ValueError("affine image is rank deficient; no pivot block exists")
     if pivot_rows is None:
         pivot_rows = _greedy_pivot_rows(M, n)
     pivot_rows = tuple(int(r) for r in pivot_rows)
     free_rows = tuple(r for r in range(m) if r not in pivot_rows)
     W_n = M[list(pivot_rows)]
-    if numeric_rank(W_n, rank_tol) < n:
+    if numeric_rank(W_n) < n:
         raise ValueError("chosen pivot rows are singular")
     b_n = c[list(pivot_rows)]
     W_r = M[list(free_rows)]
@@ -103,7 +102,7 @@ def embedding_from_affine(M, c, pivot_rows=None, rank_tol=RANK_TOL):
     )
 
 
-def decompose_embedding(layer, D, rank_tol=RANK_TOL):
+def decompose_embedding(layer, D):
     """Decompose a wide layer around a point set that fully activates it.
 
     Also certifies that the images restricted to the pivot rows are an
@@ -118,7 +117,7 @@ def decompose_embedding(layer, D, rank_tol=RANK_TOL):
     partial = [u for u, s in aggregate.items() if s != "simultaneous"]
     if partial:
         raise ValueError(f"points do not simultaneously activate units {partial}")
-    emb = embedding_from_affine(layer.weights, layer.biases, rank_tol=rank_tol)
+    emb = embedding_from_affine(layer.weights, layer.biases)
 
     images = D @ layer.weights.T + layer.biases
     recon = emb.reconstruct(images[:, list(emb.pivot_rows)])
@@ -127,7 +126,7 @@ def decompose_embedding(layer, D, rank_tol=RANK_TOL):
         raise RuntimeError(f"reconstruction residual {recon_err:.3g} above 1e-9")
 
     witness, resid = affine_fit(D, images[:, list(emb.pivot_rows)])
-    if resid > 1e-8 or not witness.is_nonsingular(rank_tol):
+    if resid > 1e-8 or not witness.is_nonsingular():
         raise RuntimeError("pivot image is not an affine transform of the inputs")
     return emb
 
@@ -203,8 +202,7 @@ def transform_hyperplane(h, amap):
     return Hyperplane(w_new, h.b - float(w_new @ amap.b))
 
 
-def interference_avoiding_weights(fixed_weights, bias, off_dims, D2_images,
-                                  tol=ACTIVATION_TOL):
+def interference_avoiding_weights(fixed_weights, bias, off_dims, D2_images):
     """Common weight for the off dimensions driving foreign preactivations
     strictly negative.
 
@@ -236,7 +234,7 @@ def interference_avoiding_weights(fixed_weights, bias, off_dims, D2_images,
         if off.size == 0:
             raise ValueError("need at least one off dimension")
         off_coords = images[:, off]
-        if off_coords.min() <= tol:
+        if off_coords.min() <= ACTIVATION_TOL:
             raise ValueError(
                 "a foreign image has a nonpositive coordinate on an off dimension"
             )
@@ -248,13 +246,13 @@ def interference_avoiding_weights(fixed_weights, bias, off_dims, D2_images,
     return float(weights[0, 0]) if single else weights
 
 
-def rank_condition_check(W, n=None, tol=RANK_TOL):
+def rank_condition_check(W):
     """Necessary condition for affine pass-through: rank at least the fan-out."""
     W = np.asarray(W, dtype=float)
-    n = W.shape[0] if n is None else n
+    n = W.shape[0]
     if W.shape[1] <= n:
         raise ValueError("expected a wide matrix (more columns than rank target)")
-    rank = numeric_rank(W, tol)
+    rank = numeric_rank(W)
     return rank >= n, rank
 
 
@@ -361,8 +359,3 @@ def _check_output_invariance(old_build, new_build):
     worst = float(np.max(np.abs(diff)))
     if worst > 1e-8:
         raise RuntimeError(f"widening changed outputs by {worst:.3g}")
-    new_build.report.traces.append({
-        "event": "widen_invariance_probe",
-        "points": int(X.shape[0]),
-        "max_diff": worst,
-    })

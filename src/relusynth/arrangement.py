@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .core import PLUS, ZERO, Hyperplane, numeric_rank, RANK_TOL
+from .core import PLUS, ZERO, Hyperplane, numeric_rank
 from .ordering import check_distinguishable
 from .simplex import OPTIMAL, solve_lp
 
@@ -202,11 +202,12 @@ def _region_lp(arr, signs):
     return None
 
 
-def enumerate_regions(arr, cap=DEFAULT_CAP, samples=None, seed=0):
+def enumerate_regions(arr, cap=DEFAULT_CAP):
     """All open regions of the arrangement, each with an interior witness.
 
-    Candidate sign vectors are pruned by random-point sampling first and
-    the remainder decided by strict-margin LP feasibility.  Exponential in
+    Candidate sign vectors are pruned first by sampling 200 random points
+    per hyperplane from a fixed seed, and the remainder decided by
+    strict-margin LP feasibility.  Exponential in
     the hyperplane count, hence the cap.
     """
     m = len(arr.hyperplanes)
@@ -217,13 +218,11 @@ def enumerate_regions(arr, cap=DEFAULT_CAP, samples=None, seed=0):
     b = np.array([h.b for h in arr.hyperplanes])
 
     found = {}
-    rng = np.random.default_rng(seed)
-    if samples is None:
-        samples = 200 * m
+    rng = np.random.default_rng(0)
     scale = 3.0 * max(
         1.0, max(abs(h.b) / np.linalg.norm(h.w) for h in arr.hyperplanes)
     )
-    X = rng.normal(scale=scale, size=(samples, n))
+    X = rng.normal(scale=scale, size=(200 * m, n))
     V = X @ W.T + b
     margins = np.min(np.abs(V), axis=1)
     good = margins > REGION_THRESHOLD
@@ -246,7 +245,7 @@ def enumerate_regions(arr, cap=DEFAULT_CAP, samples=None, seed=0):
     return regions
 
 
-def general_position(arr, tol=RANK_TOL):
+def general_position(arr):
     """Both clauses of the general-position property over small subsets.
 
     Subsets of size s <= dim must meet in an (n-s)-flat (full row rank);
@@ -261,14 +260,14 @@ def general_position(arr, tol=RANK_TOL):
     for s in range(2, min(m, n) + 1):
         for subset in combinations(range(m), s):
             W = np.array([hps[i].w for i in subset])
-            if numeric_rank(W, tol) < s:
+            if numeric_rank(W) < s:
                 return False
     if m > n:
         for subset in combinations(range(m), n + 1):
             W = np.array([hps[i].w for i in subset])
             bb = np.array([hps[i].b for i in subset])
             aug = np.hstack([W, -bb[:, None]])
-            if numeric_rank(aug, tol) == numeric_rank(W, tol):
+            if numeric_rank(aug) == numeric_rank(W):
                 return False  # consistent system: common point exists
     return True
 

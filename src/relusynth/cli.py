@@ -90,7 +90,7 @@ def _config(args):
     return seed, BundleConfig(margin=cfg.get("margin", MARGIN))
 
 
-def verify_network(net, pwl, tol=VERIFY_TOL, activation_tol=ACTIVATION_TOL):
+def verify_network(net, pwl):
     """Re-verify a network against its target function, point by point.
 
     One batched forward pass over every point gives, per point, the residual
@@ -98,9 +98,9 @@ def verify_network(net, pwl, tol=VERIFY_TOL, activation_tol=ACTIVATION_TOL):
     layer is a ReLU, as for classifiers) and the activated-unit sets per
     layer.  The batched product sums in another order than a one-point
     product, so residuals can differ from a per-point evaluation in the last
-    digits (about 1e-12), far below ``tol``.  The report's max_residual is
-    recomputed from scratch; passing means at most ``tol``, and a NaN
-    residual fails.
+    digits (about 1e-12), far below ``VERIFY_TOL``.  The report's
+    max_residual is recomputed from scratch; passing means at most
+    ``VERIFY_TOL``, and a NaN residual fails.
     """
     t0 = time.monotonic()
     if net.output_dim != pwl.output_dim:
@@ -115,7 +115,7 @@ def verify_network(net, pwl, tol=VERIFY_TOL, activation_tol=ACTIVATION_TOL):
     targets = pwl.all_targets()
     if net.layers and net.layers[-1].activation == "relu":
         targets = np.maximum(targets, 0.0)
-    out, masks = forward_masks(net, X, activation_tol)
+    out, masks = forward_masks(net, X)
     residuals = np.abs(out - targets).max(axis=1)
     # one nonzero per layer; its column indices, cut at the row counts, are
     # each point's active units in ascending order
@@ -136,9 +136,9 @@ def verify_network(net, pwl, tol=VERIFY_TOL, activation_tol=ACTIVATION_TOL):
         max_residual=worst,
         activation_audits=point_checks,
         wall_clock=time.monotonic() - t0,
-        tolerances={"verify_tol": tol, "activation_tol": activation_tol},
+        tolerances={"verify_tol": VERIFY_TOL, "activation_tol": ACTIVATION_TOL},
     )
-    return report, (0 if worst <= tol else 1)
+    return report, (0 if worst <= VERIFY_TOL else 1)
 
 
 def cmd_verify(args):

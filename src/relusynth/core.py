@@ -12,9 +12,10 @@ from typing import Literal
 
 import numpy as np
 
-# Default tolerances.  A ReLU preactivation in (0, ACTIVATION_TOL] is treated
-# as zero; constructions place preactivations outside +-MARGIN so the band is
-# never load-bearing.
+# The numerical contract's tolerances.  A ReLU preactivation in
+# (0, ACTIVATION_TOL] is treated as zero; constructions place preactivations
+# outside +-MARGIN so the band is never load-bearing.  A numeric rank counts
+# the singular values above RANK_TOL times the largest.
 ACTIVATION_TOL = 1e-9
 RANK_TOL = 1e-9
 MARGIN = 1e-6
@@ -109,11 +110,11 @@ class AffineMap:
         x = np.asarray(x, dtype=float)
         return x @ self.W.T + self.b
 
-    def is_nonsingular(self, tol=RANK_TOL):
-        """Usable as an equivalence witness: square with |det| above tolerance."""
+    def is_nonsingular(self):
+        """Usable as an equivalence witness: square and of full numeric rank."""
         if self.W.shape[0] != self.W.shape[1]:
             return False
-        return numeric_rank(self.W, tol) == self.W.shape[0]
+        return numeric_rank(self.W) == self.W.shape[0]
 
     @staticmethod
     def constant(values, in_dim):
@@ -338,8 +339,8 @@ class ActivationPattern:
     signs: tuple
 
     @staticmethod
-    def from_preactivation(z, tol=ACTIVATION_TOL):
-        return ActivationPattern.from_mask(np.asarray(z, dtype=float) > tol)
+    def from_preactivation(z):
+        return ActivationPattern.from_mask(np.asarray(z, dtype=float) > ACTIVATION_TOL)
 
     @staticmethod
     def from_mask(on):
@@ -357,27 +358,27 @@ class ActivationPattern:
 # Evaluation
 
 
-def _apply_layer(layer, x, tol):
+def _apply_layer(layer, x):
     z = layer.preactivation(x)
-    on = z > tol
+    on = z > ACTIVATION_TOL
     if layer.activation == "relu":
         return np.where(on, z, 0.0), on
     return z, on
 
 
-def forward_masks(net, X, tol=ACTIVATION_TOL):
+def forward_masks(net, X):
     """Evaluate at one point, shape (input_dim,), or a stack, (k, input_dim).
 
     Returns the outputs and, for each layer, the boolean mask
-    ``preactivation > tol`` with one entry per unit (one row per point for
-    a stack).  ReLU outputs are clamped to zero wherever the mask is off, so
-    output > 0 iff preactivation > tol.  It checks no shapes; ``forward``,
-    ``forward_traced`` and ``forward_batch`` do.
+    ``preactivation > ACTIVATION_TOL`` with one entry per unit (one row per
+    point for a stack).  ReLU outputs are clamped to zero wherever the mask
+    is off, so output > 0 iff preactivation > ACTIVATION_TOL.  It checks no
+    shapes; ``forward``, ``forward_traced`` and ``forward_batch`` do.
     """
     out = np.asarray(X, dtype=float)
     masks = []
     for layer in net.layers:
-        out, on = _apply_layer(layer, out, tol)
+        out, on = _apply_layer(layer, out)
         masks.append(on)
     return out, masks
 
@@ -392,33 +393,33 @@ def _as_point(net, x):
     return x
 
 
-def forward(net, x, tol=ACTIVATION_TOL):
+def forward(net, x):
     """Evaluate the network at a single point.
 
-    ReLU outputs are clamped to zero for preactivations at or below the
-    activation tolerance, so output > 0 iff preactivation > tol.
+    ReLU outputs are clamped to zero for preactivations at or below
+    ACTIVATION_TOL, so output > 0 iff preactivation > ACTIVATION_TOL.
     """
-    out, _ = forward_masks(net, _as_point(net, x), tol)
+    out, _ = forward_masks(net, _as_point(net, x))
     return out
 
 
-def forward_traced(net, x, tol=ACTIVATION_TOL):
+def forward_traced(net, x):
     """Evaluate and return (output, per-layer ActivationPattern list)."""
-    out, masks = forward_masks(net, _as_point(net, x), tol)
+    out, masks = forward_masks(net, _as_point(net, x))
     return out, [ActivationPattern.from_mask(on) for on in masks]
 
 
-def forward_batch(net, X, tol=ACTIVATION_TOL):
+def forward_batch(net, X):
     """Vectorized forward pass over an array of points, shape (k, input_dim)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DimensionMismatch(
             f"points have shape {X.shape}, network expects (k, {net.input_dim})")
-    out, _ = forward_masks(net, X, tol)
+    out, _ = forward_masks(net, X)
     return out
 
 
-def activation_pattern(layer, points, tol=ACTIVATION_TOL):
+def activation_pattern(layer, points):
     """Sign vectors of a point set under one ReLU layer, plus the aggregate.
 
     The aggregate maps each unit to 'simultaneous' (activated by every
@@ -430,8 +431,8 @@ def activation_pattern(layer, points, tol=ACTIVATION_TOL):
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty (k, fan_in) array")
     Z = pts @ layer.weights.T + layer.biases
-    per_point = [ActivationPattern.from_preactivation(z, tol) for z in Z]
-    active = Z > tol
+    per_point = [ActivationPattern.from_preactivation(z) for z in Z]
+    active = Z > ACTIVATION_TOL
     aggregate = {}
     for unit in range(layer.units):
         col = active[:, unit]
@@ -448,32 +449,22 @@ def activation_pattern(layer, points, tol=ACTIVATION_TOL):
 # Dense numeric kernel
 
 
-def numeric_rank(M, tol=RANK_TOL):
-    """Number of singular values above tol times the largest one.
-
-    SVD-based; tol is relative to the largest singular value.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def numeric_rank(M):
+    """Number of singular values above RANK_TOL times the largest one."""
     M = _as_matrix(M, "M")
     if M.size == 0:
         raise ValueError("rank of an empty matrix is undefined")
-    return int(ranked(M[None], tol)[0][0])
+    return int(ranked(M[None])[0][0])
 
 
-def stack_rank(s, tol=RANK_TOL):
-    """Numeric ranks from stacked singular values, one descending row per
-    matrix: ``numeric_rank`` for each matrix of a batched SVD."""
-    return (s > tol * s[..., :1]).sum(axis=-1)
-
-
-def ranked(mats, tol=RANK_TOL):
+def ranked(mats):
     """The one rank rule: numeric ranks of a stack of equal-shape matrices
-    from one batched SVD, and each one's smallest singular value over its
+    from one batched SVD, each the count of singular values above RANK_TOL
+    times the largest, and each one's smallest singular value over its
     largest (nan for a zero matrix)."""
     s = np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return stack_rank(s, tol), s[:, -1] / s[:, 0]
+        return (s > RANK_TOL * s[:, :1]).sum(axis=-1), s[:, -1] / s[:, 0]
 
 
 def solve_square(A, Y):

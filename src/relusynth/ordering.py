@@ -239,7 +239,7 @@ def _vertex_candidate_covers(delta, star):
             yield tuple(np.flatnonzero(below[:, idx]).tolist())
 
 
-def maximum_hyperplane(delta_samples, star, trace=None):
+def maximum_hyperplane(delta_samples, star):
     """Hyperplane with star strictly plus and a maximum zero-side cover.
 
     The full cover is tried first.  Otherwise the touch-set candidates of
@@ -249,10 +249,9 @@ def maximum_hyperplane(delta_samples, star, trace=None):
     none of them verifies, C(k+1, n) exceeds ``MAX_TOUCH_SUBSETS``, or there
     are fewer than n points and so no touch set, the one fallback runs:
     greedy largest-violation removal with a translation-improvement
-    fixpoint.  It records a ``maximum_hyperplane_fallback`` trace event
-    with its reason (``unverified``, ``cap`` or ``no-touch-set``); an empty
-    greedy cover raises ``EmptyCoverError``.  Returns (hyperplane, covered)
-    with covered a tuple of sample indices placed on the zero side.
+    fixpoint.  Its cover can be smaller than the maximum; an empty greedy
+    cover raises ``EmptyCoverError``.  Returns (hyperplane, covered) with
+    covered a tuple of sample indices placed on the zero side.
     """
     delta = np.atleast_2d(np.asarray(delta_samples, dtype=float))
     star = np.asarray(star, dtype=float)
@@ -267,13 +266,7 @@ def maximum_hyperplane(delta_samples, star, trace=None):
         _check_translation_property(full, delta, list(range(k)), star)
         return full.hyperplane, tuple(range(k))
 
-    touch_sets = math.comb(k + 1, n)
-    if touch_sets == 0:
-        reason = "no-touch-set"
-    elif touch_sets > MAX_TOUCH_SUBSETS:
-        reason = "cap"
-    else:
-        reason = "unverified"
+    if 0 < math.comb(k + 1, n) <= MAX_TOUCH_SUBSETS:
         best_size = None
         for cover in _vertex_candidate_covers(delta, star):
             if best_size is not None and len(cover) < best_size:
@@ -285,9 +278,6 @@ def maximum_hyperplane(delta_samples, star, trace=None):
                 return res.hyperplane, cover
             best_size = len(cover)  # keep trying equal-size candidates only
 
-    if trace is not None:
-        trace.append({"event": "maximum_hyperplane_fallback", "samples": k,
-                      "reason": reason})
     covered = set(_greedy_removal(delta, star))
     if not covered:
         raise EmptyCoverError(
@@ -307,8 +297,6 @@ def maximum_hyperplane(delta_samples, star, trace=None):
         ]
         if not improvable:
             _check_translation_property(res, delta, sorted(covered), star)
-            if trace is not None:
-                trace.append({"event": "greedy_cover", "size": len(covered)})
             return h, tuple(sorted(covered))
         covered.update(improvable)
 
@@ -440,50 +428,38 @@ def _place_plus_side(points, star, uncovered, h, lines):
     return placed
 
 
-def distinguishable_order(subdomains, margin=MARGIN, hyperplanes=None, order=None,
-                          trace=None):
+def distinguishable_order(subdomains):
     """Order subdomains into the staircase structure with one hyperplane each.
 
     This is the paper's construction and the route of ``relusynth order``;
-    builds use the cheaper ``projection_order``.  Construction route:
-    every subdomain must be a singleton; points are processed in index
-    order, each via its maximum hyperplane over the already-placed points
-    (``maximum_hyperplane``: the LP-verified touch-set cover, or the greedy
-    fallback on degenerate inputs and above ``MAX_TOUCH_SUBSETS``).  The
-    covered points keep their places, and the new point and the points
-    left on its plus side follow them in the lexicographic order of
-    ``_place_plus_side``.  Once the order is fixed, ``_staircase_lines``
-    replaces each line with its max-margin separator.  The result depends
-    on the points alone.
-
-    Validation route: pass ``hyperplanes`` (and optionally ``order``) to
-    check an existing staircase instead of building one.
+    builds use the cheaper ``projection_order``.  Every subdomain must be
+    a singleton; points are processed in index order, each via its maximum
+    hyperplane over the already-placed points (``maximum_hyperplane``: the
+    LP-verified touch-set cover, or the greedy fallback on degenerate
+    inputs and above ``MAX_TOUCH_SUBSETS``).  The covered points keep their
+    places, and the new point and the points left on its plus side follow
+    them in the lexicographic order of ``_place_plus_side``.  Once the
+    order is fixed, ``_staircase_lines`` replaces each line with its
+    max-margin separator.  The result depends on the points alone.
+    ``check_distinguishable`` validates an existing staircase.
     """
     sets = [np.atleast_2d(np.asarray(s, dtype=float)) for s in subdomains]
     k = len(sets)
     if k == 0:
         raise ValueError("need at least one subdomain")
 
-    if hyperplanes is not None:
-        order = tuple(order) if order is not None else tuple(range(k))
-        ordered_sets = [sets[j] for j in order]
-        ok, failures = check_distinguishable(ordered_sets, hyperplanes, margin)
-        if not ok:
-            raise ValueError(f"supplied hyperplanes fail the staircase check: {failures}")
-        return DistinguishableOrder(order, tuple(hyperplanes))
-
     points = _singleton_points(sets)
     order_list = [0]     # subdomain indices in staircase order
     lines = {0: Hyperplane(np.eye(points.shape[1])[0], 1.0 - points[0, 0])}
     for i in range(1, k):
-        h, covered = maximum_hyperplane(points[order_list], points[i], trace=trace)
+        h, covered = maximum_hyperplane(points[order_list], points[i])
         covered = {order_list[c] for c in covered}
         uncovered = [j for j in order_list if j not in covered]
         order_list = [j for j in order_list if j in covered]
         order_list += _place_plus_side(points, i, uncovered, h, lines)
 
     hps = _staircase_lines(points, order_list, [lines[j] for j in order_list])
-    ok, failures = check_distinguishable([points[j][None, :] for j in order_list], hps, margin)
+    ok, failures = check_distinguishable([points[j][None, :] for j in order_list], hps)
     if not ok:
         raise RuntimeError(f"constructed order fails its own staircase check: {failures}")
     return DistinguishableOrder(tuple(order_list), tuple(hps))

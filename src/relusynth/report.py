@@ -29,7 +29,6 @@ class ConstructionReport:
     activation_audits: list = field(default_factory=list)
     rank_audits: list = field(default_factory=list)
     affine_fit_residuals: list = field(default_factory=list)
-    traces: list = field(default_factory=list)
     seed: int | None = None
     wall_clock: float = 0.0
     tolerances: dict = field(default_factory=dict)
@@ -42,7 +41,6 @@ class ConstructionReport:
             "activation_audits": self.activation_audits,
             "rank_audits": self.rank_audits,
             "affine_fit_residuals": self.affine_fit_residuals,
-            "traces": self.traces,
             "seed": self.seed,
             "wall_clock": self.wall_clock,
             "tolerances": self.tolerances,
@@ -54,13 +52,16 @@ class ConstructionReport:
 
     @staticmethod
     def from_json_dict(d):
+        """Keys it does not know, such as those older reports carry, are
+        ignored."""
+        if not isinstance(d, dict):
+            raise ValueError("malformed report JSON: not a JSON object")
         return ConstructionReport(
             architecture=d.get("architecture", ""),
             max_residual=d.get("max_residual", float("nan")),
             activation_audits=d.get("activation_audits", []),
             rank_audits=d.get("rank_audits", []),
             affine_fit_residuals=d.get("affine_fit_residuals", []),
-            traces=d.get("traces", []),
             seed=d.get("seed"),
             wall_clock=d.get("wall_clock", 0.0),
             tolerances=d.get("tolerances", {}),

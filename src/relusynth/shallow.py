@@ -263,8 +263,6 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
         },
         plan=_shallow_plan(pwl, order, stages, seed, relu_output, extra_units),
     )
-    if not claims_ok:
-        report.traces.append({"event": "activation_claim_mismatch"})
     build = ShallowBuild(net, pwl, order, stages, cfg, seed, relu_output, report)
     if max_residual > 1e-8:
         raise BuildFailure(f"synthesis residual {max_residual:.3g} above 1e-8", report)

@@ -68,6 +68,21 @@ def lp_calls(monkeypatch):
 
 
 @pytest.fixture
+def greedy_calls(monkeypatch):
+    """Every run of ``maximum_hyperplane``'s greedy fallback, one entry per
+    run: the number of zero-side samples it was given."""
+    calls = []
+    greedy_removal = ordering._greedy_removal
+
+    def counting(delta, star):
+        calls.append(len(delta))
+        return greedy_removal(delta, star)
+
+    monkeypatch.setattr(ordering, "_greedy_removal", counting)
+    return calls
+
+
+@pytest.fixture
 def family_calls(monkeypatch):
     """Every call of the stacked bundle builder ``bundles.families``, one
     entry per call, from the one-base functions and from both builders."""

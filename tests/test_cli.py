@@ -387,6 +387,41 @@ def test_widen_on_a_malformed_plan_is_an_input_error(tmp_path, capsys, plan, mis
     assert not out.exists()
 
 
+def test_widen_on_a_non_object_report_is_an_input_error(tmp_path, capsys):
+    rep, out = tmp_path / "r.json", tmp_path / "o.json"
+    rep.write_text("[1, 2]")
+    assert main(["widen", "--report", str(rep), "--uniform", "9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: malformed report JSON: not a JSON object\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth3", "synthdeep"])
+def test_reports_with_traces_still_load_and_widen(tmp_path, capsys, command):
+    # reports written before the traces list was dropped still carry one
+    pwl = tmp_path / "pwl.json"
+    pwl.write_text(json.dumps({"dim": 2, "output_dim": 1, "subdomains": [
+        {"points": [[0.0, 0.0], [0.3, 0.5]], "W": [[1.0, 0.0]], "b": [0.5]},
+        {"points": [[5.0, 0.0], [5.3, 0.5]], "W": [[0.0, 1.0]], "b": [-1.0]},
+        {"points": [[1.0, 4.0]], "W": [[0.0, 0.0]], "b": [2.0]}]}))
+    net, rep, wide = tmp_path / "net.json", tmp_path / "rep.json", tmp_path / "wide.json"
+    args = ["--pwl", str(pwl), "--out", str(net), "--report", str(rep)]
+    assert main([command] + args + (["--multi"] if command == "synth3" else [])) == 0
+    old = json.loads(rep.read_text())
+    assert "traces" not in old
+    old["traces"] = [{"event": "widen_invariance_probe", "points": 7, "max_diff": 0.0},
+                     {"event": "activation_claim_mismatch"}]
+    rep.write_text(json.dumps(old))
+    loaded = ConstructionReport.from_json(rep.read_text())
+    assert loaded.to_json_dict() == {k: v for k, v in old.items() if k != "traces"}
+
+    widths = [len(l["weights"]) + 2 for l in json.loads(net.read_text())["layers"][:-1]]
+    assert main(["widen", "--report", str(rep), "--widths", ",".join(map(str, widths)),
+                 "--out", str(wide)]) == 0
+    assert [len(l["weights"]) for l in json.loads(wide.read_text())["layers"][:-1]] == widths
+    assert main(["verify", "--net", str(wide), "--pwl", str(pwl)]) == 0
+    assert "traces" not in json.loads(rep.read_text())
+
+
 def test_failed_widen_keeps_the_plan_it_read(workdir, capsys, monkeypatch):
     # widen reads its plan from --report; a failure must not overwrite it
     net, rep = workdir / "net.json", workdir / "rep.json"

@@ -21,8 +21,8 @@ from relusynth.core import (
     match,
     shifted_systems,
     solve_constrained,
+    ranked,
     solve_square,
-    stack_rank,
 )
 from conftest import det_cofactor
 
@@ -107,8 +107,6 @@ def test_numeric_rank_basics():
     assert numeric_rank(np.ones((3, 3))) == 1
     with pytest.raises(ValueError):
         numeric_rank(np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        numeric_rank(np.eye(2), tol=0.0)
 
 
 def test_numeric_rank_perturbation_family_matrix():
@@ -311,12 +309,16 @@ def test_match_solves_square_stacks_exactly_and_wide_ones_by_least_norm(rng):
     assert match(A[0], Y[0]).tobytes() == X[0].tobytes()
 
 
-def test_stack_rank_is_numeric_rank_per_matrix(rng):
+def test_ranked_is_numeric_rank_per_matrix(rng):
     M = rng.normal(size=(6, 3, 5))
     M[1, 2] = M[1, 0] + M[1, 1]
     M[2] = 0.0
-    s = np.linalg.svd(M, compute_uv=False)
-    assert stack_rank(s).tolist() == [numeric_rank(m) for m in M] == [3, 2, 0, 3, 3, 3]
+    rank, sigma_min = ranked(M)
+    assert rank.tolist() == [numeric_rank(m) for m in M] == [3, 2, 0, 3, 3, 3]
+    # each one's smallest singular value over its largest; nan for the zero matrix
+    s = np.linalg.svd(np.delete(M, 2, axis=0), compute_uv=False)
+    assert np.isnan(sigma_min[2])
+    assert np.delete(sigma_min, 2).tolist() == (s[:, -1] / s[:, 0]).tolist()
 
 
 def test_distinct_points_keep_the_first_occurrence_and_name_a_conflict():

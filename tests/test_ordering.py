@@ -59,7 +59,7 @@ def test_maximum_hyperplane_single_sample():
     assert h.value(np.array([2.0, 0.0])) < 0
 
 
-def test_maximum_hyperplane_matches_exhaustive_oracle(rng):
+def test_maximum_hyperplane_matches_exhaustive_oracle(rng, greedy_calls):
     for trial in range(30):
         inside_hull = trial % 2 == 1
         n = int(rng.integers(1, 4))
@@ -70,8 +70,7 @@ def test_maximum_hyperplane_matches_exhaustive_oracle(rng):
             star = rng.dirichlet(np.ones(k)) @ delta
         else:
             star = rng.normal(size=n)
-        trace = []
-        h, covered = maximum_hyperplane(delta, star, trace=trace)
+        h, covered = maximum_hyperplane(delta, star)
         best = 0
         for size in range(k, 0, -1):
             hit = False
@@ -87,17 +86,16 @@ def test_maximum_hyperplane_matches_exhaustive_oracle(rng):
                 break
         assert len(covered) == best
         # generic inputs never need the fallback
-        assert trace == []
+        assert greedy_calls == []
         assert h.value(star) > 0
         assert (h.value(delta[list(covered)]) < 0).all()
 
 
-def test_maximum_hyperplane_fallback_keeps_guarantees(rng, monkeypatch):
-    def check(delta, star, reason):
-        trace = []
-        h, covered = maximum_hyperplane(delta, star, trace=trace)
-        assert trace[0] == {"event": "maximum_hyperplane_fallback",
-                            "samples": len(delta), "reason": reason}
+def test_maximum_hyperplane_fallback_keeps_guarantees(rng, monkeypatch, greedy_calls):
+    def check(delta, star):
+        greedy_calls.clear()
+        h, covered = maximum_hyperplane(delta, star)
+        assert greedy_calls == [len(delta)]
         star_val = h.value(star)
         assert star_val > 0
         assert (h.value(delta[list(covered)]) < 0).all()
@@ -108,17 +106,17 @@ def test_maximum_hyperplane_fallback_keeps_guarantees(rng, monkeypatch):
         return covered
 
     # star between two samples: every touch-set normal ties all three points
-    assert len(check(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 0.0]),
-                     "unverified")) == 1
+    assert len(check(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 0.0]))) == 1
 
+    # above the cap the touch sets are not tried
     monkeypatch.setattr(ordering, "MAX_TOUCH_SUBSETS", 0)
     delta = rng.normal(size=(9, 2))
-    check(delta, delta.mean(axis=0), "cap")
+    check(delta, delta.mean(axis=0))
 
+    greedy_calls.clear()
     pts = rng.normal(size=(10, 2))
-    trace = []
-    result = distinguishable_order([p[None, :] for p in pts], trace=trace)
-    assert any(e["event"] == "maximum_hyperplane_fallback" for e in trace)
+    result = distinguishable_order([p[None, :] for p in pts])
+    assert greedy_calls
     ok, failures = check_distinguishable(
         [pts[j][None, :] for j in result.order], result.hyperplanes)
     assert ok, failures
@@ -271,8 +269,7 @@ def test_order_collinear_tie_needs_perturbation():
         [3.0, 2.0],   # ties with the previous along the y direction
         [2.0, 1.0],
     ])
-    trace = []
-    result = distinguishable_order([p[None, :] for p in pts], trace=trace)
+    result = distinguishable_order([p[None, :] for p in pts])
     ordered = [pts[j][None, :] for j in result.order]
     ok, failures = check_distinguishable(ordered, result.hyperplanes)
     assert ok, failures
@@ -290,13 +287,15 @@ def test_order_requires_singletons_for_construction():
 
 
 def test_order_validation_route():
+    # an existing staircase is validated by check_distinguishable
     sets = [np.array([[0.0, 0.0]]), np.array([[3.0, 0.0]])]
     hps = (Hyperplane([-1.0, 0.0], 1.0), Hyperplane([1.0, 0.0], -1.5))
-    result = distinguishable_order(sets, hyperplanes=hps)
-    assert result.order == (0, 1)
+    assert check_distinguishable(sets, hps) == (True, [])
     bad = (Hyperplane([1.0, 0.0], -1.5), Hyperplane([-1.0, 0.0], 1.0))
-    with pytest.raises(ValueError):
-        distinguishable_order(sets, hyperplanes=bad)
+    ok, failures = check_distinguishable(sets, bad)
+    assert not ok
+    assert [(pos, kind) for pos, kind, _ in failures] == [
+        (0, "own-side"), (1, "own-side"), (1, "earlier-set-0")]
 
 
 def test_order_deterministic_given_seed(rng):
@@ -363,14 +362,12 @@ def test_empty_greedy_cover_is_an_error(monkeypatch):
         maximum_hyperplane(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 0.0]))
 
 
-def test_maximum_hyperplane_with_fewer_samples_than_dimensions():
+def test_maximum_hyperplane_with_fewer_samples_than_dimensions(greedy_calls):
     # C(k + 1, n) = 0: there is no touch set, so the greedy fallback runs
     delta = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
     star = np.array([1.0, 0.0, 0.0, 0.0])
-    trace = []
-    h, covered = maximum_hyperplane(delta, star, trace=trace)
-    assert trace[0] == {"event": "maximum_hyperplane_fallback", "samples": 2,
-                        "reason": "no-touch-set"}
+    h, covered = maximum_hyperplane(delta, star)
+    assert greedy_calls == [2]
     assert len(covered) == 1
     assert h.value(star) > 0 and (h.value(delta[list(covered)]) < 0).all()
 
