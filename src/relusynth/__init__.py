@@ -6,6 +6,7 @@ from .core import (
     ACTIVATION_TOL,
     MARGIN,
     RANK_TOL,
+    VERIFY_TOL,
     ActivationPattern,
     AffineMap,
     DiscretePWL,
@@ -68,7 +69,6 @@ from .deep import (
     build_partition_tree,
     synth_decoder,
     synth_deep,
-    synth_deep_multi,
 )
 from .randmat import SphereSampler, rank_probability, sample_matrix
 from .report import BuildFailure, ConstructionReport

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     ACTIVATION_TOL,
+    VERIFY_TOL,
     AffineMap,
     Hyperplane,
     Layer,
@@ -106,9 +107,9 @@ def decompose_embedding(layer, D):
     """Decompose a wide layer around a point set that fully activates it.
 
     Also certifies that the images restricted to the pivot rows are an
-    affine transform of the inputs (fit residual at most 1e-8 with a
-    nonsingular witness) and that reconstruction reproduces the layer's
-    outputs to 1e-9.
+    affine transform of the inputs (fit residual at most ``VERIFY_TOL``
+    with a nonsingular witness) and that reconstruction reproduces the
+    layer's outputs to 1e-9.
     """
     D = np.atleast_2d(np.asarray(D, dtype=float))
     if layer.units <= layer.fan_in:
@@ -126,7 +127,7 @@ def decompose_embedding(layer, D):
         raise RuntimeError(f"reconstruction residual {recon_err:.3g} above 1e-9")
 
     witness, resid = affine_fit(D, images[:, list(emb.pivot_rows)])
-    if resid > 1e-8 or not witness.is_nonsingular():
+    if resid > VERIFY_TOL or not witness.is_nonsingular():
         raise RuntimeError("pivot image is not an affine transform of the inputs")
     return emb
 
@@ -272,7 +273,7 @@ def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None):
     D_images = np.atleast_2d(np.asarray(D_images, dtype=float))
     x_prime = D_images[:, list(emb.pivot_rows)]
     recon = emb.reconstruct(x_prime)
-    if float(np.max(np.abs(recon - D_images))) > 1e-8:
+    if float(np.max(np.abs(recon - D_images))) > VERIFY_TOL:
         raise ValueError("images do not lie on the embedded subspace")
 
     bundle = common_point_bundle(*anchored_base(x_prime), x_prime, cfg, count=count)
@@ -287,7 +288,7 @@ def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None):
 
     own_out = np.maximum(D_images @ layer.weights.T + layer.biases, 0.0)
     fit, resid = affine_fit(D_images, own_out[:, : emb.n])
-    if resid > 1e-8:
+    if resid > VERIFY_TOL:
         raise RuntimeError(f"pass-through affine fit residual {resid:.3g}")
     for dims, images in foreign:
         vals = np.atleast_2d(images) @ layer.weights.T + layer.biases
@@ -357,5 +358,5 @@ def _check_output_invariance(old_build, new_build):
     X = np.vstack(probes)
     diff = forward_batch(new_build.network, X) - forward_batch(old_build.network, X)
     worst = float(np.max(np.abs(diff)))
-    if worst > 1e-8:
+    if worst > VERIFY_TOL:
         raise RuntimeError(f"widening changed outputs by {worst:.3g}")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MARGIN, Hyperplane, RankDeficientError, affine_fit, numeric_rank, ranked,
-                   supporting_hyperplane)
+from .core import (MARGIN, VERIFY_TOL, Hyperplane, RankDeficientError, affine_fit, numeric_rank,
+                   ranked, supporting_hyperplane)
 from .ordering import InseparableError, separate
 
 
@@ -292,7 +292,7 @@ def reversed_pair_bundles(D1, D2, k1, k2, cfg=BundleConfig()):
                 raise RuntimeError("bundle weight frame lost full rank")
             image = pts @ W.T + np.array([h.b for h in bundle])
             _, resid = affine_fit(pts, image)
-            if resid > 1e-8:
+            if resid > VERIFY_TOL:
                 raise RuntimeError(f"affine image check failed (residual {resid:.3g})")
     return bundle_a, bundle_b
 

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     ACTIVATION_TOL,
     MARGIN,
+    VERIFY_TOL,
     AffineMap,
     DiscretePWL,
     Network,
@@ -38,8 +39,6 @@ from .shallow import (
 )
 from .deep import decoder_build, deep_build, rebuild_deep_from_plan
 from .affine import interference_avoiding_weights, widen_network
-
-VERIFY_TOL = 1e-8
 
 
 class InputError(ValueError):
@@ -64,15 +63,14 @@ def _load_points(path, what="points"):
     return pts
 
 
+# json.dumps, unlike json.dump, runs the C encoder; it writes the same bytes
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def _emit(obj, summary=None):
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj) + "\n")
     if summary:
         print(summary, file=sys.stderr)
 
@@ -174,6 +172,8 @@ def cmd_synth3(args):
     seed, bundle_cfg = _config(args)
     pwl = DiscretePWL.from_json_dict(_load_json(args.pwl, "function"))
     if args.classify:
+        if args.extra_units:
+            raise InputError("--extra-units does not apply to --classify")
         pts = pwl.all_points()
         labels = np.concatenate([
             np.full(p.shape[0], i) for i, (p, _) in enumerate(pwl.subdomains)
@@ -190,9 +190,6 @@ def cmd_synth3(args):
 def cmd_synthdeep(args):
     seed, bundle_cfg = _config(args)
     pwl = DiscretePWL.from_json_dict(_load_json(args.pwl, "function"))
-    if args.outputs is not None and args.outputs != pwl.output_dim:
-        raise InputError(
-            f"--outputs {args.outputs} disagrees with output_dim {pwl.output_dim}")
     build = deep_build(pwl, cfg=bundle_cfg, seed=seed)
     return _finish_synthesis(args, build)
 
@@ -441,7 +438,6 @@ def build_parser():
     s.add_argument("--pwl", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--report", default=None)
-    s.add_argument("--outputs", type=int, default=None)
     s.set_defaults(func=cmd_synthdeep)
 
     s = add_parser("decode", help="decoder synthesis from code/target pairs")

@@ -15,10 +15,13 @@ import numpy as np
 # The numerical contract's tolerances.  A ReLU preactivation in
 # (0, ACTIVATION_TOL] is treated as zero; constructions place preactivations
 # outside +-MARGIN so the band is never load-bearing.  A numeric rank counts
-# the singular values above RANK_TOL times the largest.
+# the singular values above RANK_TOL times the largest.  VERIFY_TOL is the
+# exactness bound: a built or verified network, and each exact affine image
+# a construction checks, is off by at most this much on every given point.
 ACTIVATION_TOL = 1e-9
 RANK_TOL = 1e-9
 MARGIN = 1e-6
+VERIFY_TOL = 1e-8
 
 Activation = Literal["relu", "linear"]
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import (
     ACTIVATION_TOL,
-    RANK_TOL,
+    VERIFY_TOL,
     DiscretePWL,
     Hyperplane,
     Layer,
@@ -57,7 +57,7 @@ from .core import (
 from .bundles import BundleConfig, anchored_base, families
 from .ordering import SEPARABLE_THRESHOLD, separate_many
 from .affine import interference_avoiding_weights
-from .report import BuildFailure, ConstructionReport
+from .report import ConstructionReport, build_tolerances, check_exact
 
 __all__ = [
     "PartitionTree",
@@ -65,7 +65,6 @@ __all__ = [
     "DeepBuild",
     "build_partition_tree",
     "synth_deep",
-    "synth_deep_multi",
     "synth_decoder",
     "deep_build",
     "decoder_build",
@@ -545,7 +544,7 @@ def _audit_layer(layer, layer_no, A, groups, X, cfg,
             "residual": r,
             "witness_nonsingular": ok,
         })
-    broken = [i for i, (r, ok) in enumerate(zip(resid, nonsingular)) if r > 1e-8 or not ok]
+    broken = [i for i, (r, ok) in enumerate(zip(resid, nonsingular)) if r > VERIFY_TOL or not ok]
     if broken:
         g = groups[broken[0]]
         raise RuntimeError(f"layer {layer_no}: affine transmission broke (block of "
@@ -659,12 +658,7 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
         affine_fit_residuals=affine_fit_residuals,
         seed=seed,
         wall_clock=time.monotonic() - t_start,
-        tolerances={
-            "activation_tol": ACTIVATION_TOL,
-            "margin": cfg.margin,
-            "rank_tol": RANK_TOL,
-            "note": "preactivations in (0, activation_tol] count as zero output",
-        },
+        tolerances=build_tolerances(cfg.margin),
         plan={
             "kind": "deep",
             "pwl": pwl.to_json_dict(),
@@ -675,8 +669,7 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
         },
     )
     build = DeepBuild(net, pwl, tree, stage_plan, cfg, seed, report)
-    if max_residual > 1e-8:
-        raise BuildFailure(f"synthesis residual {max_residual:.3g} above 1e-8", report)
+    check_exact(report)
     return build
 
 
@@ -696,14 +689,6 @@ def deep_build(pwl, cfg=None, seed=0):
 
 def synth_deep(pwl, cfg=None, seed=0):
     """Region-dividing deep synthesis; exact on every training point."""
-    return deep_build(pwl, cfg, seed).network
-
-
-def synth_deep_multi(pwl, mu=None, cfg=None, seed=0):
-    """Multi-output deep synthesis: shared hidden stack, independent output
-    units, one per coordinate."""
-    if mu is not None and mu != pwl.output_dim:
-        raise ValueError(f"mu={mu} disagrees with output_dim={pwl.output_dim}")
     return deep_build(pwl, cfg, seed).network
 
 

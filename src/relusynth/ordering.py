@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MARGIN, Hyperplane, point_key
-from .simplex import OPTIMAL, solve_lp, solve_lps
+from .simplex import OPTIMAL, solve_lps
 
 SEPARABLE_THRESHOLD = 1e-7
 # Largest C(k+1, n) whose touch sets maximum_hyperplane enumerates; above it
@@ -84,17 +84,6 @@ def _separation_system(D1, D2):
     return c, rows, rhs
 
 
-def _separator(res, n):
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"separation LP ended with status {res.status}")
-    return res.z[:n], float(res.z[n]), float(res.value)
-
-
-def _separation_lp(D1, D2):
-    """maximize t s.t. w.x+b >= t on D1, w.x+b <= -t on D2, |w|_inf <= 1."""
-    return _separator(solve_lp(*_separation_system(D1, D2)), D1.shape[1])
-
-
 def _point_sets(D1, D2):
     D1 = np.atleast_2d(np.asarray(D1, dtype=float))
     D2 = np.atleast_2d(np.asarray(D2, dtype=float))
@@ -105,7 +94,11 @@ def _point_sets(D1, D2):
     return D1, D2
 
 
-def _separation_result(D1, D2, w, b, t_opt):
+def _separation_result(D1, D2, res):
+    if res.status != OPTIMAL:
+        raise RuntimeError(f"separation LP ended with status {res.status}")
+    n = D1.shape[1]
+    w, b, t_opt = res.z[:n], float(res.z[n]), float(res.value)
     if not np.any(w != 0.0):
         cert = Hyperplane(np.eye(D1.shape[1])[0], b)
     else:
@@ -129,18 +122,18 @@ def separate(D1, D2):
     up when its margin falls below twice the global margin floor; that
     keeps margins contractual without inflating weight norms on close
     point sets (which would poison downstream perturbation families).
-    The raw LP direction is always returned as a certificate.
+    The raw LP direction is always returned as a certificate.  It is the
+    batch of one, ``separate_many([(D1, D2)])[0]``.
     """
-    D1, D2 = _point_sets(D1, D2)
-    return _separation_result(D1, D2, *_separation_lp(D1, D2))
+    return separate_many([(D1, D2)])[0]
 
 
 def separate_many(pairs):
     """``[separate(D1, D2) for D1, D2 in pairs]``, with the LPs of every
     pair solved together by ``solve_lps``.
 
-    All pairs share one dimension, and so one LP column count.  The
-    results are those of ``separate`` pair by pair, bit for bit.
+    All pairs share one dimension, and so one LP column count.  Each
+    result is that of its pair's LP solved alone, bit for bit.
     """
     pairs = [_point_sets(D1, D2) for D1, D2 in pairs]
     if not pairs:
@@ -148,7 +141,7 @@ def separate_many(pairs):
     systems = [_separation_system(D1, D2) for D1, D2 in pairs]
     results = solve_lps(systems[0][0], [rows for _, rows, _ in systems],
                         [rhs for _, _, rhs in systems])
-    return [_separation_result(D1, D2, *_separator(res, D1.shape[1]))
+    return [_separation_result(D1, D2, res)
             for (D1, D2), res in zip(pairs, results)]
 
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from .core import RANK_TOL
 
+_BATCH = 20000    # samples per batched SVD of rank_probability
+
 
 @dataclass(frozen=True)
 class SphereSampler:
@@ -35,38 +37,39 @@ def _unit_rows(rng, m, n):
     return rows / norms[:, None]
 
 
-def sample_matrix(sampler, m, n=None):
-    """m independent uniform unit vectors as rows; deterministic per seed."""
-    n = sampler.dim if n is None else n
-    if n != sampler.dim:
-        raise ValueError(f"sampler is {sampler.dim}-dimensional, asked for {n}")
+def sample_matrix(sampler, m):
+    """m independent uniform unit vectors of dimension ``sampler.dim`` as
+    rows; deterministic per seed."""
     if m < 1:
         raise ValueError("need at least one row")
     rng = np.random.default_rng(sampler.seed)
-    return _unit_rows(rng, m, n)
+    return _unit_rows(rng, m, sampler.dim)
 
 
-def rank_probability(sampler, m, n=None, trials=100000, tol=RANK_TOL,
-                     batch=20000):
-    """Monte Carlo estimate of P(numeric rank == n) for m-row samples.
+def rank_probability(sampler, m, trials=100000, tol=RANK_TOL):
+    """Monte Carlo estimate of P(numeric rank == n) for m-row samples of
+    dimension n = ``sampler.dim``.
 
     Returns a dict with the full-rank fraction, the count of near-singular
-    samples (smallest singular value below tol relative to the largest;
-    these are what the numeric rank counts as deficient), and summary
-    statistics of the smallest singular value.
+    samples (smallest singular value at or below tol relative to the
+    largest; these are what the numeric rank counts as deficient), and
+    summary statistics of the smallest singular value.  ``tol`` must be
+    finite and above 0.
     """
-    n = sampler.dim if n is None else n
-    if n != sampler.dim:
-        raise ValueError(f"sampler is {sampler.dim}-dimensional, asked for {n}")
+    n = sampler.dim
+    if m < 1:
+        raise ValueError("need at least one row")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     rng = np.random.default_rng(sampler.seed)
     full = 0
     near_singular = 0
     smallest = []
     done = 0
     while done < trials:
-        count = min(batch, trials - done)
+        count = min(_BATCH, trials - done)
         W = _unit_rows(rng, count * m, n).reshape(count, m, n)
         s = np.linalg.svd(W, compute_uv=False)
         s_min = s[:, min(m, n) - 1]

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .core import ACTIVATION_TOL, RANK_TOL, VERIFY_TOL
+
 
 class BuildFailure(RuntimeError):
     """A build that failed a check after its report was made.  The report
@@ -71,3 +73,21 @@ class ConstructionReport:
     @staticmethod
     def from_json(text):
         return ConstructionReport.from_json_dict(json.loads(text))
+
+
+def build_tolerances(margin):
+    """The ``tolerances`` block of a shallow or deep build's report."""
+    return {
+        "activation_tol": ACTIVATION_TOL,
+        "margin": margin,
+        "rank_tol": RANK_TOL,
+        "note": "preactivations in (0, activation_tol] count as zero output",
+    }
+
+
+def check_exact(report):
+    """Raise ``BuildFailure`` when a build's residual is above
+    ``VERIFY_TOL`` (1e-8)."""
+    if report.max_residual > VERIFY_TOL:
+        raise BuildFailure(f"synthesis residual {report.max_residual:.3g} above 1e-8",
+                           report)

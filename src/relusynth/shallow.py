@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import (
     ACTIVATION_TOL,
-    RANK_TOL,
     AffineMap,
     DiscretePWL,
     Hyperplane,
@@ -37,8 +36,8 @@ from .core import (
 )
 from .core import supporting_hyperplane
 from .bundles import BundleConfig, families
-from .ordering import DistinguishableOrder, check_distinguishable, projection_order, separate
-from .report import BuildFailure, ConstructionReport
+from .ordering import DistinguishableOrder, projection_order, separate
+from .report import BuildFailure, ConstructionReport, build_tolerances, check_exact
 
 
 class GeometryError(ValueError):
@@ -99,12 +98,16 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
     holds with margin is read from one product of the ordered points with
     the bases.  One ``bundles.families`` call then builds every stage's
     bundle: it checks the base and member margins and ranks the stage
-    matrices, one batched SVD per stack of equal width.  The product of the
-    points with the hidden layer that it returns also serves the
-    uniformity check, the activation audit and the solves' contributions
-    from earlier units.  One ``core.shifted_systems`` call per stack
-    shifts the stage matrices and ranks the square ones with one more
-    batched SVD, and each stage is one ``core.match`` call.
+    matrices, one batched SVD per stack of equal width.  A base's margins
+    cover its own set on the plus side and every earlier set on the zero
+    side, so they are the staircase check: a supplied order that breaks a
+    position raises ``MarginError`` naming the stage, its subdomain, the
+    point and the margin.  The product of the points with the hidden layer
+    that it returns also serves the uniformity check, the activation audit
+    and the solves' contributions from earlier units.  One
+    ``core.shifted_systems`` call per stack shifts the stage matrices and
+    ranks the square ones with one more batched SVD, and each stage is one
+    ``core.match`` call.
     """
     t_start = time.monotonic()
     if extra_units < 0:
@@ -117,9 +120,6 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
     if order is None:
         order = projection_order(sets, seed=seed)
     ordered = [sets[j] for j in order.order]
-    ok, failures = check_distinguishable(ordered, order.hyperplanes, cfg.margin)
-    if not ok:
-        raise GeometryError(f"order fails the staircase check: {failures}")
 
     k = len(order.order)
     subdomain = np.asarray(order.order)
@@ -255,17 +255,11 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
         rank_audits=rank_audits,
         seed=seed,
         wall_clock=time.monotonic() - t_start,
-        tolerances={
-            "activation_tol": ACTIVATION_TOL,
-            "margin": cfg.margin,
-            "rank_tol": RANK_TOL,
-            "note": "preactivations in (0, activation_tol] count as zero output",
-        },
+        tolerances=build_tolerances(cfg.margin),
         plan=_shallow_plan(pwl, order, stages, seed, relu_output, extra_units),
     )
     build = ShallowBuild(net, pwl, order, stages, cfg, seed, relu_output, report)
-    if max_residual > 1e-8:
-        raise BuildFailure(f"synthesis residual {max_residual:.3g} above 1e-8", report)
+    check_exact(report)
     if not claims_ok:
         raise BuildFailure("hidden-layer activation audit failed", report)
     return build
@@ -369,14 +363,14 @@ def synth_multi_output(pwl, cfg=None, seed=0):
     return multi_output_build(pwl, cfg, seed).network
 
 
-def classifier_build(points, labels, categories=None, cfg=None, seed=0):
+def classifier_build(points, labels, cfg=None, seed=0):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = np.asarray(labels, dtype=int)
     if labels.shape[0] != points.shape[0]:
         raise ValueError("need one label per point")
-    mu = categories if categories is not None else int(labels.max()) + 1
-    if not np.all((0 <= labels) & (labels < mu)):
+    if (labels < 0).any():
         raise ValueError("labels out of range")
+    mu = int(labels.max()) + 1
     for c in range(mu):
         if not (labels == c).any():
             raise ValueError(f"category {c} has no points")
@@ -385,14 +379,15 @@ def classifier_build(points, labels, categories=None, cfg=None, seed=0):
                            relu_output=True)
 
 
-def synth_classifier(points, labels, categories=None, cfg=None, seed=0):
+def synth_classifier(points, labels, cfg=None, seed=0):
     """Multi-category classifier with ReLU output units.
 
-    Each output unit's preactivation is driven to +1 on its own category
-    and -1 elsewhere, so outputs are strictly positive exactly on the
-    category and clamp to zero everywhere else.
+    Labels are 0, 1, ..., max label, each with at least one point.  Each
+    output unit's preactivation is driven to +1 on its own category and -1
+    elsewhere, so outputs are strictly positive exactly on the category and
+    clamp to zero everywhere else.
     """
-    return classifier_build(points, labels, categories, cfg, seed).network
+    return classifier_build(points, labels, cfg, seed).network
 
 
 def resolve_output_unit(build, unit, new_targets):

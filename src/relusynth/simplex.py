@@ -4,8 +4,8 @@ Problems are stated as: maximize c.z subject to A z <= b with z free.
 Free variables are split internally; Bland's rule avoids cycling.  Sizes
 here are desk-scale (tens of rows), so a dense tableau is the right tool.
 ``solve_lps`` runs a stack of LPs that share c through one lockstep
-loop, one pivot on every running LP per iteration, with the results
-``solve_lp`` gives LP by LP.
+loop, one pivot on every running LP per iteration, with the results each
+LP gives alone; ``solve_lp`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -220,10 +220,10 @@ def _solve(c, As, bs):
 def solve_lp(c, A, b):
     """Maximize c.z s.t. A z <= b, z free.  Returns an LPResult.
 
-    The returned z is a vertex solution; value is c.z at the optimum.
+    The returned z is a vertex solution; value is c.z at the optimum.  It
+    is the batch of one, ``solve_lps(c, [A], [b])[0]``.
     """
-    c = np.asarray(c, dtype=float)
-    return _solve(c, [np.asarray(A, dtype=float)], [np.asarray(b, dtype=float)])[0]
+    return solve_lps(c, [A], [b])[0]
 
 
 def solve_lps(c, As, bs):
@@ -232,8 +232,9 @@ def solve_lps(c, As, bs):
     The LPs share c, and so their column count, and may differ in rows.
     Each iteration takes one Bland pivot on every LP still running, so a
     batch costs about as many iterations as its longest LP needs.  Every
-    pivot does ``solve_lp``'s elementwise arithmetic, so each result equals
-    ``solve_lp``'s bit for bit.
+    pivot does the elementwise arithmetic of the one-LP loop
+    ``_run_phase``, so each result equals that of the LP solved alone bit
+    for bit.
     """
     c = np.asarray(c, dtype=float)
     As = [np.asarray(A, dtype=float) for A in As]

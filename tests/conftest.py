@@ -49,20 +49,15 @@ def svd_calls(monkeypatch):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Every LP the ordering module solves: one per solve_lp call and one
-    per LP of a solve_lps batch."""
+    """Every LP the ordering module solves: one per LP of a solve_lps
+    batch, its one LP entry point."""
     calls = []
-    solve, solve_many = ordering.solve_lp, ordering.solve_lps
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    solve_many = ordering.solve_lps
 
     def counting_many(c, As, bs):
         calls.extend(1 for _ in As)
         return solve_many(c, As, bs)
 
-    monkeypatch.setattr(ordering, "solve_lp", counting)
     monkeypatch.setattr(ordering, "solve_lps", counting_many)
     return calls
 

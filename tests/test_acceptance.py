@@ -157,7 +157,7 @@ def test_criterion_5_classifier():
         centers = r.normal(size=(mu, 2)) * 8
         pts = np.vstack([r.normal(size=(per, 2)) * 0.7 + c for c in centers])
         labels = np.repeat(np.arange(mu), per)
-        build = classifier_build(pts, labels, categories=mu, seed=trial)
+        build = classifier_build(pts, labels, seed=trial)
         out = forward_batch(build.network, pts)
         for i, c in enumerate(labels):
             if out[i, c] <= 0:

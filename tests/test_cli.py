@@ -487,3 +487,54 @@ def test_widen_without_widths_is_an_input_error(workdir, capsys):
     assert main(["widen", "--report", str(rep), "--out", str(wide)]) == 2
     assert capsys.readouterr().err == "input error: give --widths or --uniform\n"
     assert not wide.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--tol", "-1"], "tol must be a finite positive number, got -1.0"),
+    (["--tol", "0"], "tol must be a finite positive number, got 0.0"),
+    (["--tol", "nan"], "tol must be a finite positive number, got nan"),
+    (["--m", "0"], "need at least one row"),
+])
+def test_rank_prob_rejects_a_bad_tol_or_row_count(capsys, args, message):
+    # a tol at or below 0 or NaN used to count no sample as near-singular
+    argv = ["rank-prob", "--n", "2", "--m", "2", "--trials", "10"] + args
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def _two_cluster_pwl(tmp_path):
+    rng = np.random.default_rng(0)
+    subs = [{"points": (rng.normal(size=(3, 2)) * 0.5 + c).tolist(),
+             "W": [[0.0, 0.0]], "b": [float(i)]}
+            for i, c in enumerate([[0.0, 0.0], [6.0, 1.0]])]
+    path = tmp_path / "pwl.json"
+    path.write_text(json.dumps({"dim": 2, "output_dim": 1, "subdomains": subs}))
+    return path
+
+
+def test_synth3_classify_labels_each_subdomain(tmp_path, capsys):
+    pwl, net = _two_cluster_pwl(tmp_path), tmp_path / "net.json"
+    assert main(["synth3", "--classify", "--pwl", str(pwl), "--out", str(net)]) == 0
+    network = Network.from_json(net.read_text())
+    assert network.architecture() == "2(1)18(1)2(1)"    # ReLU outputs, one per subdomain
+    out = forward_batch(network, DiscretePWL.from_json(pwl.read_text()).all_points())
+    assert ((out > 0) == np.repeat(np.eye(2, dtype=bool), 3, axis=0)).all()
+
+
+def test_synth3_classify_rejects_extra_units(tmp_path, capsys):
+    pwl, net = _two_cluster_pwl(tmp_path), tmp_path / "net.json"
+    assert main(["synth3", "--classify", "--extra-units", "3", "--pwl", str(pwl),
+                 "--out", str(net)]) == 2
+    assert capsys.readouterr().err == "input error: --extra-units does not apply to --classify\n"
+    assert not net.exists()
+
+
+def test_json_writers_write_what_json_dumps_gives(tmp_path, capsys, rng):
+    obj = {"w": rng.normal(size=(3, 4)).tolist(), "s": "é",
+           "b": [0.1, -0.0, 1e-300, float("inf"), float("nan"), None, True]}
+    path = tmp_path / "out.json"
+    cli._write_json(path, obj)
+    cli._emit(obj)
+    expected = json.dumps(obj) + "\n"
+    assert path.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == expected

@@ -36,7 +36,6 @@ from relusynth.deep import (
     rebuild_deep_from_plan,
     synth_decoder,
     synth_deep,
-    synth_deep_multi,
 )
 from relusynth.cli import fig7_fixture
 from conftest import nudge_bias, repeat_base
@@ -369,7 +368,7 @@ def test_deep_multi_output_per_coordinate(rng):
         for pts, _ in base.subdomains
     )
     pwl = DiscretePWL(2, 3, subs)
-    net = synth_deep_multi(pwl, mu=3)
+    net = synth_deep(pwl)
     out = forward_batch(net, pwl.all_points())
     assert np.abs(out - pwl.all_targets()).max() <= 1e-8
 
@@ -391,11 +390,6 @@ def test_deep_multi_output_rows_solved_independently(rng):
     out_b = build_b.network.layers[-1]
     assert out_a.weights[0].tobytes() == out_b.weights[0].tobytes()
     assert out_a.weights[1].tobytes() != out_b.weights[1].tobytes()
-
-
-def test_deep_mu_mismatch_rejected():
-    with pytest.raises(ValueError):
-        synth_deep_multi(cluster_fixture(), mu=4)
 
 
 def test_decoder_single_code():

@@ -21,8 +21,6 @@ def test_dimension_validation():
     with pytest.raises(ValueError):
         SphereSampler(1)
     with pytest.raises(ValueError):
-        sample_matrix(SphereSampler(3), 5, n=4)
-    with pytest.raises(ValueError):
         sample_matrix(SphereSampler(3), 0)
 
 

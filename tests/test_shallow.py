@@ -231,8 +231,9 @@ def test_classifier_single_category_always_positive(rng):
 
 
 def test_classifier_missing_category_rejected():
-    with pytest.raises(ValueError):
-        synth_classifier(np.zeros((2, 2)) + [[0, 0], [1, 1]], [0, 0], categories=2)
+    # labels 0 and 2 leave category 1 without points
+    with pytest.raises(ValueError, match="category 1 has no points"):
+        synth_classifier(np.array([[0.0, 0.0], [1.0, 1.0]]), [0, 2])
 
 
 def test_report_contents(rng):
@@ -495,6 +496,23 @@ def test_family_member_margin_failure_names_stage_point_and_margin():
         build_staircase(pwl, order=DistinguishableOrder((0, 1), bases))
     assert (err.value.stage, err.value.subdomain, err.value.margin) == (1, 1, 0.0)
     assert err.value.point.tolist() == [far]
+
+
+@pytest.mark.parametrize("third_base, margin, point", [
+    (Hyperplane([1.0], -0.5), -1.5, 2.0),   # the earlier point x = 2 on its plus side
+    (Hyperplane([-1.0], 0.3), -0.7, 1.0),   # its own point x = 1 on its zero side
+])
+def test_supplied_order_that_breaks_a_staircase_position_names_it(third_base, margin, point):
+    # points 0, 1, 2 in the order (0, 2, 1): the third position, subdomain
+    # 1, must hold x = 1 above the margin and x = 0 and x = 2 below -margin
+    pwl = DiscretePWL(1, 1, tuple(
+        (np.array([[x]]), AffineMap.constant([x], 1)) for x in (0.0, 1.0, 2.0)))
+    bases = (Hyperplane([-1.0], 1.0), Hyperplane([1.0], -1.5), third_base)
+    with pytest.raises(MarginError, match=rf"stage 2 \(subdomain 1\): base hyperplane "
+                                          rf"margin {margin} at point \[{point}\]") as err:
+        build_staircase(pwl, order=DistinguishableOrder((0, 2, 1), bases))
+    assert (err.value.stage, err.value.subdomain, err.value.margin) == (2, 1, margin)
+    assert err.value.point.tolist() == [point]
 
 
 def test_failed_residual_check_carries_the_report(monkeypatch, rng):
