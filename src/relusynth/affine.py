@@ -305,7 +305,8 @@ def widen_network(build, target_widths=None, uniform=None):
     elsewhere extend pass-through and split blocks with redundant members
     whose downstream weights are fixed to zero.  Each layer's base width
     is its width less the extra units its plan records; the plan is
-    re-run with the target widths' extras.  Output invariance is probed
+    re-run with the target widths' extras; a deep network's must not
+    decrease, which is checked first.  Output invariance is probed
     on the training points plus random convex combinations inside each
     subdomain.
     """
@@ -327,6 +328,8 @@ def widen_network(build, target_widths=None, uniform=None):
     for have, want in zip(hidden_widths, target_widths):
         if want < have:
             raise ValueError(f"target width {want} below existing {have}")
+    if isinstance(build, DeepBuild) and target_widths != sorted(target_widths):
+        raise ValueError(f"deep hidden widths must not decrease, got {target_widths}")
     plan = build.report.plan
     if plan is None:
         raise ValueError("build carries no synthesis plan")

@@ -361,8 +361,9 @@ class ActivationPattern:
 # Evaluation
 
 
-def _apply_layer(layer, x):
-    z = layer.preactivation(x)
+def _activate(layer, z):
+    """A layer's outputs from its preactivations ``z``, and the mask
+    ``z > ACTIVATION_TOL``; a ReLU layer clamps to zero where it is off."""
     on = z > ACTIVATION_TOL
     if layer.activation == "relu":
         return np.where(on, z, 0.0), on
@@ -381,7 +382,7 @@ def forward_masks(net, X):
     out = np.asarray(X, dtype=float)
     masks = []
     for layer in net.layers:
-        out, on = _apply_layer(layer, out)
+        out, on = _activate(layer, layer.preactivation(out))
         masks.append(on)
     return out, masks
 

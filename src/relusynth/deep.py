@@ -16,17 +16,20 @@ exclusive dimensions so it stays dark for them.  The last hidden layer
 gives each leaf a full-rank bundle of dim+1 units and the linear output
 layer solves each leaf's affine target independently.
 
-Each layer is built and audited in one stacked pass, not group by group:
-its bundles come from one ``bundles.families`` call, which checks their
-margins and ranks and that each pass-through family's anchor lies on its
-base and the family meets there; their lift from one batched inverse of
-the groups' frames, the interference weights from one block solve, and
-the audit from one product over the previous layer's images stacked in
-input row order.  Ranks come from a few batched SVDs per layer.  The
-output layer is the shallow stages' coefficient-matching solve: one
-``core.shifted_systems`` and one ``core.match`` call per stack of
-equal-width leaves.  Rows keep their own matrix-vector products where a
-matrix product would round differently, so the networks are the same
+Each layer is built and audited in one stacked pass, not group by group,
+on one array: the previous layer's outputs on every point, in input row
+order.  Its bundles come from one ``bundles.families`` call, which checks
+their margins and ranks and that each pass-through family's anchor lies
+on its base and the family meets there; their lift from one batched
+inverse of the groups' frames, the interference weights from one block
+solve over the groups' rows of the array, and the audit from one product
+with it, whose ReLU step gives the next layer's array.  So the audits and
+the residual check examine the network that ships.  Each block's frame
+residual is recorded, not gated.  Ranks come from three batched SVDs per
+layer.  The output layer is the shallow stages' coefficient-matching
+solve: one ``core.shifted_systems`` and one ``core.match`` call per stack
+of equal-width leaves.  Rows keep their own matrix-vector products where
+a matrix product would round differently, so the networks are the same
 bytes as a group-by-group loop.
 """
 
@@ -41,14 +44,12 @@ import numpy as np
 
 from .core import (
     ACTIVATION_TOL,
-    VERIFY_TOL,
     DiscretePWL,
     Hyperplane,
     Layer,
     Network,
-    affine_fit,
+    _activate,
     distinct_points,
-    forward_batch,
     match,
     point_key,
     ranked,
@@ -57,7 +58,7 @@ from .core import (
 from .bundles import BundleConfig, anchored_base, families
 from .ordering import SEPARABLE_THRESHOLD, separate_many
 from .affine import interference_avoiding_weights
-from .report import ConstructionReport, build_tolerances, check_exact
+from .report import BuildFailure, ConstructionReport, build_tolerances, check_exact
 
 __all__ = [
     "PartitionTree",
@@ -320,7 +321,6 @@ class _Group:
     M: np.ndarray           # frame: x -> block preactivations
     c: np.ndarray
     dims: range             # unit indices of the block in the current layer
-    is_input: bool = False  # frame refers to the raw input, not relu outputs
 
 
 @dataclass
@@ -384,31 +384,12 @@ def _layer_bundles(groups, last, extra, rows_of):
     return bundles
 
 
-def _images(groups, width, n_rows):
-    """The previous layer's outputs on each group's points: its block's
-    values on its own units, zero on every other unit.  Returns one array
-    per group and all of them stacked in root row order."""
-    stacked = np.zeros((n_rows, width))
-    images = []
-    start = 0
-    for g in groups:
-        vals = g.points @ g.M.T + g.c
-        if not g.is_input:
-            vals = np.maximum(vals, 0.0)
-        seg = stacked[start:start + len(vals)]
-        seg[:, g.dims.start:g.dims.stop] = vals
-        images.append(seg)
-        start += len(vals)
-    A = np.empty_like(stacked)
-    A[np.concatenate([g.rows for g in groups])] = stacked
-    return images, A
-
-
-def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, rows_of, X):
-    """One hidden layer in one stacked pass: every group's bundles, their
-    lift into the groups' frames, and the interference weights.  Returns
-    the layer, its plan tags, the groups it carries on and each new
-    block's bundle rank and sigma_min."""
+def _build_layer(groups, A, layer_no, last, extra, cfg, rows_of, X):
+    """One hidden layer in one stacked pass over ``A``, the previous
+    layer's outputs in root row order: every group's bundles, their lift
+    into the groups' frames, and the interference weights.  Returns the
+    layer, its plan tags, the groups it carries on and each new block's
+    bundle rank and sigma_min."""
     n = X.shape[1]
     bundles = _layer_bundles(groups, last, extra, rows_of)
     sides = [rows for u in bundles for rows in (u.plus, u.zero)]
@@ -437,12 +418,14 @@ def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, rows_of
     w = np.matmul(np.swapaxes(W_inv[unit_group], 1, 2), P[:, :n, None])
     c = np.array([g.c[:n] for g in groups])[unit_group]
     b = P[:, n] - np.matmul(np.swapaxes(w, 1, 2), c[:, :, None])[:, 0, 0]
-    W = np.zeros((len(P), prev_width))
+    W = np.zeros((len(P), A.shape[1]))
     pivots = np.array([g.dims[:n] for g in groups])
     W[np.arange(len(P))[:, None], pivots[unit_group]] = w[:, :, 0]
     if len(groups) > 1:
-        # a group's images are zero off its own units, so one block solve
-        # sets the weight on each group's units for every unit of the layer
+        # a group's outputs are zero off its own units, as the previous
+        # layer's audit certified, so one block solve sets the weight on
+        # each group's units for every unit of the layer
+        images = [A[g.rows] for g in groups]
         try:
             weights = interference_avoiding_weights(
                 W, b, [g.dims for g in groups], images)
@@ -467,21 +450,21 @@ def _build_layer(groups, images, layer_no, last, extra, prev_width, cfg, rows_of
     return Layer(W, b, "relu"), tags, new_groups, rank, sigma_min
 
 
-def _audit_layer(layer, layer_no, A, groups, X, cfg,
-                 activation_audits, affine_fit_residuals, rank_audits):
+def _audit_layer(layer, layer_no, A, groups, X, cfg, report, fail):
     """Group isolation and affine-transmission checks for one hidden layer.
 
     ``A`` holds the previous layer's outputs in root row order, so one
     product gives every point's preactivations.  Each block's own minimum
     and foreign maximum are segment reductions of it over the groups'
-    rows and units.  The witnesses with the fits, the centred point sets
-    (zero-padded to one shape) and the blocks' weights are ranked by one
-    batched SVD per stack of equal shape; each affine fit is its own
-    least-squares solve.
+    rows and units.  Each block's frame residual is recorded, the
+    witnesses are ranked by one batched SVD and the blocks' weights by one
+    per stack of equal shape.  The audits go to ``report``; a failed check
+    calls ``fail`` with its message.  Returns the layer's outputs in root
+    row order, by the forward pass's own ReLU step.
     """
     n = X.shape[1]
     W = layer.weights
-    Z = A @ W.T + layer.biases
+    Z = layer.preactivation(A)
     sizes = np.array([len(g.rows) for g in groups])
     starts = np.cumsum(sizes) - sizes
     Zg = Z[np.concatenate([g.rows for g in groups])]     # rows in group order
@@ -493,7 +476,7 @@ def _audit_layer(layer, layer_no, A, groups, X, cfg,
     np.fill_diagonal(hi, -np.inf)
     foreign = hi.max(axis=0)
     for g, o, f in zip(groups, own.tolist(), foreign.tolist()):
-        activation_audits.append({
+        report.activation_audits.append({
             "layer": layer_no,
             "leaves": [int(i) for i in g.leaf_ids],
             "own_min_preactivation": o,
@@ -512,43 +495,25 @@ def _audit_layer(layer, layer_no, A, groups, X, cfg,
             others = np.setdiff1d(np.arange(len(Z)), g.rows)
             r = others[np.argmax(block[others].max(axis=1))]
             what = f"foreign preactivation {foreign[i]:.3g} not below -margin/2"
-        raise RuntimeError(f"layer {layer_no}: {what} (block of leaves {g.leaf_ids}, "
-                           f"point {np.round(X[r], 6).tolist()})")
+        fail(f"layer {layer_no}: {what} (block of leaves {g.leaf_ids}, "
+             f"point {np.round(X[r], 6).tolist()})")
 
-    # the block's first n preactivations on its own points must be the
-    # witness frame's image of them; with more than n points of full affine
-    # span, an independent fit must agree
-    own_pre = [Zg[a:a + m, u:u + n] for a, m, u in zip(starts, sizes, unit_starts)]
-    resid = [float(np.max(np.abs(g.points @ g.M[:n].T + g.c[:n] - pre)))
-             for g, pre in zip(groups, own_pre)]
-    many = [i for i, g in enumerate(groups) if len(g.rows) > n]
-    fitted = []
-    if many:
-        centred = np.zeros((len(many), sizes[many].max(), n))
-        for j, i in enumerate(many):
-            p = groups[i].points
-            centred[j, :len(p)] = p - p.mean(axis=0)
-        fitted = [i for i, r in zip(many, ranked(centred)[0]) if r == n]
-    fits = []
-    for i in fitted:
-        fit, fit_resid = affine_fit(groups[i].points, own_pre[i])
-        resid[i] = max(resid[i], fit_resid)
-        fits.append(fit.W)
-    rank = ranked([g.M[:n] for g in groups] + fits)[0] == n
-    nonsingular = rank[:len(groups)]
-    nonsingular[fitted] &= rank[len(groups):]
+    # the frame residual: how far the block's first n preactivations on its
+    # own points are from the witness frame's image of them.  The next
+    # layer's lift inverts the frame, so it must be nonsingular
+    resid = [float(np.max(np.abs(g.points @ g.M[:n].T + g.c[:n] - Zg[a:a + m, u:u + n])))
+             for g, a, m, u in zip(groups, starts, sizes, unit_starts)]
+    nonsingular = ranked([g.M[:n] for g in groups])[0] == n
     for g, r, ok in zip(groups, resid, nonsingular.tolist()):
-        affine_fit_residuals.append({
+        report.affine_fit_residuals.append({
             "layer": layer_no,
             "leaves": [int(i) for i in g.leaf_ids],
             "residual": r,
             "witness_nonsingular": ok,
         })
-    broken = [i for i, (r, ok) in enumerate(zip(resid, nonsingular)) if r > VERIFY_TOL or not ok]
-    if broken:
-        g = groups[broken[0]]
-        raise RuntimeError(f"layer {layer_no}: affine transmission broke (block of "
-                           f"leaves {g.leaf_ids}, residual {resid[broken[0]]:.3g})")
+    if not nonsingular.all():
+        fail(f"layer {layer_no}: witness frame singular (block of leaves "
+             f"{groups[int(np.argmin(nonsingular))].leaf_ids})")
 
     rank = np.zeros(len(groups), dtype=int)
     sigma_min = np.zeros(len(groups))
@@ -558,12 +523,14 @@ def _audit_layer(layer, layer_no, A, groups, X, cfg,
             [W[groups[i].dims.start:groups[i].dims.stop] for i in idx])
     ok = rank >= np.minimum(n, units)
     for g, r, good, s in zip(groups, rank.tolist(), ok.tolist(), sigma_min.tolist()):
-        rank_audits.append({"layer": layer_no, "leaves": [int(i) for i in g.leaf_ids],
-                            "rank_ok": good, "rank": r, "sigma_min": s})
+        report.rank_audits.append({"layer": layer_no,
+                                   "leaves": [int(i) for i in g.leaf_ids],
+                                   "rank_ok": good, "rank": r, "sigma_min": s})
     if not ok.all():
         i = int(np.argmin(ok))
-        raise RuntimeError(f"layer {layer_no}: block weight rank {rank[i]} too low "
-                           f"(block of leaves {groups[i].leaf_ids})")
+        fail(f"layer {layer_no}: block weight rank {rank[i]} too low "
+             f"(block of leaves {groups[i].leaf_ids})")
+    return _activate(layer, Z)[0]
 
 
 def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
@@ -588,15 +555,28 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
         return node_rows[id(node)]
 
     leaves, rows = rows_of(tree.root)
-    groups = [_Group(tree.root, leaves, rows, X, np.eye(n), np.zeros(n), range(n),
-                     is_input=True)]
-    prev_width = n
-
+    groups = [_Group(tree.root, leaves, rows, X, np.eye(n), np.zeros(n), range(n))]
+    A = X           # the previous layer's outputs on every point
     layers = []
     stage_plan = []
-    activation_audits = []
-    affine_fit_residuals = []
-    rank_audits = []
+    report = ConstructionReport(
+        seed=seed,
+        tolerances=build_tolerances(cfg.margin),
+        plan={
+            "kind": "deep",
+            "pwl": pwl.to_json_dict(),
+            "tree": tree.root.to_json_dict(),
+            "origin": [int(i) for i in tree.origin],
+            "seed": seed,
+            "extras": list(extras) if extras is not None else None,
+        },
+    )
+
+    def fail(message):
+        # the report of the layers built so far, with no residual
+        report.architecture = Network(n, tuple(layers)).architecture()
+        report.wall_clock = time.monotonic() - t_start
+        raise BuildFailure(message, report)
 
     # one layer per tree level, then the last hidden layer: one full-rank
     # bundle per leaf
@@ -605,23 +585,20 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
         last = all(g.node.is_leaf() for g in groups)
         layer_no = len(layers) + 1
         extra = int(extras[len(layers)]) if extras and len(layers) < len(extras) else 0
-        images, A = _images(groups, prev_width, len(X))
         layer, tags, groups, rank, sigma_min = _build_layer(
-            groups, images, layer_no, last, extra, prev_width, cfg, rows_of, X)
+            groups, A, layer_no, last, extra, cfg, rows_of, X)
         layers.append(layer)
         stage_plan.append(tags)
-        _audit_layer(layer, layer_no, A, groups, X, cfg,
-                     activation_audits, affine_fit_residuals, rank_audits)
-        prev_width = layer.units
+        A = _audit_layer(layer, layer_no, A, groups, X, cfg, report, fail)
 
     # output layer: per-leaf coefficient match, independent per coordinate.
     # A leaf's matrix is its output bundle's stacked (w, b) columns, ranked
     # when the bundle was built; ``core.shifted_systems`` moves its bias
     # row to the leaf centroid and ranks it again if it is square.
     for g, r, s in zip(groups, rank.tolist(), sigma_min.tolist()):
-        rank_audits.append({"layer": "output", "leaf": int(g.node.leaf),
-                            "columns": len(g.dims), "rank": r, "sigma_min": s})
-    out_W = np.zeros((mu, prev_width))
+        report.rank_audits.append({"layer": "output", "leaf": int(g.node.leaf),
+                                   "columns": len(g.dims), "rank": r, "sigma_min": s})
+    out_W = np.zeros((mu, A.shape[1]))
     units = np.array([len(g.dims) for g in groups])
     for u in dict.fromkeys(units.tolist()):
         leaves = [groups[i] for i in np.flatnonzero(units == u)]
@@ -642,32 +619,13 @@ def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
 
     net = Network(n, tuple(layers))
     widths = [l.units for l in layers[:-1]]
-    for a, b in zip(widths, widths[1:]):
-        if b < a:
-            raise RuntimeError(f"hidden widths decreased: {widths}")
+    if any(b < a for a, b in zip(widths, widths[1:])):
+        fail(f"hidden widths decreased: {widths}")
 
-    X = pwl.all_points()
-    Y = pwl.all_targets()
-    out = forward_batch(net, X)
-    max_residual = float(np.max(np.abs(out - Y)))
-    report = ConstructionReport(
-        architecture=net.architecture(),
-        max_residual=max_residual,
-        activation_audits=activation_audits,
-        rank_audits=rank_audits,
-        affine_fit_residuals=affine_fit_residuals,
-        seed=seed,
-        wall_clock=time.monotonic() - t_start,
-        tolerances=build_tolerances(cfg.margin),
-        plan={
-            "kind": "deep",
-            "pwl": pwl.to_json_dict(),
-            "tree": tree.root.to_json_dict(),
-            "origin": [int(i) for i in tree.origin],
-            "seed": seed,
-            "extras": list(extras) if extras is not None else None,
-        },
-    )
+    # the output layer on the last hidden layer's outputs is the forward pass
+    report.architecture = net.architecture()
+    report.max_residual = float(np.max(np.abs(layers[-1].preactivation(A) - pwl.all_targets())))
+    report.wall_clock = time.monotonic() - t_start
     build = DeepBuild(net, pwl, tree, stage_plan, cfg, seed, report)
     check_exact(report)
     return build
@@ -722,6 +680,10 @@ def _plan_tree(plan):
                              [int(i) for i in plan["origin"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed synthesis plan: {exc}") from exc
+    leaves = sorted(tree.root.leaves())
+    if leaves != list(range(len(pwl.subdomains))):
+        raise ValueError(f"malformed synthesis plan: tree leaves {leaves} are not a "
+                         f"permutation of the {len(pwl.subdomains)} subdomains")
     return pwl, tree
 
 

@@ -285,6 +285,12 @@ def rebuild_from_plan(plan, cfg=None, extra_units=None):
         pwl = DiscretePWL.from_json_dict(plan["pwl"])
         hps = tuple(Hyperplane(np.array(h["w"]), h["b"]) for h in plan["hyperplanes"])
         order = DistinguishableOrder(tuple(plan["order"]), hps)
+        if sorted(order.order) != list(range(len(pwl.subdomains))):
+            raise ValueError(f"malformed synthesis plan: order {list(order.order)} is not "
+                             f"a permutation of the {len(pwl.subdomains)} subdomains")
+        if len(hps) != len(order.order):
+            raise ValueError(f"malformed synthesis plan: {len(hps)} hyperplanes for "
+                             f"{len(order.order)} order entries")
         seed, relu_output = plan["seed"], plan["relu_output"]
         if extra_units is None:
             extra_units = plan["extra_units"]

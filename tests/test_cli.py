@@ -14,6 +14,7 @@ from relusynth.core import (
     forward_batch,
     forward_traced,
 )
+import relusynth.deep as deep_module
 from relusynth.deep import deep_build
 from relusynth.ordering import check_distinguishable
 from relusynth.report import BuildFailure, ConstructionReport
@@ -385,6 +386,66 @@ def test_widen_on_a_malformed_plan_is_an_input_error(tmp_path, capsys, plan, mis
     assert main(["widen", "--report", str(rep), "--uniform", "9", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: malformed synthesis plan: {missing}\n"
     assert not out.exists()
+
+
+def _three_point_report(tmp_path, command):
+    """The report of a ``command`` build of three single points."""
+    pwl = tmp_path / "pwl.json"
+    pwl.write_text(json.dumps({"dim": 2, "output_dim": 1, "subdomains": [
+        {"points": [p], "W": [[0.0, 0.0]], "b": [float(i + 1)]}
+        for i, p in enumerate([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])]}))
+    rep = tmp_path / "rep.json"
+    assert main([command, "--pwl", str(pwl), "--out", str(tmp_path / "net.json"),
+                 "--report", str(rep)]) == 0
+    return rep
+
+
+def _first_leaf(tree):
+    while "leaf" not in tree:
+        tree = tree["a"]
+    return tree
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    # the seed-0 staircase orders the points [2, 0, 1]
+    ("synth3", lambda plan: plan.update(order=plan["order"][:2]),
+     "order [2, 0] is not a permutation of the 3 subdomains"),
+    ("synth3", lambda plan: plan.update(order=[2, 0, 0]),
+     "order [2, 0, 0] is not a permutation of the 3 subdomains"),
+    ("synth3", lambda plan: plan.update(hyperplanes=plan["hyperplanes"][:2]),
+     "2 hyperplanes for 3 order entries"),
+    ("synthdeep", lambda plan: _first_leaf(plan["tree"]).update(leaf=99),
+     "tree leaves [1, 2, 99] are not a permutation of the 3 subdomains"),
+])
+def test_widen_on_a_plan_that_does_not_match_its_subdomains(tmp_path, capsys, command,
+                                                           edit, message):
+    # these died with numpy's broadcast error, a MarginError on a stage or,
+    # for the deep leaf, an IndexError traceback with exit 1
+    rep = _three_point_report(tmp_path, command)
+    report = json.loads(rep.read_text())
+    edit(report["plan"])
+    rep.write_text(json.dumps(report))
+    capsys.readouterr()
+    wide = tmp_path / "wide.json"
+    assert main(["widen", "--report", str(rep), "--uniform", "12", "--out", str(wide)]) == 2
+    assert capsys.readouterr().err == f"input error: malformed synthesis plan: {message}\n"
+    assert not wide.exists()
+
+
+def test_widen_rejects_decreasing_deep_widths_before_rebuilding(tmp_path, capsys,
+                                                                monkeypatch):
+    # the plan is rebuilt once to be widened; the widened rebuild would
+    # only fail at its end, with "hidden widths decreased" and exit 3
+    rep = _three_point_report(tmp_path, "synthdeep")
+    assert ConstructionReport.from_json(rep.read_text()).architecture == "2(1)4(1)6(1)9(1)1'(1)"
+    capsys.readouterr()
+    monkeypatch.setattr(deep_module, "rebuild_deep_from_plan",
+                        _failing("widen_network rebuilt the plan"))
+    wide = tmp_path / "wide.json"
+    assert main(["widen", "--report", str(rep), "--widths", "10,8,12", "--out", str(wide)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: deep hidden widths must not decrease, got [10, 8, 12]\n")
+    assert not wide.exists()
 
 
 def test_widen_on_a_non_object_report_is_an_input_error(tmp_path, capsys):

@@ -7,8 +7,8 @@ from relusynth.core import (
     AffineMap,
     DiscretePWL,
     Layer,
+    Network,
     RankDeficientError,
-    affine_fit,
     forward_batch,
     numeric_rank,
     solve_constrained,
@@ -23,7 +23,7 @@ from relusynth.bundles import (
     same_classification_bundle,
 )
 from relusynth.ordering import separate
-from relusynth.report import BuildFailure
+from relusynth.report import BuildFailure, ConstructionReport
 import relusynth.deep as deep_module
 from relusynth.deep import (
     DIRECTION_TRIES,
@@ -37,7 +37,7 @@ from relusynth.deep import (
     synth_decoder,
     synth_deep,
 )
-from relusynth.cli import fig7_fixture
+from relusynth.cli import fig7_fixture, main as cli_main
 from conftest import nudge_bias, repeat_base
 
 
@@ -452,7 +452,7 @@ def test_audit_tells_close_foreign_point_from_own():
     assert np.abs(out - pwl.all_targets()).max() <= 1e-8
 
 
-def test_audit_catches_broken_isolation(monkeypatch):
+def test_audit_catches_broken_isolation(monkeypatch, tmp_path, capsys):
     # with the interference solve disabled, foreign points reach the new
     # units; the layer audit must say so, not pass a wrong network on
     rng = np.random.default_rng(3)
@@ -463,8 +463,27 @@ def test_audit_catches_broken_isolation(monkeypatch):
     ))
     monkeypatch.setattr(deep_module, "interference_avoiding_weights",
                         lambda W, b, dims, images: np.zeros((len(W), len(dims))))
-    with pytest.raises(RuntimeError, match=r"layer \d+: foreign preactivation"):
+    with pytest.raises(BuildFailure, match=r"layer 2: foreign preactivation") as err:
         deep_build(pwl)
+    # the partial report: both layers built, layer 2's isolation audits,
+    # which failed, and no residual
+    report = err.value.report
+    assert report.architecture == "2(1)4(1)8(1)"
+    assert np.isnan(report.max_residual)
+    assert [a["layer"] for a in report.activation_audits] == [1, 1, 2, 2, 2, 2]
+    assert [a["layer"] for a in report.affine_fit_residuals + report.rank_audits] == [1] * 4
+    assert report.plan["kind"] == "deep"
+    # the CLI writes it to --report
+    pwl_path, net, rep = tmp_path / "pwl.json", tmp_path / "net.json", tmp_path / "rep.json"
+    pwl_path.write_text(pwl.to_json())
+    assert cli_main(["synthdeep", "--pwl", str(pwl_path), "--out", str(net),
+                     "--report", str(rep)]) == 3
+    assert capsys.readouterr().err.startswith("build failed: layer 2: foreign preactivation")
+    assert not net.exists()
+    written = ConstructionReport.from_json(rep.read_text())
+    assert written.architecture == report.architecture and np.isnan(written.max_residual)
+    assert written.activation_audits == report.activation_audits
+    assert written.plan == report.plan
 
 
 def test_pass_through_anchor_off_base_names_its_layer(monkeypatch):
@@ -606,7 +625,9 @@ def reference_deep(pwl, tree, extras=None, cfg=BundleConfig()):
     """The per-group loop that the stacked pass replaced: each group's
     bundles built, checked and lifted one at a time, one interference
     solve per group, one audit per block and one solve per output of each
-    leaf.  Returns the layers and the report's audit lists."""
+    leaf.  Each layer reads the previous layer's computed outputs, the
+    stacked input for layer 1.  Returns the layers and the report's audit
+    lists."""
     n, mu = pwl.dim, pwl.output_dim
     sets = [p for p, _ in pwl.subdomains]
     maps = [m for _, m in pwl.subdomains]
@@ -615,7 +636,8 @@ def reference_deep(pwl, tree, extras=None, cfg=BundleConfig()):
     def points(node):
         return np.vstack([sets[i] for i in sorted(node.leaves())])
 
-    groups = [(tree.root, np.eye(n), np.zeros(n), list(range(n)), True)]  # node, M, c, dims
+    groups = [(tree.root, np.eye(n), np.zeros(n), list(range(n)))]  # node, M, c, dims
+    A = np.vstack(sets)
     width = n
     layers, acts, fits, ranks = [], [], [], []
     last = False
@@ -623,14 +645,9 @@ def reference_deep(pwl, tree, extras=None, cfg=BundleConfig()):
         last = all(g[0].is_leaf() for g in groups)
         layer_no = len(layers) + 1
         extra = extras[len(layers)] if extras and len(layers) < len(extras) else 0
-        images = []
-        for node, M, c, dims, is_input in groups:
-            vals = points(node) @ M.T + c
-            img = np.zeros((len(vals), width))
-            img[:, dims] = vals if is_input else np.maximum(vals, 0.0)
-            images.append(img)
+        images = [A[np.isin(leaf_of_row, g[0].leaves())] for g in groups]
         rows, biases, owner, new = [], [], [], []
-        for gi, (node, M, c, dims, _) in enumerate(groups):
+        for gi, (node, M, c, dims) in enumerate(groups):
             count = n + (extra if gi == 0 else 0)
             pts = points(node)
             if last or node.is_leaf():
@@ -655,7 +672,7 @@ def reference_deep(pwl, tree, extras=None, cfg=BundleConfig()):
                 start = sum(len(g[3]) for g in new)
                 new.append((child, np.array([t.w for t in bundle]),
                             np.array([t.b for t in bundle]),
-                            list(range(start, start + len(bundle))), False))
+                            list(range(start, start + len(bundle)))))
         W, b, owner = np.vstack(rows), np.concatenate(biases), np.array(owner)
         if len(groups) > 1:
             for hi, h in enumerate(groups):
@@ -664,11 +681,8 @@ def reference_deep(pwl, tree, extras=None, cfg=BundleConfig()):
                     W[other], b[other], [h[3]], [images[hi]])
         layers.append(Layer(W, b))
 
-        A = np.empty((len(leaf_of_row), width))
-        for g, img in zip(groups, images):
-            A[np.isin(leaf_of_row, g[0].leaves())] = img
         Z = A @ W.T + b
-        for node, M, c, dims, _ in new:
+        for node, M, c, dims in new:
             leaves = sorted(node.leaves())
             own = np.isin(leaf_of_row, leaves)
             own_pre, foreign = Z[np.ix_(own, dims)], Z[np.ix_(~own, dims)]
@@ -679,19 +693,15 @@ def reference_deep(pwl, tree, extras=None, cfg=BundleConfig()):
             pts = points(node)
             witness = AffineMap(M[:n], c[:n])
             resid = float(np.max(np.abs(witness.apply(pts) - own_pre[:, :n])))
-            ok = witness.is_nonsingular()
-            if len(pts) > n and numeric_rank(pts - pts.mean(axis=0)) == n:
-                fit, fit_resid = affine_fit(pts, own_pre[:, :n])
-                resid, ok = max(resid, fit_resid), ok and fit.is_nonsingular()
             fits.append({"layer": layer_no, "leaves": leaves, "residual": resid,
-                         "witness_nonsingular": ok})
+                         "witness_nonsingular": witness.is_nonsingular()})
             rank = numeric_rank(W[dims])
             ranks.append({"layer": layer_no, "leaves": leaves,
                           "rank_ok": rank >= min(n, len(dims)), "rank": rank})
-        groups, width = new, len(b)
+        groups, width, A = new, len(b), np.where(Z > 1e-9, Z, 0.0)
 
     out_W = np.zeros((mu, width))
-    for node, M, c, dims, _ in groups:
+    for node, M, c, dims in groups:
         M = np.ascontiguousarray(np.vstack([M.T, c]))
         ranks.append({"layer": "output", "leaf": node.leaf, "columns": M.shape[1],
                       "rank": numeric_rank(M)})
@@ -767,15 +777,15 @@ def test_stacked_pass_equals_the_per_group_loop_on_a_decoder_and_a_refined_tree(
 
 @pytest.mark.parametrize("nx, ny", [(4, 2), (4, 4), (8, 4)])
 def test_svd_count_depends_on_the_layers_not_the_groups(svd_calls, nx, ny):
-    # per hidden layer: the bundles, the centred point sets, the witnesses
-    # with the fits, and the blocks; then the leaves' shifted matrices.
+    # per hidden layer: the bundles, the witnesses and the blocks; then the
+    # leaves' shifted matrices.
     # The per-group loop took about eight per group of each layer.
     build = deep_build(_jittered_grid(np.random.default_rng(1), nx, ny))
     del svd_calls[:]
     rebuild_deep_from_plan(build.report.plan)
     hidden = len(build.network.layers) - 1
     assert hidden == int(np.log2(nx * ny)) + 1
-    assert len(svd_calls) == 4 * hidden + 1
+    assert len(svd_calls) == 3 * hidden + 1
 
 
 def test_bundle_builder_runs_once_per_hidden_layer(family_calls):
@@ -848,9 +858,47 @@ def test_block_rank_failure_names_layer_and_leaves():
         deep_build(pwl)
 
 
+def _carried_builds():
+    r = np.random.default_rng(7)
+    return [deep_build(cluster_fixture()),
+            deep_build(_gaussian_clusters(r, 3, 12), seed=2),
+            deep_build(_jittered_grid(r, 8, 4), seed=1),
+            decoder_build(r.normal(size=(9, 2)), r.uniform(size=(9, 5)), seed=3)]
+
+
+def test_audits_read_the_network_that_ships_bit_for_bit():
+    # each block's own minimum and foreign maximum are those of a separate
+    # forward pass through the built network, not of the frames' images
+    for build in _carried_builds():
+        net, pwl = build.network, build.pwl
+        leaf_of_row = np.repeat(np.arange(len(pwl.subdomains)),
+                                [len(p) for p, _ in pwl.subdomains])
+        audits = iter(build.report.activation_audits)
+        for k, (layer, tags) in enumerate(zip(net.layers, build.stage_plan)):
+            inputs = forward_batch(Network(net.input_dim, net.layers[:k]), pwl.all_points())
+            Z = layer.preactivation(inputs)
+            for tag in tags:
+                audit = next(audits)
+                leaves = tag.get("leaves", [tag.get("leaf")])
+                assert audit["leaves"] == leaves
+                start, count = tag["units"]
+                block = Z[:, start:start + count]
+                own = np.isin(leaf_of_row, leaves)
+                foreign = block[~own].max() if (~own).any() else -np.inf
+                assert audit["own_min_preactivation"] == block[own].min()
+                assert audit["foreign_max_preactivation"] == foreign
+        assert next(audits, None) is None
+
+
+def test_max_residual_is_the_forward_pass_residual_bit_for_bit():
+    for build in _carried_builds():
+        out = forward_batch(build.network, build.pwl.all_points())
+        assert build.report.max_residual == np.abs(out - build.pwl.all_targets()).max()
+
+
 def test_failed_residual_check_carries_the_report(monkeypatch):
-    monkeypatch.setattr(deep_module, "forward_batch",
-                        lambda net, X: forward_batch(net, X) + 1e-6)
+    all_targets = DiscretePWL.all_targets
+    monkeypatch.setattr(DiscretePWL, "all_targets", lambda pwl: all_targets(pwl) - 1e-6)
     with pytest.raises(BuildFailure, match="synthesis residual 1e-06 above 1e-8") as err:
         deep_build(cluster_fixture())
     report = err.value.report
