@@ -35,7 +35,6 @@ from .arrangement import (
 from .bundles import (
     BundleConfig,
     common_point_bundle,
-    reversed_pair_bundles,
     same_classification_bundle,
 )
 from .ordering import (
@@ -59,7 +58,6 @@ from .affine import (
     interference_avoiding_weights,
     lift_hyperplane,
     passthrough_layer,
-    rank_condition_check,
     restrict_hyperplane,
     transform_hyperplane,
     widen_network,

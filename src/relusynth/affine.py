@@ -247,16 +247,6 @@ def interference_avoiding_weights(fixed_weights, bias, off_dims, D2_images):
     return float(weights[0, 0]) if single else weights
 
 
-def rank_condition_check(W):
-    """Necessary condition for affine pass-through: rank at least the fan-out."""
-    W = np.asarray(W, dtype=float)
-    n = W.shape[0]
-    if W.shape[1] <= n:
-        raise ValueError("expected a wide matrix (more columns than rank target)")
-    rank = numeric_rank(W)
-    return rank >= n, rank
-
-
 def passthrough_layer(emb, D_images, foreign=(), cfg=None, count=None):
     """A block of units that forwards one group unchanged up to an affine map.
 

@@ -9,11 +9,12 @@ staircase order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .core import PLUS, ZERO, Hyperplane, numeric_rank
+from .core import PLUS, ZERO, Hyperplane, ranked
 from .ordering import check_distinguishable
 from .simplex import OPTIMAL, solve_lp
 
@@ -65,17 +66,18 @@ class Region:
     witness: np.ndarray
 
 
-def _unit_lines(arr):
-    """Unit-normal forms (u, c) of the lines of a 2-d arrangement."""
-    out = []
-    for h in arr.hyperplanes:
-        norm = np.linalg.norm(h.w)
-        out.append((h.w / norm, h.b / norm))
-    return out
-
-
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+def _components(n, i, j):
+    """Component labels of n nodes joined by the edges (i[k], j[k]): each
+    node's label is the least node of its component."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def count_regions_2d(arr):
@@ -84,87 +86,57 @@ def count_regions_2d(arr):
     Evaluates 1 + m + C(m,2) minus the pair collapses caused by points
     where three or more lines meet and by parallel classes, detecting
     both from the coefficients within geometric tolerances.  Duplicate
-    lines and incidence data ambiguous within tolerance are rejected.
+    lines and incidence data ambiguous within tolerance are rejected; the
+    first offending pair in index order names the error.
     """
     if arr.dim != 2:
         raise ValueError("count_regions_2d requires a 2-d arrangement")
-    lines = _unit_lines(arr)
-    m = len(lines)
+    W = np.array([h.w for h in arr.hyperplanes])
+    # np.linalg.norm of one row is sqrt(dot); its axis=1 form sums differently
+    norm = np.sqrt(np.vecdot(W, W))
+    U = W / norm[:, None]
+    c = np.array([h.b for h in arr.hyperplanes]) / norm
+    m = len(U)
 
-    # parallel detection with an ambiguity guard
-    def parallel(i, j):
-        s = abs(_cross2(lines[i][0], lines[j][0]))
-        if PARALLEL_TOL <= s < 10 * PARALLEL_TOL:
+    # each pair of lines: parallel, crossing, or too close to tell
+    I, J = np.triu_indices(m, 1)
+    s = np.abs(U[I, 0] * U[J, 1] - U[I, 1] * U[J, 0])
+    par = s < PARALLEL_TOL
+    unclear = (PARALLEL_TOL <= s) & (s < 10 * PARALLEL_TOL)
+    same = par & (np.abs(c[I] - np.vecdot(U[I], U[J]) * c[J]) < COINCIDENCE_TOL)
+    bad = np.flatnonzero(unclear | same)
+    if bad.size:
+        k = bad[0]
+        if unclear[k]:
             raise AmbiguousGeometryError(
-                f"lines {i} and {j} are neither clearly parallel nor clearly crossing"
+                f"lines {I[k]} and {J[k]} are neither clearly parallel nor clearly crossing"
             )
-        return s < PARALLEL_TOL
+        raise ValueError(f"lines {I[k]} and {J[k]} coincide up to scale")
+    class_sizes = np.bincount(_components(m, I[par], J[par]))
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if parallel(i, j):
-                ui, ci = lines[i]
-                uj, cj = lines[j]
-                offset = abs(ci - float(ui @ uj) * cj)
-                if offset < COINCIDENCE_TOL:
-                    raise ValueError(f"lines {i} and {j} coincide up to scale")
-
-    # parallel classes by union-find
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if parallel(i, j):
-                parent[find(i)] = find(j)
-    classes = {}
-    for i in range(m):
-        classes.setdefault(find(i), []).append(i)
-    parallel_sizes = [len(v) for v in classes.values() if len(v) >= 2]
-
-    # intersection points of non-parallel pairs, clustered by distance
-    pts = []
-    pairs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not parallel(i, j):
-                A = np.array([lines[i][0], lines[j][0]])
-                rhs = -np.array([lines[i][1], lines[j][1]])
-                pts.append(np.linalg.solve(A, rhs))
-                pairs.append((i, j))
-    cluster_of = list(range(len(pts)))
-
-    def cfind(a):
-        while cluster_of[a] != a:
-            cluster_of[a] = cluster_of[cluster_of[a]]
-            a = cluster_of[a]
-        return a
-
+    # intersection points of the crossing pairs, clustered by distance; one
+    # point against the later ones at a time keeps memory linear in them
+    I, J = I[~par], J[~par]
+    pts = np.linalg.solve(np.stack([U[I], U[J]], axis=1),
+                          -np.column_stack([c[I], c[J]])[..., None])[..., 0]
+    A, B = [], []
     for a in range(len(pts)):
-        for b2 in range(a + 1, len(pts)):
-            d = float(np.linalg.norm(pts[a] - pts[b2]))
-            if COINCIDENCE_TOL <= d < 10 * COINCIDENCE_TOL:
-                raise AmbiguousGeometryError(
-                    "intersection points neither clearly coincident nor clearly distinct"
-                )
-            if d < COINCIDENCE_TOL:
-                cluster_of[cfind(a)] = cfind(b2)
-    members = {}
-    for a in range(len(pts)):
-        members.setdefault(cfind(a), set()).update(pairs[a])
-    multi = [len(s) for s in members.values() if len(s) >= 3]
+        gap = pts[a + 1:] - pts[a]
+        d = np.sqrt(np.vecdot(gap, gap))
+        if ((COINCIDENCE_TOL <= d) & (d < 10 * COINCIDENCE_TOL)).any():
+            raise AmbiguousGeometryError(
+                "intersection points neither clearly coincident nor clearly distinct"
+            )
+        near = a + 1 + np.flatnonzero(d < COINCIDENCE_TOL)
+        A += [a] * len(near)
+        B += near.tolist()
+    cluster = np.tile(_components(len(pts), np.array(A, dtype=int), np.array(B, dtype=int)), 2)
+    # the lines through each cluster point: its distinct (cluster, line) keys
+    lines_through = np.bincount(np.unique(cluster * m + np.concatenate([I, J])) // m)
 
-    count = 1 + m + comb(m, 2)
-    for i in multi:
-        count -= comb(i - 1, 2)
-    for p in parallel_sizes:
-        count -= comb(p, 2)
-    return count
+    return (1 + m + comb(m, 2)
+            - sum(comb(k - 1, 2) for k in lines_through if k >= 3)
+            - sum(comb(p, 2) for p in class_sizes))
 
 
 def count_regions_bound(n, M):
@@ -252,23 +224,18 @@ def general_position(arr):
     subsets of size dim+1 must have empty intersection (inconsistent
     system).  Larger subsets follow from the dim+1 case.
     """
-    from itertools import combinations
-
     n = arr.dim
-    hps = arr.hyperplanes
-    m = len(hps)
+    W = np.array([h.w for h in arr.hyperplanes])
+    aug = np.column_stack([W, -np.array([h.b for h in arr.hyperplanes])])
+    m = len(W)
     for s in range(2, min(m, n) + 1):
-        for subset in combinations(range(m), s):
-            W = np.array([hps[i].w for i in subset])
-            if numeric_rank(W) < s:
-                return False
+        S = np.array(list(combinations(range(m), s)))
+        if (ranked(W[S])[0] < s).any():
+            return False
     if m > n:
-        for subset in combinations(range(m), n + 1):
-            W = np.array([hps[i].w for i in subset])
-            bb = np.array([hps[i].b for i in subset])
-            aug = np.hstack([W, -bb[:, None]])
-            if numeric_rank(aug) == numeric_rank(W):
-                return False  # consistent system: common point exists
+        S = np.array(list(combinations(range(m), n + 1)))
+        if (ranked(aug[S])[0] == ranked(W[S])[0]).any():
+            return False  # consistent system: common point exists
     return True
 
 

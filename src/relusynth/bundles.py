@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MARGIN, VERIFY_TOL, Hyperplane, RankDeficientError, affine_fit, numeric_rank,
-                   ranked, supporting_hyperplane)
-from .ordering import InseparableError, separate
+from .core import MARGIN, Hyperplane, RankDeficientError, ranked, supporting_hyperplane
 
 
 class MarginError(ValueError):
@@ -262,39 +260,6 @@ def same_classification_bundle(base, D_plus, D_zero, count, cfg=BundleConfig()):
     if count < 1:
         raise ValueError("count must be at least 1")
     return _one_base(base, D_plus, D_zero, count, cfg, "same-classification bundle")
-
-
-def reversed_pair_bundles(D1, D2, k1, k2, cfg=BundleConfig()):
-    """Two families with opposite sides: D1 in every plus of the first and
-    every zero of the second, D2 reversed.
-
-    When k1 == k2 == dim, the first family's weight rows form a
-    nonsingular frame, so D1's image under its preactivations is an affine
-    transform of D1 (checked by fit).
-    """
-    D1 = np.atleast_2d(np.asarray(D1, dtype=float))
-    D2 = np.atleast_2d(np.asarray(D2, dtype=float))
-    res = separate(D1, D2)
-    if not res.separable:
-        raise InseparableError(
-            f"point sets are not strictly separable (LP margin {res.lp_margin:.3g})",
-            res,
-        )
-    base = res.hyperplane
-    bundle_a = same_classification_bundle(base, D1, D2, k1, cfg)
-    bundle_b = same_classification_bundle(base.negated(), D2, D1, k2, cfg)
-
-    n = D1.shape[1]
-    if k1 == k2 == n:
-        for bundle, pts in ((bundle_a, D1), (bundle_b, D2)):
-            W = np.array([h.w for h in bundle])
-            if numeric_rank(W) < n:
-                raise RuntimeError("bundle weight frame lost full rank")
-            image = pts @ W.T + np.array([h.b for h in bundle])
-            _, resid = affine_fit(pts, image)
-            if resid > VERIFY_TOL:
-                raise RuntimeError(f"affine image check failed (residual {resid:.3g})")
-    return bundle_a, bundle_b
 
 
 def common_point_bundle(base, anchor, D_plus, cfg=BundleConfig(), count=None):

@@ -225,13 +225,19 @@ def cmd_widen(args):
     return _finish_synthesis(args, widened)
 
 
-def cmd_order(args):
-    pts = _load_points(args.points)
+def _order_payload(pts):
+    """The staircase order of single points with one hyperplane per
+    position, as ``relusynth order`` and ``demo fig5`` write it."""
     result = distinguishable_order([p[None, :] for p in pts])
-    payload = {
+    return {
         "order": [int(j) for j in result.order],
         "hyperplanes": [{"w": h.w.tolist(), "b": h.b} for h in result.hyperplanes],
     }
+
+
+def cmd_order(args):
+    pts = _load_points(args.points)
+    payload = _order_payload(pts)
     if args.out:
         _write_json(args.out, payload)
     _emit(payload, f"ordered {len(pts)} points")
@@ -365,15 +371,11 @@ def cmd_demo(args):
         rng = np.random.default_rng(seed)
         pts = np.vstack([rng.normal(size=(6, 2)) * 2,
                          [[1.0, 3.0], [3.0, 3.0]]])  # deliberate tie pair
-        result = distinguishable_order([p[None, :] for p in pts])
+        payload = _order_payload(pts)
         _write_json(os.path.join(outdir, "fig5_points.json"),
                     {"points": pts.tolist()})
-        _write_json(os.path.join(outdir, "fig5_order.json"), {
-            "order": [int(j) for j in result.order],
-            "hyperplanes": [{"w": h.w.tolist(), "b": h.b}
-                            for h in result.hyperplanes],
-        })
-        _emit({"fixture": name, "order": [int(j) for j in result.order]}, None)
+        _write_json(os.path.join(outdir, "fig5_order.json"), payload)
+        _emit({"fixture": name, "order": payload["order"]}, None)
         return 0
     if name == "fig7":
         D1, D2, layer1, layer2 = fig7_fixture()

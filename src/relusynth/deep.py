@@ -69,7 +69,6 @@ __all__ = [
     "synth_decoder",
     "deep_build",
     "decoder_build",
-    "interference_avoiding_weights",
 ]
 
 

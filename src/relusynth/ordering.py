@@ -33,14 +33,6 @@ SEPARABLE_THRESHOLD = 1e-7
 MAX_TOUCH_SUBSETS = 20_000
 
 
-class InseparableError(ValueError):
-    """Raised when a construction requires separability; carries the LP result."""
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
-
-
 class EmptyCoverError(RuntimeError):
     """Raised when the greedy fallback of ``maximum_hyperplane`` can keep no
     sample on the zero side."""

@@ -9,7 +9,7 @@ against the network and its target function must reproduce max_residual.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import ACTIVATION_TOL, RANK_TOL, VERIFY_TOL
 
@@ -37,38 +37,19 @@ class ConstructionReport:
     plan: dict | None = None
 
     def to_json_dict(self):
-        return {
-            "architecture": self.architecture,
-            "max_residual": self.max_residual,
-            "activation_audits": self.activation_audits,
-            "rank_audits": self.rank_audits,
-            "affine_fit_residuals": self.affine_fit_residuals,
-            "seed": self.seed,
-            "wall_clock": self.wall_clock,
-            "tolerances": self.tolerances,
-            "plan": self.plan,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, indent=None):
         return json.dumps(self.to_json_dict(), indent=indent)
 
     @staticmethod
     def from_json_dict(d):
-        """Keys it does not know, such as those older reports carry, are
-        ignored."""
+        """Missing keys take the defaults; keys it does not know, such as
+        those older reports carry, are ignored."""
         if not isinstance(d, dict):
             raise ValueError("malformed report JSON: not a JSON object")
-        return ConstructionReport(
-            architecture=d.get("architecture", ""),
-            max_residual=d.get("max_residual", float("nan")),
-            activation_audits=d.get("activation_audits", []),
-            rank_audits=d.get("rank_audits", []),
-            affine_fit_residuals=d.get("affine_fit_residuals", []),
-            seed=d.get("seed"),
-            wall_clock=d.get("wall_clock", 0.0),
-            tolerances=d.get("tolerances", {}),
-            plan=d.get("plan"),
-        )
+        return ConstructionReport(**{f.name: d[f.name] for f in fields(ConstructionReport)
+                                     if f.name in d})
 
     @staticmethod
     def from_json(text):

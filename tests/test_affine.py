@@ -16,7 +16,6 @@ from relusynth.affine import (
     interference_avoiding_weights,
     lift_hyperplane,
     passthrough_layer,
-    rank_condition_check,
     restrict_hyperplane,
     transform_hyperplane,
     widen_network,
@@ -218,15 +217,6 @@ def test_transform_requires_nonsingular():
     with pytest.raises(ValueError):
         transform_hyperplane(Hyperplane([1.0, 0.0], 0.0),
                              AffineMap(np.zeros((2, 2)), np.zeros(2)))
-
-
-def test_rank_condition_check():
-    ok, rank = rank_condition_check(np.outer([1.0, 2.0], [1.0, 1.0, 1.0]))
-    assert not ok and rank == 1
-    ok, rank = rank_condition_check(np.random.default_rng(0).normal(size=(2, 5)))
-    assert ok and rank == 2
-    with pytest.raises(ValueError):
-        rank_condition_check(np.ones((3, 2)))
 
 
 def test_passthrough_affine_equivalence_no_foreign(rng):

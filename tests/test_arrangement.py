@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from relusynth.arrangement import (
     enumerate_regions,
     general_position,
 )
-from relusynth.core import Hyperplane, Layer, activation_pattern
+from relusynth.core import Hyperplane, Layer, activation_pattern, numeric_rank
 from relusynth.ordering import check_distinguishable
 
 H = Hyperplane
@@ -59,6 +61,28 @@ def test_ambiguous_parallelism_rejected():
         count_regions_2d(arr)
 
 
+@pytest.mark.parametrize("lines, error, message", [
+    # the coincident pair (1, 2) comes before the unclear pair (1, 3)
+    ([H([0, 1], 0), H([1, 0], 0), H([2, 0], 0), H([1.0, 5e-9], -3.0)],
+     ValueError, "lines 1 and 2 coincide up to scale"),
+    # the unclear pair (1, 2) comes before the coincident pair (1, 3)
+    ([H([0, 1], 0), H([1, 0], 0), H([1.0, 5e-9], -3.0), H([2, 0], 0)],
+     AmbiguousGeometryError, "lines 1 and 2 are neither clearly parallel nor clearly crossing"),
+])
+def test_first_offending_pair_names_the_error(lines, error, message):
+    with pytest.raises(ValueError) as err:
+        count_regions_2d(Arrangement(2, lines))
+    assert err.type is error and str(err.value) == message
+
+
+def test_ambiguous_intersection_rejected():
+    # x = 0, y = 0 and x + y = 3e-7 meet pairwise 3e-7 to 4.3e-7 apart
+    arr = Arrangement(2, [H([1, 0], 0), H([0, 1], 0), H([1, 1], -3e-7)])
+    with pytest.raises(AmbiguousGeometryError) as err:
+        count_regions_2d(arr)
+    assert str(err.value) == "intersection points neither clearly coincident nor clearly distinct"
+
+
 def test_count_regions_bound_values():
     assert count_regions_bound(2, 3) == 7
     assert count_regions_bound(3, 0) == 1
@@ -93,6 +117,41 @@ def test_general_position_basics():
     assert not general_position(Arrangement(3, planes))
 
 
+def general_position_reference(arr):
+    """``general_position`` as one ``numeric_rank`` call per subset."""
+    n, hps = arr.dim, arr.hyperplanes
+    m = len(hps)
+    for s in range(2, min(m, n) + 1):
+        for subset in combinations(range(m), s):
+            if numeric_rank(np.array([hps[i].w for i in subset])) < s:
+                return False
+    if m > n:
+        for subset in combinations(range(m), n + 1):
+            W = np.array([hps[i].w for i in subset])
+            aug = np.hstack([W, -np.array([hps[i].b for i in subset])[:, None]])
+            if numeric_rank(aug) == numeric_rank(W):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_general_position_matches_the_per_subset_loop(dim):
+    # small integer coefficients, so parallel, dependent and concurrent
+    # subsets occur
+    rng = np.random.default_rng([dim, 21])
+    verdicts = set()
+    for _ in range(80):
+        m = int(rng.integers(1, dim + 5))
+        W = rng.integers(-2, 3, size=(m, dim)).astype(float)
+        W[~W.any(axis=1), 0] = 1.0
+        b = rng.integers(-3, 4, size=m).astype(float)
+        arr = Arrangement(dim, [H(w, c) for w, c in zip(W, b)])
+        verdict = general_position(arr)
+        assert verdict == general_position_reference(arr)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_general_position_bound_match(rng):
     # random 5-plane arrangement in R^3: exactly 26 regions once in
     # general position
@@ -109,6 +168,25 @@ def test_enumeration_matches_formula_random_2d(rng):
         m = int(rng.integers(2, 7))
         arr = Arrangement(2, [H(rng.normal(size=2), rng.normal()) for _ in range(m)])
         assert len(enumerate_regions(arr)) == count_regions_2d(arr)
+
+
+def test_enumeration_matches_formula_on_integer_lines():
+    # small integer coefficients make concurrent points and parallel classes
+    rng = np.random.default_rng(21)
+    degenerate = 0
+    for _ in range(40):
+        m = int(rng.integers(3, 7))
+        W = rng.integers(-2, 3, size=(m, 2)).astype(float)
+        W[~W.any(axis=1), 0] = 1.0
+        arr = Arrangement(2, [H(w, c) for w, c in zip(W, rng.integers(-2, 3, size=m))])
+        try:
+            count = count_regions_2d(arr)
+        except ValueError as err:
+            assert "coincide up to scale" in str(err)
+            continue
+        degenerate += count < 1 + m + m * (m - 1) // 2
+        assert len(enumerate_regions(arr)) == count
+    assert degenerate >= 10
 
 
 def test_region_witnesses_reproduce_sign_vectors(rng):

@@ -8,11 +8,9 @@ from relusynth.bundles import (
     MarginError,
     axis_family,
     common_point_bundle,
-    reversed_pair_bundles,
     same_classification_bundle,
 )
-from relusynth.core import Hyperplane, RankDeficientError, affine_fit, numeric_rank
-from relusynth.ordering import InseparableError
+from relusynth.core import Hyperplane, RankDeficientError, numeric_rank
 from conftest import det_cofactor, nudge_bias, repeat_base
 
 
@@ -89,47 +87,7 @@ def test_one_base_calls_take_one_builder_call_each(family_calls):
     base = Hyperplane([1.0, 1.0], -1.0)
     same_classification_bundle(base, [[2.0, 2.0]], [[0.0, 0.0]], 3)
     common_point_bundle(base, [1.0, 0.0], [[2.0, 2.0]])
-    reversed_pair_bundles([[2.0, 2.0]], [[0.0, 0.0]], 2, 2)
-    assert len(family_calls) == 4
-
-
-def test_reversed_pair_singletons():
-    a, b = reversed_pair_bundles([[0.0, 1.0]], [[0.0, -1.0]], 1, 1)
-    assert len(a) == 1 and len(b) == 1
-    assert a[0].value(np.array([0.0, 1.0])) > 0
-    assert a[0].value(np.array([0.0, -1.0])) < 0
-    assert b[0].value(np.array([0.0, -1.0])) > 0
-    assert b[0].value(np.array([0.0, 1.0])) < 0
-
-
-def test_reversed_pair_two_by_two_pattern(rng):
-    D1 = rng.normal(size=(3, 2)) * 0.5
-    D2 = rng.normal(size=(3, 2)) * 0.5 + [5.0, 0.0]
-    a, b = reversed_pair_bundles(D1, D2, 2, 2)
-    for h in a:
-        assert (h.value(D1) > 0).all() and (h.value(D2) < 0).all()
-    for h in b:
-        assert (h.value(D2) > 0).all() and (h.value(D1) < 0).all()
-
-
-def test_reversed_pair_affine_image(rng):
-    D1 = rng.normal(size=(10, 3)) + [0.0, 0.0, 5.0]
-    D2 = rng.normal(size=(10, 3))
-    a, b = reversed_pair_bundles(D1, D2, 3, 3)
-    W = np.array([h.w for h in a])
-    bias = np.array([h.b for h in a])
-    image = D1 @ W.T + bias
-    fit, resid = affine_fit(D1, image)
-    assert resid <= 1e-8
-    assert fit.is_nonsingular()
-
-
-def test_reversed_pair_inseparable_raises_with_certificate():
-    D1 = [[0.0, 0.0], [1.0, 1.0]]
-    D2 = [[0.0, 1.0], [1.0, 0.0]]
-    with pytest.raises(InseparableError) as err:
-        reversed_pair_bundles(D1, D2, 2, 2)
-    assert err.value.result.lp_margin <= 1e-7
+    assert len(family_calls) == 2
 
 
 def test_common_point_1d_is_base():
