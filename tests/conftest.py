@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relusynth import bundles, core, deep, ordering, shallow
+from relusynth import bundles, core, deep, ordering, shallow, simplex
 
 try:
     from hypothesis import settings
@@ -59,6 +59,20 @@ def lp_calls(monkeypatch):
         return solve_many(c, As, bs)
 
     monkeypatch.setattr(ordering, "solve_lps", counting_many)
+    return calls
+
+
+@pytest.fixture
+def pivot_calls(monkeypatch):
+    """Every simplex pivot step: one entry per ``_pivot`` call and one per
+    lockstep ``_pivot_stacked`` call, however many LPs it pivots."""
+    calls = []
+    for name in ("_pivot", "_pivot_stacked"):
+        def counting(*args, _pivot=getattr(simplex, name)):
+            calls.append(1)
+            return _pivot(*args)
+
+        monkeypatch.setattr(simplex, name, counting)
     return calls
 
 

@@ -2,9 +2,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from relusynth import ordering
 from relusynth.core import AffineMap, DiscretePWL, Hyperplane, forward_batch
+from relusynth.deep import build_partition_tree
 from relusynth.ordering import (
     check_distinguishable,
     distinguishable_order,
@@ -172,6 +174,60 @@ def test_separate_many_equals_separate_pair_by_pair(rng):
     for (D1, D2), res in zip(pairs, results):
         assert_same_separation(res, separate(D1, D2))
     assert separate_many([]) == []
+
+
+def _separation_optimum(D1, D2):
+    """HiGHS's optimum of separate's LP: max t s.t. w.x + b >= t on D1,
+    w.x + b <= -t on D2 and |w|_inf <= 1."""
+    n = D1.shape[1]
+    rows = np.vstack([np.hstack([-D1, -np.ones((len(D1), 1)), np.ones((len(D1), 1))]),
+                      np.hstack([D2, np.ones((len(D2), 2))])])
+    res = linprog(-np.eye(n + 2)[-1], A_ub=rows, b_ub=np.zeros(len(rows)),
+                  bounds=[(-1.0, 1.0)] * n + [(None, None)] * 2, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def _random_pairs(r, n, count):
+    """Gaussian clouds of 1-40 points a side, pulled apart or not."""
+    pairs = []
+    for _ in range(count):
+        k1, k2 = r.integers(1, 41, size=2)
+        shift = r.choice([0.0, 0.5, 3.0]) * r.normal(size=n)
+        pairs.append((r.normal(size=(k1, n)) + shift, r.normal(size=(k2, n))))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_separate_many_matches_highs_and_ignores_row_order(n):
+    r = np.random.default_rng([n, 22])
+    pairs = _random_pairs(r, n, 12)
+    results = separate_many(pairs)
+    verdicts = [res.separable for res in results]
+    assert 0 < sum(verdicts) < len(pairs)
+    for (D1, D2), res in zip(pairs, results):
+        assert res.lp_margin == pytest.approx(_separation_optimum(D1, D2), abs=1e-9)
+    # the optimal face can be wider than a vertex, so compare optima only
+    shuffled = separate_many([(r.permutation(D1), r.permutation(D2)) for D1, D2 in pairs])
+    assert [res.separable for res in shuffled] == verdicts
+    for res, ref in zip(shuffled, results):
+        assert res.lp_margin == pytest.approx(ref.lp_margin, rel=1e-12)
+
+
+def test_interpolation_build_takes_few_pivots(pivot_calls):
+    r = np.random.default_rng([40, 3])
+    interpolation_build(r.normal(size=(40, 3)), r.normal(size=40), seed=1)
+    # 76 with each LP's rows in input order, 15 with the rows nearest the
+    # cut first
+    assert len(pivot_calls) <= 20
+
+
+def test_partition_tree_takes_few_pivots(pivot_calls):
+    r = np.random.default_rng([2, 64, 0, 1])
+    build_partition_tree([c + r.normal(size=(3, 2)) * 0.8 for c in r.normal(size=(64, 2)) * 10])
+    # 221 with each LP's rows in input order, 94 with the rows nearest the
+    # cut first
+    assert len(pivot_calls) <= 130
 
 
 def test_staircase_lines_equals_a_loop_over_separate():

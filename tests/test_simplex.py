@@ -116,3 +116,27 @@ def test_solve_lps_equals_solve_lp_bit_for_bit(rng, monkeypatch, stack_entries):
             assert_same_bits(res, solve_lp(c, A, b))
             statuses[res.status] = statuses.get(res.status, 0) + 1
     assert min(statuses.get(s, 0) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 20
+
+
+def test_stacked_batch_sliced_equals_unsliced_bit_for_bit(rng, monkeypatch):
+    # a stack as separate_many hands it over: each LP padded at the end
+    # with 0 <= 0 rows up to the batch's largest
+    n, L, rows = 3, 40, 24
+    c = rng.normal(size=n)
+    A, b, sizes = np.zeros((L, rows, n)), np.zeros((L, rows)), rng.integers(1, rows + 1, size=L)
+    for l, m in enumerate(sizes):
+        if l % 2:  # small integers: degenerate vertices and ratio ties
+            A[l, :m], b[l, :m] = rng.integers(-2, 3, size=(m, n)), rng.integers(0, 3, size=m)
+        else:      # negative rhs entries: phase 1, often infeasible
+            A[l, :m], b[l, :m] = rng.normal(size=(m, n)), rng.normal(size=m)
+    whole = solve_lps(c, A, b)
+    # 2000 entries hold one LP per slice, each without its padding rows
+    monkeypatch.setattr(simplex, "_STACK_ENTRIES", 2000)
+    sliced = solve_lps(c, A, b)
+    assert {res.status for res in whole} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    for l, (m, res) in enumerate(zip(sizes, whole, strict=True)):
+        assert_same_bits(sliced[l], res)
+        assert_same_bits(solve_lp(c, A[l, :m], b[l, :m]), res)
+    assert solve_lps(c, A[:0], b[:0]) == []
+    with pytest.raises(ValueError):
+        solve_lps(c, A[:, :, :2], b)
