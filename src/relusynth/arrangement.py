@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import PLUS, ZERO, Hyperplane, ranked
 from .ordering import check_distinguishable
-from .simplex import OPTIMAL, solve_lp
+from .simplex import OPTIMAL, solve_lps
 
 PARALLEL_TOL = 1e-9        # |sin of angle between unit normals|
 COINCIDENCE_TOL = 1e-7     # distance between intersection points
@@ -149,38 +149,39 @@ def count_regions_bound(n, M):
     return total
 
 
-def _region_lp(arr, signs):
-    """LP feasibility of the open cell with the given signs; None if empty."""
+def _region_lps(arr, plus):
+    """An interior witness of each open cell a row of ``plus`` gives (True
+    on a hyperplane's plus side), or None where the cell is empty.  The
+    cells' strict-margin LPs share one shape: one ``solve_lps`` stack."""
     n = arr.dim
-    m = len(arr.hyperplanes)
-    rows = np.zeros((m + 2 * n + 1, n + 1))
-    rhs = np.zeros(m + 2 * n + 1)
-    for i, (h, s) in enumerate(zip(arr.hyperplanes, signs)):
-        sgn = 1.0 if s == PLUS else -1.0
-        rows[i, :n] = -sgn * h.w
-        rows[i, n] = 1.0
-        rhs[i] = sgn * h.b
-    rows[m: m + n, :n] = np.eye(n)
-    rhs[m: m + n] = BOX_BOUND
-    rows[m + n: m + 2 * n, :n] = -np.eye(n)
-    rhs[m + n: m + 2 * n] = BOX_BOUND
-    rows[-1, n] = 1.0
-    rhs[-1] = 1.0
+    W = np.array([h.w for h in arr.hyperplanes])
+    b = np.array([h.b for h in arr.hyperplanes])
+    L, m = plus.shape
+    sgn = np.where(plus, 1.0, -1.0)
+    rows = np.zeros((L, m + 2 * n + 1, n + 1))
+    rhs = np.zeros((L, m + 2 * n + 1))
+    rows[:, :m, :n] = -sgn[:, :, None] * W
+    rows[:, :m, n] = 1.0
+    rhs[:, :m] = sgn * b
+    rows[:, m:m + 2 * n, :n] = np.vstack([np.eye(n), -np.eye(n)])
+    rhs[:, m:m + 2 * n] = BOX_BOUND
+    rows[:, -1, n] = 1.0
+    rhs[:, -1] = 1.0
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    res = solve_lp(c, rows, rhs)
-    if res.status == OPTIMAL and res.value > REGION_THRESHOLD:
-        return res.z[:n]
-    return None
+    return [res.z[:n] if res.status == OPTIMAL and res.value > REGION_THRESHOLD else None
+            for res in solve_lps(c, rows, rhs)]
 
 
 def enumerate_regions(arr, cap=DEFAULT_CAP):
-    """All open regions of the arrangement, each with an interior witness.
+    """All open regions of the arrangement, each with an interior witness,
+    in the order of their codes (bit i set on hyperplane i's plus side).
 
     Candidate sign vectors are pruned first by sampling 200 random points
-    per hyperplane from a fixed seed, and the remainder decided by
-    strict-margin LP feasibility.  Exponential in
-    the hyperplane count, hence the cap.
+    per hyperplane from a fixed seed; every cell left undecided gets a
+    strict-margin feasibility LP, and all of them are solved as one
+    ``solve_lps`` stack.  Exponential in the hyperplane count, hence the
+    cap.
     """
     m = len(arr.hyperplanes)
     if m > cap:
@@ -189,32 +190,19 @@ def enumerate_regions(arr, cap=DEFAULT_CAP):
     W = np.array([h.w for h in arr.hyperplanes])
     b = np.array([h.b for h in arr.hyperplanes])
 
-    found = {}
-    rng = np.random.default_rng(0)
-    scale = 3.0 * max(
-        1.0, max(abs(h.b) / np.linalg.norm(h.w) for h in arr.hyperplanes)
-    )
-    X = rng.normal(scale=scale, size=(200 * m, n))
+    scale = 3.0 * max(1.0, max(abs(h.b) / np.linalg.norm(h.w) for h in arr.hyperplanes))
+    X = np.random.default_rng(0).normal(scale=scale, size=(200 * m, n))
     V = X @ W.T + b
-    margins = np.min(np.abs(V), axis=1)
-    good = margins > REGION_THRESHOLD
-    for x, v, ok in zip(X, V, good):
-        if not ok:
-            continue
-        signs = tuple(PLUS if val > 0 else ZERO for val in v)
-        if signs not in found:
-            found[signs] = x
+    good = np.min(np.abs(V), axis=1) > REGION_THRESHOLD
+    found = {}    # sign vector: witness, the first sample in it
+    for x, v in zip(X[good], V[good]):
+        found.setdefault(tuple(PLUS if val > 0 else ZERO for val in v), x)
 
-    regions = []
-    for code in range(2 ** m):
-        signs = tuple(PLUS if (code >> i) & 1 else ZERO for i in range(m))
-        if signs in found:
-            regions.append(Region(signs, found[signs]))
-            continue
-        witness = _region_lp(arr, signs)
-        if witness is not None:
-            regions.append(Region(signs, witness))
-    return regions
+    plus = ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(bool)
+    signs = [tuple(PLUS if p else ZERO for p in row) for row in plus]
+    undecided = [code for code, s in enumerate(signs) if s not in found]
+    found.update(zip([signs[code] for code in undecided], _region_lps(arr, plus[undecided])))
+    return [Region(s, found[s]) for s in signs if found[s] is not None]
 
 
 def general_position(arr):

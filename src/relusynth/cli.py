@@ -246,10 +246,10 @@ def cmd_order(args):
 
 def cmd_count_regions(args):
     arr = Arrangement.from_json_dict(_load_json(args.arrangement, "arrangement"))
+    regions = enumerate_regions(arr, cap=args.cap)    # checks the cap first
     payload = {"dim": arr.dim, "hyperplanes": len(arr.hyperplanes)}
     if arr.dim == 2:
         payload["count_formula"] = count_regions_2d(arr)
-    regions = enumerate_regions(arr, cap=args.cap)
     payload["count_enumerated"] = len(regions)
     lines = ["region,signs," + ",".join(f"x{i}" for i in range(arr.dim))]
     for i, r in enumerate(regions):

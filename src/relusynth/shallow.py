@@ -29,12 +29,12 @@ from .core import (
     Hyperplane,
     Layer,
     Network,
+    _activate,
     distinct_points,
-    forward_batch,
     match,
     shifted_systems,
+    supporting_hyperplane,
 )
-from .core import supporting_hyperplane
 from .bundles import BundleConfig, families
 from .ordering import DistinguishableOrder, projection_order, separate
 from .report import BuildFailure, ConstructionReport, build_tolerances, check_exact
@@ -119,6 +119,8 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
 
     if order is None:
         order = projection_order(sets, seed=seed)
+    elif sorted(order.order) != list(range(len(sets))):  # the residual reads their rows
+        raise ValueError(f"order {list(order.order)} is not a permutation of the subdomains")
     ordered = [sets[j] for j in order.order]
 
     k = len(order.order)
@@ -229,11 +231,14 @@ def build_staircase(pwl, order=None, cfg=None, seed=0, extra_units=0,
     net = Network(n, (hidden, out_layer))
 
     # residual + activation audits; a relu output layer clamps negative
-    # target preactivations to zero by design
+    # target preactivations to zero by design.  The output layer reads Z
+    # with its rows in the pwl's point order, so that each output rounds
+    # as in a forward pass over all the points
     Y = pwl.all_targets()
     if relu_output:
         Y = np.maximum(Y, 0.0)
-    out = forward_batch(net, pwl.all_points())
+    H = _activate(hidden, Z[np.argsort(subdomain[row_pos], kind="stable")])[0]
+    out = _activate(out_layer, out_layer.preactivation(H))[0]
     max_residual = float(np.max(np.abs(out - Y)))
 
     # each position's own units are active on all its points, and every

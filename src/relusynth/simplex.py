@@ -9,9 +9,10 @@ row's slack index follows its row, so at a degenerate vertex the row
 order picks the pivots.  A separation LP starts at one: every point row
 has rhs 0.  That is why ``ordering.separate_many`` lists the rows
 nearest the cut first, which takes about a third of the pivots of the
-input order.  ``solve_lps`` runs a stack of LPs that share c through one
-lockstep loop, one pivot on every running LP per iteration, with the
-results each LP gives alone; ``solve_lp`` is its batch of one.
+input order.  Every LP runs through ``solve_lps``: one lockstep loop over
+an (L, rows, n) stack of LPs that share c, with the results each LP gives
+alone.  ``solve_lp`` is its batch of one, and ``enumerate_regions`` hands
+it all of its cell LPs as one stack.
 """
 
 from __future__ import annotations
@@ -39,60 +40,29 @@ class LPResult:
     value: float | None
 
 
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    # keep the pivot column numerically exact
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
-
-
-def _run_phase(T, basis, ncols, allowed):
-    """Minimize the objective in the last tableau row over allowed columns."""
-    for _ in range(_MAX_ITER):
-        improving = np.flatnonzero(allowed & (T[-1, :ncols] < -_PIVOT_TOL))
-        if improving.size == 0:
-            return True
-        entering = improving[0]  # Bland: smallest index
-        col = T[:-1, entering]
-        positive = col > _PIVOT_TOL
-        if not positive.any():
-            return False  # unbounded in this direction
-        ratios = np.full(col.shape[0], np.inf)
-        ratios[positive] = T[:-1, -1][positive] / col[positive]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + _PIVOT_TOL)
-        row = ties[np.argmin(basis[ties])]  # Bland: smallest basic index
-        _pivot(T, basis, row, entering)
-    raise RuntimeError("simplex iteration limit exceeded")
-
-
-def _pivot_stacked(W, B, rows, cols):
-    """``_pivot`` on every tableau of the stack W, elementwise the same."""
+def _pivot(W, B, rows, cols):
+    """Pivot each tableau W[l] of the stack on its entry (rows[l], cols[l])
+    and record cols[l] as basic in row rows[l] of B[l]."""
     k = np.arange(W.shape[0])
     prow = W[k, rows] / W[k, rows, cols][:, None]
     W[k, rows] = prow
     colvals = W[k, :, cols]
     colvals[k, rows] = 0.0
     W -= colvals[:, :, None] * prow[:, None, :]
+    # keep the pivot columns numerically exact
     W[k, :, cols] = 0.0
     W[k, rows, cols] = 1.0
     B[k, rows] = cols
 
 
 def _run_phases(T, basis, live, ncols, allowed):
-    """``_run_phase`` on each tableau T[l], l in ``live``; True where
-    optimal, False where unbounded.
+    """Minimize the last row of each tableau T[l], l in ``live``, over the
+    allowed columns; True where optimal, False where unbounded.
 
-    One LP runs the 2-D loop.  Several run in lockstep on a working copy,
-    each taking its own Bland pivot per iteration; an LP that finishes is
-    written back to T and dropped from the copy.
+    The LPs run in lockstep on a working copy, each taking its own Bland
+    pivot per iteration.  An LP that finishes is written back to T and
+    dropped from the copy.
     """
-    if live.size == 1:
-        return np.array([_run_phase(T[live[0]], basis[live[0]], ncols, allowed)])
     optimal = np.zeros(live.size, dtype=bool)
     slot = np.arange(live.size)  # position in live of each working LP
     W, B = T[live], basis[live]
@@ -115,22 +85,8 @@ def _run_phases(T, basis, live, ncols, allowed):
         ratios = np.divide(W[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=positive)
         ties = ratios <= ratios.min(axis=1, keepdims=True) + _PIVOT_TOL
         rows = np.where(ties, B, ncols).argmin(axis=1)  # Bland: smallest basic index
-        _pivot_stacked(W, B, rows, entering)
+        _pivot(W, B, rows, entering)
     raise RuntimeError("simplex iteration limit exceeded")
-
-
-def _stack(n, As, bs):
-    """The LPs (As[l], bs[l]) as one (L, rows, n) stack and its (L, rows)
-    right-hand sides, shorter LPs padded at the end with 0 <= 0 rows."""
-    rows = max(b.shape[0] for b in bs)
-    A = np.zeros((len(As), rows, n))
-    b = np.zeros((len(As), rows))
-    for l, (Al, bl) in enumerate(zip(As, bs)):
-        if Al.ndim != 2 or Al.shape != (bl.shape[0], n):
-            raise ValueError("inconsistent LP shapes")
-        A[l, :Al.shape[0]] = Al
-        b[l, :bl.shape[0]] = bl
-    return A, b
 
 
 def _trimmed(A, b):
@@ -184,15 +140,15 @@ def _tableaus(c, A, b):
 
 
 def _end_phase1(T, basis, nvar):
-    """False if phase 1 left the LP infeasible; else drive leftover
-    artificials out of the basis."""
-    if T[-1, -1] < -1e-7:
+    """False if phase 1 left the one-LP stack T infeasible; else drive
+    leftover artificials out of the basis."""
+    if T[0, -1, -1] < -1e-7:
         return False
-    for i in range(basis.shape[0]):
-        if basis[i] >= nvar:
-            piv = np.where(np.abs(T[i, :nvar]) > _PIVOT_TOL)[0]
+    for i in range(basis.shape[1]):
+        if basis[0, i] >= nvar:
+            piv = np.flatnonzero(np.abs(T[0, i, :nvar]) > _PIVOT_TOL)
             if piv.size:
-                _pivot(T, basis, i, piv[0])
+                _pivot(T, basis, [i], piv[:1])
     return True
 
 
@@ -209,7 +165,7 @@ def _solve(c, A, b):
         if not _run_phases(T, basis, phase1, ncols, allowed).all():
             raise RuntimeError("phase-1 objective unbounded")  # cannot happen
         for l in phase1:
-            if not _end_phase1(T[l], basis[l], nvar):
+            if not _end_phase1(T[l:l + 1], basis[l:l + 1], nvar):
                 results[l] = LPResult(INFEASIBLE, None, None)
         allowed[nvar:] = False
     live = np.array([l for l, res in enumerate(results) if res is None], dtype=int)
@@ -239,38 +195,32 @@ def solve_lp(c, A, b):
     """Maximize c.z s.t. A z <= b, z free.  Returns an LPResult.
 
     The returned z is a vertex solution; value is c.z at the optimum.  It
-    is the batch of one, ``solve_lps(c, [A], [b])[0]``.
+    is the batch of one, ``solve_lps(c, A[None], b[None])[0]``.
     """
-    return solve_lps(c, [A], [b])[0]
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != A.shape[:1]:
+        raise ValueError("inconsistent LP shapes")
+    return solve_lps(c, A[None], b[None])[0]
 
 
-def solve_lps(c, As, bs):
-    """``solve_lp(c, A, b)`` for every pair of As and bs, in one lockstep loop.
+def solve_lps(c, A, b):
+    """``solve_lp(c, A[l], b[l])`` for every LP of a stack, in one lockstep loop.
 
-    The LPs share c, and so their column count.  As and bs are either
-    lists, whose LPs may differ in rows and are padded to one stack here,
-    or an (L, rows, n) stack and its (L, rows) right-hand sides, padded
-    already with 0 <= 0 rows.  A stack too large for ``_STACK_ENTRIES``
-    runs as consecutive slices, each without the padding rows it does
-    not need.  Each iteration takes one Bland pivot on every LP still
-    running, so a batch costs about as many iterations as its longest LP
-    needs.  Every pivot does the elementwise arithmetic of the one-LP
-    loop ``_run_phase``, so each result equals that of the LP solved
-    alone bit for bit.
+    A is an (L, rows, n) stack and b its (L, rows) right-hand sides; the
+    LPs share c, and LPs with fewer rows are padded at the end with
+    0 <= 0 rows.  A stack too large for ``_STACK_ENTRIES`` runs as
+    consecutive slices, each without the padding rows it does not need.
+    Each iteration takes one Bland pivot on every LP still running, so a
+    batch costs about as many iterations as its longest LP needs.  Each LP
+    takes the pivots it takes alone, and ``_pivot`` does the same
+    elementwise arithmetic on every tableau of the stack, so each result
+    equals that of the LP solved alone (``solve_lp``) bit for bit.
     """
     c = np.asarray(c, dtype=float)
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     n = c.shape[0]
-    if isinstance(As, np.ndarray) and As.ndim == 3:
-        A, b = np.asarray(As, dtype=float), np.asarray(bs, dtype=float)
-        if A.shape[2] != n or b.shape != A.shape[:2]:
-            raise ValueError("inconsistent LP shapes")
-    else:
-        if len(As) != len(bs):
-            raise ValueError("need one rhs per constraint matrix")
-        if not len(As):
-            return []
-        A, b = _stack(n, [np.asarray(Al, dtype=float) for Al in As],
-                      [np.asarray(bl, dtype=float) for bl in bs])
+    if A.ndim != 3 or A.shape[2] != n or b.shape != A.shape[:2]:
+        raise ValueError("inconsistent LP shapes")
     rows = A.shape[1]
     step = max(1, _STACK_ENTRIES // ((rows + 1) * (2 * (n + rows) + 1)))
     return [res for s in range(0, A.shape[0], step)

@@ -54,9 +54,9 @@ def lp_calls(monkeypatch):
     calls = []
     solve_many = ordering.solve_lps
 
-    def counting_many(c, As, bs):
-        calls.extend(1 for _ in As)
-        return solve_many(c, As, bs)
+    def counting_many(c, A, b):
+        calls.extend(1 for _ in A)
+        return solve_many(c, A, b)
 
     monkeypatch.setattr(ordering, "solve_lps", counting_many)
     return calls
@@ -64,15 +64,16 @@ def lp_calls(monkeypatch):
 
 @pytest.fixture
 def pivot_calls(monkeypatch):
-    """Every simplex pivot step: one entry per ``_pivot`` call and one per
-    lockstep ``_pivot_stacked`` call, however many LPs it pivots."""
+    """Every simplex pivot step: one entry per lockstep ``_pivot`` call,
+    however many LPs it pivots."""
     calls = []
-    for name in ("_pivot", "_pivot_stacked"):
-        def counting(*args, _pivot=getattr(simplex, name)):
-            calls.append(1)
-            return _pivot(*args)
+    pivot = simplex._pivot
 
-        monkeypatch.setattr(simplex, name, counting)
+    def counting(*args):
+        calls.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
     return calls
 
 

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from relusynth import arrangement, simplex
 from relusynth.arrangement import (
     AmbiguousGeometryError,
     Arrangement,
@@ -108,6 +109,32 @@ def test_enumerate_cap():
     arr = Arrangement(1, [H([1.0], -float(k)) for k in range(5)])
     with pytest.raises(ValueError):
         enumerate_regions(arr, cap=4)
+
+
+def test_region_lps_in_slices_equal_one_stack_bit_for_bit(monkeypatch):
+    # a triangle of side 1e-3 at the origin, which no sample hits, and
+    # seven random lines; every cell the samples miss is one LP of a single
+    # solve_lps stack, which 2000 entries split into slices of three LPs,
+    # phase-1 LPs among them
+    r = np.random.default_rng(7)
+    arr = Arrangement(2, [H([1, 0], 0), H([0, 1], 0), H([1, 1], -1e-3)]
+                      + [H(w, c) for w, c in zip(r.normal(size=(7, 2)), r.normal(size=7) * 2)])
+    stacks = []
+    solve_lps = arrangement.solve_lps
+
+    def counting(c, A, b):
+        stacks.append(A.shape[0])
+        return solve_lps(c, A, b)
+
+    monkeypatch.setattr(arrangement, "solve_lps", counting)
+    whole = enumerate_regions(arr, cap=10)
+    monkeypatch.setattr(simplex, "_STACK_ENTRIES", 2000)
+    sliced = enumerate_regions(arr, cap=10)
+    assert len(stacks) == 2 and stacks[0] == stacks[1] > 2 ** 10 - len(whole)
+    assert len(whole) == count_regions_2d(arr)
+    assert any(np.abs(rg.witness).max() < 1e-3 for rg in whole)
+    assert ([(rg.sign_vector, rg.witness.tobytes()) for rg in sliced]
+            == [(rg.sign_vector, rg.witness.tobytes()) for rg in whole])
 
 
 def test_general_position_basics():

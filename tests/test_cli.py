@@ -104,6 +104,21 @@ def test_count_regions_csv_file(workdir):
     assert len(lines) == 8  # header + 7 regions
 
 
+def test_count_regions_over_the_cap_never_counts_by_formula(tmp_path, capsys, monkeypatch):
+    # the formula ran first, so a 2-d input over the cap paid for it, or
+    # failed with its error rather than the cap's
+    def formula(arr):
+        raise AssertionError("count_regions_2d called")
+
+    monkeypatch.setattr(cli, "count_regions_2d", formula)
+    arr = tmp_path / "arr13.json"
+    arr.write_text(json.dumps({"dim": 2, "hyperplanes": [
+        {"w": [1.0, k / 7], "b": float(k)} for k in range(13)]}))
+    assert main(["count-regions", "--arrangement", str(arr)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: 13 hyperplanes exceed the enumeration cap 12\n")
+
+
 def test_order_command(workdir, capsys):
     pts_path = workdir / "points.json"
     pts_path.write_text(json.dumps({"points": [[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]]}))

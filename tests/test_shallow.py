@@ -421,6 +421,11 @@ def test_stacked_pass_equals_the_per_stage_loop_bit_for_bit(n):
         assert out.weights.tobytes() == out_W.tobytes()
         assert out.biases.tobytes() == out_b.tobytes()
         assert [a["rank"] for a in build.report.rank_audits] == ranks
+        # the residual read from the build's own preactivations is the
+        # forward pass's, bit for bit
+        Y = np.maximum(pwl.all_targets(), 0.0) if relu else pwl.all_targets()
+        resid = np.abs(forward_batch(build.network, pwl.all_points()) - Y).max()
+        assert build.report.max_residual == float(resid)
 
 
 @pytest.mark.parametrize("k", [3, 12, 30])
@@ -515,9 +520,24 @@ def test_supplied_order_that_breaks_a_staircase_position_names_it(third_base, ma
     assert err.value.point.tolist() == [point]
 
 
+def test_supplied_order_must_be_a_permutation_of_the_subdomains():
+    # the residual audit covers the ordered subdomains only, so a dropped
+    # subdomain would go unchecked
+    pwl = DiscretePWL(1, 1, tuple(
+        (np.array([[x]]), AffineMap.constant([x], 1)) for x in (0.0, 1.0, 2.0)))
+    bases = (Hyperplane([-1.0], 1.0), Hyperplane([1.0], -1.5))
+    with pytest.raises(ValueError, match=r"order \[0, 2\] is not a permutation of the sub"):
+        build_staircase(pwl, order=DistinguishableOrder((0, 2), bases))
+
+
 def test_failed_residual_check_carries_the_report(monkeypatch, rng):
-    monkeypatch.setattr(shallow_module, "forward_batch",
-                        lambda net, X: forward_batch(net, X) + 1e-6)
+    activate = shallow_module._activate
+
+    def shifted(layer, z):  # the linear output layer's outputs, 1e-6 off
+        out, on = activate(layer, z)
+        return (out + 1e-6 if layer.activation == "linear" else out), on
+
+    monkeypatch.setattr(shallow_module, "_activate", shifted)
     with pytest.raises(BuildFailure, match="synthesis residual 1e-06 above 1e-8") as err:
         interpolation_build(rng.normal(size=(4, 2)), rng.normal(size=4))
     report = err.value.report

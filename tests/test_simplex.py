@@ -63,6 +63,8 @@ def test_matches_reference_on_random_instances(rng):
 def test_shape_validation():
     with pytest.raises(ValueError):
         solve_lp([1.0, 2.0], [[1.0]], [1.0])
+    with pytest.raises(ValueError):  # solve_lps takes a stack: one LP is A[None]
+        solve_lps([1.0], [[1.0]], [1.0])
 
 
 def assert_same_bits(mine, ref):
@@ -74,6 +76,16 @@ def assert_same_bits(mine, ref):
         assert mine.value == ref.value
 
 
+def padded(n, As, bs):
+    """The LPs (As[l], bs[l]) as one stack, each padded at the end with
+    0 <= 0 rows up to the largest."""
+    rows = max(len(bl) for bl in bs)
+    A, b = np.zeros((len(As), rows, n)), np.zeros((len(As), rows))
+    for l, (Al, bl) in enumerate(zip(As, bs)):
+        A[l, :len(bl)], b[l, :len(bl)] = Al, bl
+    return A, b
+
+
 def test_solve_lps_mixed_statuses_and_row_counts():
     c = [1.0, 1.0]
     batch = [
@@ -83,13 +95,14 @@ def test_solve_lps_mixed_statuses_and_row_counts():
         ([[-1, 0], [0, -1]], [0.0, 0.0]),                            # unbounded
         ([[1, 0], [-1, 0]], [0.0, -1.0]),                            # infeasible
         ([[1, 0], [0, 1], [-1, -1]], [2.0, 3.0, -1.0]),              # phase 1, feasible
+        ([[1, 0], [-1, 0], [0, 1]], [2.0, -2.0, 1.0]),               # artificial left basic
     ]
-    results = solve_lps(c, [A for A, _ in batch], [b for _, b in batch])
-    assert [r.status for r in results] == [OPTIMAL, OPTIMAL, UNBOUNDED, INFEASIBLE, OPTIMAL]
+    results = solve_lps(c, *padded(2, [A for A, _ in batch], [b for _, b in batch]))
+    assert [r.status for r in results] == [OPTIMAL] * 2 + [UNBOUNDED, INFEASIBLE] + [OPTIMAL] * 2
+    assert results[-1].value == 3.0
     for (A, b), res in zip(batch, results):
         assert_same_bits(res, solve_lp(c, A, b))
-        assert_same_bits(solve_lps(c, [A], [b])[0], res)
-    assert solve_lps(c, [], []) == []
+    assert solve_lps(c, np.zeros((0, 3, 2)), np.zeros((0, 3))) == []
 
 
 @pytest.mark.parametrize("stack_entries", [simplex._STACK_ENTRIES, 2000])
@@ -112,7 +125,7 @@ def test_solve_lps_equals_solve_lp_bit_for_bit(rng, monkeypatch, stack_entries):
                 A, b = rng.integers(-2, 3, size=(m, n)), rng.integers(0, 3, size=m)
             As.append(A)
             bs.append(b)
-        for A, b, res in zip(As, bs, solve_lps(c, As, bs)):
+        for A, b, res in zip(As, bs, solve_lps(c, *padded(n, As, bs))):
             assert_same_bits(res, solve_lp(c, A, b))
             statuses[res.status] = statuses.get(res.status, 0) + 1
     assert min(statuses.get(s, 0) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 20
