@@ -23,6 +23,9 @@ COINCIDENCE_TOL = 1e-7     # distance between intersection points
 REGION_THRESHOLD = 1e-7    # LP margin certifying a nonempty open region
 BOX_BOUND = 1e6
 DEFAULT_CAP = 12
+# Most hyperplanes enumerate_regions takes, whatever its cap: 18 random
+# lines in the plane took 7 s and 435 MB, and each more line doubles both.
+ENUMERATION_LIMIT = 18
 
 
 class AmbiguousGeometryError(ValueError):
@@ -151,26 +154,33 @@ def count_regions_bound(n, M):
 
 def _region_lps(arr, plus):
     """An interior witness of each open cell a row of ``plus`` gives (True
-    on a hyperplane's plus side), or None where the cell is empty.  The
-    cells' strict-margin LPs share one shape: one ``solve_lps`` stack."""
+    on a hyperplane's plus side), or None where the cell is empty.
+
+    A cell's LP maximizes t subject to sgn (w.x + b) >= t, |x|_inf <=
+    ``BOX_BOUND`` and t <= 1.  x = 0 with t = t0 = min(0, min sgn b) is
+    feasible, so it is solved in t - t0, feasible at zero as ``solve_lps``
+    needs, and its margin is the optimum plus t0.  The cells' LPs share
+    one shape: one ``solve_lps`` stack."""
     n = arr.dim
     W = np.array([h.w for h in arr.hyperplanes])
     b = np.array([h.b for h in arr.hyperplanes])
     L, m = plus.shape
     sgn = np.where(plus, 1.0, -1.0)
+    low = (sgn * b).min(axis=1)
+    t0 = np.where(low < 0, low, 0.0)  # +0.0, so sgn b - t0 is sgn b bitwise
     rows = np.zeros((L, m + 2 * n + 1, n + 1))
     rhs = np.zeros((L, m + 2 * n + 1))
     rows[:, :m, :n] = -sgn[:, :, None] * W
     rows[:, :m, n] = 1.0
-    rhs[:, :m] = sgn * b
+    rhs[:, :m] = sgn * b - t0[:, None]
     rows[:, m:m + 2 * n, :n] = np.vstack([np.eye(n), -np.eye(n)])
     rhs[:, m:m + 2 * n] = BOX_BOUND
     rows[:, -1, n] = 1.0
-    rhs[:, -1] = 1.0
+    rhs[:, -1] = 1.0 - t0
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    return [res.z[:n] if res.status == OPTIMAL and res.value > REGION_THRESHOLD else None
-            for res in solve_lps(c, rows, rhs)]
+    return [res.z[:n] if res.status == OPTIMAL and res.value + t > REGION_THRESHOLD else None
+            for res, t in zip(solve_lps(c, rows, rhs), t0)]
 
 
 def enumerate_regions(arr, cap=DEFAULT_CAP):
@@ -179,13 +189,16 @@ def enumerate_regions(arr, cap=DEFAULT_CAP):
 
     Candidate sign vectors are pruned first by sampling 200 random points
     per hyperplane from a fixed seed; every cell left undecided gets a
-    strict-margin feasibility LP, and all of them are solved as one
-    ``solve_lps`` stack.  Exponential in the hyperplane count, hence the
-    cap.
+    strict-margin feasibility LP, shifted to be feasible at the origin
+    (``_region_lps``), and all of them are solved as one ``solve_lps``
+    stack.  The LPs bound x to |x|_inf <= ``BOX_BOUND``.  Exponential in
+    the hyperplane count, hence the cap, itself held to
+    ``ENUMERATION_LIMIT``.
     """
     m = len(arr.hyperplanes)
-    if m > cap:
-        raise ValueError(f"{m} hyperplanes exceed the enumeration cap {cap}")
+    limit = min(cap, ENUMERATION_LIMIT)
+    if m > limit:
+        raise ValueError(f"{m} hyperplanes exceed the enumeration cap {limit}")
     n = arr.dim
     W = np.array([h.w for h in arr.hyperplanes])
     b = np.array([h.b for h in arr.hyperplanes])

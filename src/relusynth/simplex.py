@@ -1,6 +1,8 @@
-"""Dense two-phase simplex for the package's separation LPs.
+"""Dense one-phase simplex for the package's LPs.
 
-Problems are stated as: maximize c.z subject to A z <= b with z free.
+Problems are stated as: maximize c.z subject to A z <= b with z free
+and b >= 0, so the slacks are a feasible basis at z = 0 and there is no
+phase 1 (``arrangement._region_lps`` shifts its cell LPs to this form).
 Free variables are split internally; Bland's rule avoids cycling.  The
 LPs have a few columns and from a few rows to about 1,500 (the root cut
 of a 512-cluster partition tree), so a dense tableau serves.  Bland's
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
@@ -55,27 +56,28 @@ def _pivot(W, B, rows, cols):
     B[k, rows] = cols
 
 
-def _run_phases(T, basis, live, ncols, allowed):
-    """Minimize the last row of each tableau T[l], l in ``live``, over the
-    allowed columns; True where optimal, False where unbounded.
+def _run(T, basis):
+    """Minimize the last row of each tableau T[l]; True where optimal,
+    False where unbounded.
 
-    The LPs run in lockstep on a working copy, each taking its own Bland
-    pivot per iteration.  An LP that finishes is written back to T and
-    dropped from the copy.
+    The LPs run in lockstep, each taking its own Bland pivot per
+    iteration.  An LP that finishes is written back to T and dropped from
+    the working stack.
     """
-    optimal = np.zeros(live.size, dtype=bool)
-    slot = np.arange(live.size)  # position in live of each working LP
-    W, B = T[live], basis[live]
+    ncols = T.shape[2] - 1
+    optimal = np.zeros(T.shape[0], dtype=bool)
+    slot = np.arange(T.shape[0])  # index in T of each working LP
+    W, B = T, basis
     for _ in range(_MAX_ITER):
-        improving = allowed & (W[:, -1, :ncols] < -_PIVOT_TOL)
+        improving = W[:, -1, :ncols] < -_PIVOT_TOL
         entering = improving.argmax(axis=1)  # Bland: smallest index
         col = W[np.arange(W.shape[0]), :-1, entering]
         positive = col > _PIVOT_TOL
         running = improving.any(axis=1)
         done = ~(running & positive.any(axis=1))
         if done.any():
-            T[live[slot[done]]] = W[done]
-            basis[live[slot[done]]] = B[done]
+            T[slot[done]] = W[done]
+            basis[slot[done]] = B[done]
             optimal[slot[done]] = ~running[done]
             keep = ~done
             if not keep.any():
@@ -97,102 +99,43 @@ def _trimmed(A, b):
 
 
 def _tableaus(c, A, b):
-    """Phase-ready tableaus of the stacked LPs (c, A[l], b[l]).
+    """Tableaus of the stacked LPs (c, A[l], b[l]) at z = 0, and their bases.
 
-    Returns T, basis and the artificial count of each LP.  Columns are u,
-    v (z = u - v), one slack per row, artificials for the rows whose rhs
-    was negative, and the rhs; with artificials, the last row holds the
-    phase-1 objective.  Every LP gets zero artificial columns up to the
-    most any LP has.  A padding row (0 <= 0) keeps its slack basic and a
-    padding column stays zero, so neither ever enters the basis or wins a
-    ratio test, and the pivots Bland's rule picks are those of the
-    unpadded LP.
+    Columns are u, v (z = u - v), one slack per row and the rhs; the last
+    row holds the objective -c.z.  A padding row (0 <= 0) keeps its slack
+    basic and a padding column stays zero, so neither ever enters the
+    basis or wins a ratio test, and the pivots Bland's rule picks are
+    those of the unpadded LP.
     """
     L, rows, n = A.shape
     # scale rows to unit max-norm for stable pivot tolerances
     row_scale = np.maximum(np.max(np.abs(A), axis=2), np.abs(b))
     row_scale[row_scale == 0.0] = 1.0
-    A = A / row_scale[:, :, None]
-    b = b / row_scale
-
     nvar = 2 * n + rows
-    neg = b < 0
-    # rows that were negated lose their identity slack; give them artificials
-    nart = neg.sum(axis=1)
-    T = np.zeros((L, rows + 1, nvar + nart.max() + 1))
-    T[:, :rows, :n] = A
-    T[:, :rows, n:2 * n] = -A
+    T = np.zeros((L, rows + 1, nvar + 1))
+    T[:, :rows, :n] = A / row_scale[:, :, None]
+    T[:, :rows, n:2 * n] = -T[:, :rows, :n]
     T[:, :rows, 2 * n:nvar] = np.eye(rows)
-    T[:, :rows, -1] = np.where(neg, -b, b)
-    basis = np.tile(np.arange(2 * n, nvar), (L, 1))  # slacks
-    if nart.any():
-        T[:, :rows, :nvar][neg] *= -1.0
-        lps, art_rows = np.nonzero(neg)
-        basis[lps, art_rows] = nvar + np.cumsum(neg, axis=1)[lps, art_rows] - 1
-        T[lps, art_rows, basis[lps, art_rows]] = 1.0
-    # phase 1: minimize sum of artificials
-    for l in np.flatnonzero(nart):
-        art_rows = np.flatnonzero(neg[l])
-        for i in art_rows:
-            T[l, -1, :] -= T[l, i, :]
-        T[l, -1, basis[l, art_rows]] = 0.0
-    return T, basis, nart
-
-
-def _end_phase1(T, basis, nvar):
-    """False if phase 1 left the one-LP stack T infeasible; else drive
-    leftover artificials out of the basis."""
-    if T[0, -1, -1] < -1e-7:
-        return False
-    for i in range(basis.shape[1]):
-        if basis[0, i] >= nvar:
-            piv = np.flatnonzero(np.abs(T[0, i, :nvar]) > _PIVOT_TOL)
-            if piv.size:
-                _pivot(T, basis, [i], piv[:1])
-    return True
+    T[:, :rows, -1] = b / row_scale
+    T[:, -1, :n] = -c
+    T[:, -1, n:2 * n] = c
+    return T, np.tile(np.arange(2 * n, nvar), (L, 1))  # slacks
 
 
 def _solve(c, A, b):
     """Solve the stacked LPs (c, A[l], b[l]) on one stack of tableaus."""
-    T, basis, nart = _tableaus(c, A, b)
-    n, rows = c.shape[0], basis.shape[1]
-    nvar = 2 * n + rows
-    ncols = T.shape[2] - 1
-    results = [None] * A.shape[0]
-    allowed = np.ones(ncols, dtype=bool)
-    phase1 = np.flatnonzero(nart)
-    if phase1.size:
-        if not _run_phases(T, basis, phase1, ncols, allowed).all():
-            raise RuntimeError("phase-1 objective unbounded")  # cannot happen
-        for l in phase1:
-            if not _end_phase1(T[l:l + 1], basis[l:l + 1], nvar):
-                results[l] = LPResult(INFEASIBLE, None, None)
-        allowed[nvar:] = False
-    live = np.array([l for l, res in enumerate(results) if res is None], dtype=int)
-    if not live.size:
-        return results
-
-    # phase 2: minimize -c.z, the objective reduced by the basic columns
-    cost = np.concatenate([-c, c, np.zeros(rows)])
-    T[live, -1, :] = 0.0
-    T[live, -1, :nvar] = cost
-    held = basis[live] < nvar
-    held[held] = np.abs(cost[basis[live][held]]) > 0.0
-    for j, i in zip(*np.nonzero(held)):
-        T[live[j], -1, :] -= cost[basis[live[j], i]] * T[live[j], i, :]
-    bounded = _run_phases(T, basis, live, ncols, allowed)
-
-    full = np.zeros((live.size, ncols))
-    full[np.arange(live.size)[:, None], basis[live]] = T[live, :-1, -1]
+    T, basis = _tableaus(c, A, b)
+    bounded = _run(T, basis)
+    n = c.shape[0]
+    full = np.zeros((T.shape[0], T.shape[2] - 1))
+    full[np.arange(T.shape[0])[:, None], basis] = T[:, :-1, -1]
     z = full[:, :n] - full[:, n:2 * n]
-    for l, zl, ok in zip(live, z, bounded):
-        results[l] = (LPResult(OPTIMAL, zl, float(c @ zl)) if ok
-                      else LPResult(UNBOUNDED, None, None))
-    return results
+    return [LPResult(OPTIMAL, zl, float(c @ zl)) if ok else LPResult(UNBOUNDED, None, None)
+            for zl, ok in zip(z, bounded)]
 
 
 def solve_lp(c, A, b):
-    """Maximize c.z s.t. A z <= b, z free.  Returns an LPResult.
+    """Maximize c.z s.t. A z <= b, z free, for b >= 0.  Returns an LPResult.
 
     The returned z is a vertex solution; value is c.z at the optimum.  It
     is the batch of one, ``solve_lps(c, A[None], b[None])[0]``.
@@ -206,9 +149,9 @@ def solve_lp(c, A, b):
 def solve_lps(c, A, b):
     """``solve_lp(c, A[l], b[l])`` for every LP of a stack, in one lockstep loop.
 
-    A is an (L, rows, n) stack and b its (L, rows) right-hand sides; the
-    LPs share c, and LPs with fewer rows are padded at the end with
-    0 <= 0 rows.  A stack too large for ``_STACK_ENTRIES`` runs as
+    A is an (L, rows, n) stack and b its (L, rows) right-hand sides, none
+    negative (``ValueError`` otherwise); the LPs share c, and LPs with
+    fewer rows are padded at the end with 0 <= 0 rows.  A stack too large for ``_STACK_ENTRIES`` runs as
     consecutive slices, each without the padding rows it does not need.
     Each iteration takes one Bland pivot on every LP still running, so a
     batch costs about as many iterations as its longest LP needs.  Each LP
@@ -221,6 +164,8 @@ def solve_lps(c, A, b):
     n = c.shape[0]
     if A.ndim != 3 or A.shape[2] != n or b.shape != A.shape[:2]:
         raise ValueError("inconsistent LP shapes")
+    if (b < 0).any():
+        raise ValueError("every LP must be feasible at z = 0: b >= 0")
     rows = A.shape[1]
     step = max(1, _STACK_ENTRIES // ((rows + 1) * (2 * (n + rows) + 1)))
     return [res for s in range(0, A.shape[0], step)

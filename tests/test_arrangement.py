@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from relusynth import arrangement, simplex
 from relusynth.arrangement import (
@@ -111,11 +112,49 @@ def test_enumerate_cap():
         enumerate_regions(arr, cap=4)
 
 
+def test_region_lps_off_the_origin_match_highs(monkeypatch):
+    # cells that do not hold the origin, the empty ones among them: each
+    # LP is solved shifted to be feasible at the origin, and its margin
+    # (optimum plus t0) is the optimum of the unshifted LP
+    r = np.random.default_rng(3)
+    n, m = 2, 5
+    arr = Arrangement(n, [H(w, c) for w, c in zip(r.normal(size=(m, n)), r.normal(size=m) * 3)])
+    W = np.array([h.w for h in arr.hyperplanes])
+    b = np.array([h.b for h in arr.hyperplanes])
+    plus = ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(bool)
+    sgn = np.where(plus, 1.0, -1.0)
+    plus = plus[(sgn * b).min(axis=1) < 0]
+    solved = []
+    solve_lps = arrangement.solve_lps
+
+    def recording(c, A, rhs):
+        solved.append((rhs, solve_lps(c, A, rhs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(arrangement, "solve_lps", recording)
+    witnesses = arrangement._region_lps(arr, plus)
+    (rhs, results), = solved
+    assert len(results) == len(plus) > 20
+    for p, x, res, shifted in zip(plus, witnesses, results, rhs):
+        t0 = 1.0 - shifted[-1]
+        s = np.where(p, 1.0, -1.0)
+        ref = linprog([0.0] * n + [-1.0],
+                      A_ub=np.block([[-s[:, None] * W, np.ones((m, 1))],
+                                     [np.eye(n), np.zeros((n, 1))],
+                                     [-np.eye(n), np.zeros((n, 1))]]),
+                      b_ub=np.concatenate([s * b, np.full(2 * n, arrangement.BOX_BOUND)]),
+                      bounds=[(None, None)] * n + [(None, 1.0)], method="highs")
+        assert t0 < 0 and ref.status == 0
+        assert res.value + t0 == pytest.approx(-ref.fun, abs=1e-9)
+        assert (x is None) == (-ref.fun <= arrangement.REGION_THRESHOLD)
+        if x is not None:
+            assert (s * (W @ x + b) > 0).all()
+
+
 def test_region_lps_in_slices_equal_one_stack_bit_for_bit(monkeypatch):
     # a triangle of side 1e-3 at the origin, which no sample hits, and
     # seven random lines; every cell the samples miss is one LP of a single
-    # solve_lps stack, which 2000 entries split into slices of three LPs,
-    # phase-1 LPs among them
+    # solve_lps stack, which 2000 entries split into slices of three LPs
     r = np.random.default_rng(7)
     arr = Arrangement(2, [H([1, 0], 0), H([0, 1], 0), H([1, 1], -1e-3)]
                       + [H(w, c) for w, c in zip(r.normal(size=(7, 2)), r.normal(size=7) * 2)])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from relusynth import cli
+from relusynth import arrangement, cli
 from relusynth.cli import InputError, main, verify_network
 from relusynth.core import (
     AffineMap,
@@ -117,6 +117,17 @@ def test_count_regions_over_the_cap_never_counts_by_formula(tmp_path, capsys, mo
     assert main(["count-regions", "--arrangement", str(arr)]) == 2
     assert capsys.readouterr().err == (
         "input error: 13 hyperplanes exceed the enumeration cap 12\n")
+
+
+def test_count_regions_over_the_enumeration_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # 25 lines would take 2**25 cells; a larger --cap does not lift the limit
+    monkeypatch.setattr(arrangement, "solve_lps", None)  # no LP may run
+    arr = tmp_path / "arr25.json"
+    arr.write_text(json.dumps({"dim": 2, "hyperplanes": [
+        {"w": [1.0, k / 7], "b": float(k)} for k in range(25)]}))
+    assert main(["count-regions", "--arrangement", str(arr), "--cap", "64"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: 25 hyperplanes exceed the enumeration cap 18\n")
 
 
 def test_order_command(workdir, capsys):

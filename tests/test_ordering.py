@@ -16,6 +16,7 @@ from relusynth.ordering import (
     separate_many,
 )
 from relusynth.shallow import classifier_build, interpolation_build, multi_output_build
+from relusynth.simplex import UNBOUNDED, LPResult
 
 
 def test_separate_1d():
@@ -174,6 +175,15 @@ def test_separate_many_equals_separate_pair_by_pair(rng):
     for (D1, D2), res in zip(pairs, results):
         assert_same_separation(res, separate(D1, D2))
     assert separate_many([]) == []
+
+
+def test_separate_many_rejects_an_unbounded_lp(monkeypatch):
+    # the box rows bound every separation LP, so only a numeric failure of
+    # the simplex can end one unbounded; it must not pass as a verdict
+    monkeypatch.setattr(ordering, "solve_lps",
+                        lambda c, A, b: [LPResult(UNBOUNDED, None, None) for _ in A])
+    with pytest.raises(RuntimeError, match="separation LP ended with status unbounded"):
+        separate_many([([[1.0]], [[-1.0]]), ([[2.0]], [[0.0]])])
 
 
 def _separation_optimum(D1, D2):
