@@ -1,9 +1,9 @@
 """Hyperplane-arrangement combinatorics.
 
 Closed-form region counts for lines in the plane, the general-position
-binomial bound, LP-backed brute-force region enumeration (the test oracle
-for both formulas), and the incremental construction of regions in
-staircase order.
+binomial bound, region enumeration that adds one hyperplane at a time
+with an LP per cell (the test oracle for both formulas), and the
+incremental construction of regions in staircase order.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from .simplex import OPTIMAL, solve_lps
 
 PARALLEL_TOL = 1e-9        # |sin of angle between unit normals|
 COINCIDENCE_TOL = 1e-7     # distance between intersection points
-REGION_THRESHOLD = 1e-7    # LP margin certifying a nonempty open region
-BOX_BOUND = 1e6
+REGION_THRESHOLD = 1e-7    # distance certifying a nonempty open region
 DEFAULT_CAP = 12
-# Most hyperplanes enumerate_regions takes, whatever its cap: 18 random
-# lines in the plane took 7 s and 435 MB, and each more line doubles both.
-ENUMERATION_LIMIT = 18
 
 
 class AmbiguousGeometryError(ValueError):
@@ -152,70 +148,72 @@ def count_regions_bound(n, M):
     return total
 
 
-def _region_lps(arr, plus):
+def _region_lps(W, b, plus):
     """An interior witness of each open cell a row of ``plus`` gives (True
-    on a hyperplane's plus side), or None where the cell is empty.
+    on the plus side of hyperplane w.x + b = 0, a row of W and b), or None
+    where the cell is empty.
 
-    A cell's LP maximizes t subject to sgn (w.x + b) >= t, |x|_inf <=
-    ``BOX_BOUND`` and t <= 1.  x = 0 with t = t0 = min(0, min sgn b) is
-    feasible, so it is solved in t - t0, feasible at zero as ``solve_lps``
-    needs, and its margin is the optimum plus t0.  The cells' LPs share
-    one shape: one ``solve_lps`` stack."""
-    n = arr.dim
-    W = np.array([h.w for h in arr.hyperplanes])
-    b = np.array([h.b for h in arr.hyperplanes])
+    A cell's LP maximizes t subject to sgn (w.x + b) >= t and t <= 1.
+    x = 0 with t = t0 = min(0, min sgn b) is feasible, so it is solved in
+    t - t0, feasible at zero as ``solve_lps`` needs, and its margin is the
+    optimum plus t0.  The cells' LPs share one shape: one ``solve_lps``
+    stack.  t <= 1 bounds every LP, so any other end is an error."""
     L, m = plus.shape
+    n = W.shape[1]
     sgn = np.where(plus, 1.0, -1.0)
     low = (sgn * b).min(axis=1)
     t0 = np.where(low < 0, low, 0.0)  # +0.0, so sgn b - t0 is sgn b bitwise
-    rows = np.zeros((L, m + 2 * n + 1, n + 1))
-    rhs = np.zeros((L, m + 2 * n + 1))
+    rows = np.zeros((L, m + 1, n + 1))
+    rhs = np.zeros((L, m + 1))
     rows[:, :m, :n] = -sgn[:, :, None] * W
-    rows[:, :m, n] = 1.0
+    rows[:, :, n] = 1.0
     rhs[:, :m] = sgn * b - t0[:, None]
-    rows[:, m:m + 2 * n, :n] = np.vstack([np.eye(n), -np.eye(n)])
-    rhs[:, m:m + 2 * n] = BOX_BOUND
-    rows[:, -1, n] = 1.0
     rhs[:, -1] = 1.0 - t0
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    return [res.z[:n] if res.status == OPTIMAL and res.value + t > REGION_THRESHOLD else None
-            for res, t in zip(solve_lps(c, rows, rhs), t0)]
+    witnesses = []
+    for res, t in zip(solve_lps(c, rows, rhs), t0):
+        if res.status != OPTIMAL:
+            raise RuntimeError(f"region LP ended with status {res.status}")
+        witnesses.append(res.z[:n] if res.value + t > REGION_THRESHOLD else None)
+    return witnesses
 
 
 def enumerate_regions(arr, cap=DEFAULT_CAP):
     """All open regions of the arrangement, each with an interior witness,
     in the order of their codes (bit i set on hyperplane i's plus side).
 
-    Candidate sign vectors are pruned first by sampling 200 random points
-    per hyperplane from a fixed seed; every cell left undecided gets a
-    strict-margin feasibility LP, shifted to be feasible at the origin
-    (``_region_lps``), and all of them are solved as one ``solve_lps``
-    stack.  The LPs bound x to |x|_inf <= ``BOX_BOUND``.  Exponential in
-    the hyperplane count, hence the cap, itself held to
-    ``ENUMERATION_LIMIT``.
+    The incremental construction of arrangements (Edelsbrunner, O'Rourke
+    & Seidel 1986), with a strict-margin LP per cell (``_region_lps``).
+    Hyperplanes are scaled to unit normals, so ``REGION_THRESHOLD`` is a
+    distance.  Starting from one cell, witnessed by the origin, hyperplane
+    i splits each cell of the first i: a witness farther than the
+    threshold from it certifies its own side, and every other side asks
+    for an LP on the first i + 1 hyperplanes, all of them one
+    ``solve_lps`` stack.  The cost follows the region count; ``cap``
+    bounds the hyperplanes.
     """
     m = len(arr.hyperplanes)
-    limit = min(cap, ENUMERATION_LIMIT)
-    if m > limit:
-        raise ValueError(f"{m} hyperplanes exceed the enumeration cap {limit}")
-    n = arr.dim
+    if m > cap:
+        raise ValueError(f"{m} hyperplanes exceed the enumeration cap {cap}")
     W = np.array([h.w for h in arr.hyperplanes])
-    b = np.array([h.b for h in arr.hyperplanes])
-
-    scale = 3.0 * max(1.0, max(abs(h.b) / np.linalg.norm(h.w) for h in arr.hyperplanes))
-    X = np.random.default_rng(0).normal(scale=scale, size=(200 * m, n))
-    V = X @ W.T + b
-    good = np.min(np.abs(V), axis=1) > REGION_THRESHOLD
-    found = {}    # sign vector: witness, the first sample in it
-    for x, v in zip(X[good], V[good]):
-        found.setdefault(tuple(PLUS if val > 0 else ZERO for val in v), x)
-
-    plus = ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(bool)
-    signs = [tuple(PLUS if p else ZERO for p in row) for row in plus]
-    undecided = [code for code, s in enumerate(signs) if s not in found]
-    found.update(zip([signs[code] for code in undecided], _region_lps(arr, plus[undecided])))
-    return [Region(s, found[s]) for s in signs if found[s] is not None]
+    norm = np.sqrt(np.vecdot(W, W))
+    W = W / norm[:, None]
+    b = np.array([h.b for h in arr.hyperplanes]) / norm
+    plus = np.zeros((1, 0), dtype=bool)
+    X = np.zeros((1, arr.dim))
+    for i in range(m):
+        d = X @ W[i] + b[i]
+        kept = np.abs(d) > REGION_THRESHOLD
+        own = np.column_stack([plus, d > 0])
+        # every cell's far side, and its own side where its witness is near
+        asked = np.vstack([np.column_stack([plus, d <= 0]), own[~kept]])
+        found = _region_lps(W[:i + 1], b[:i + 1], asked)
+        new = [k for k, x in enumerate(found) if x is not None]
+        plus = np.vstack([own[kept], asked[new]])
+        X = np.vstack([X[kept]] + [found[k] for k in new])
+    order = np.lexsort(plus.T)
+    return [Region(tuple(PLUS if p else ZERO for p in plus[k]), X[k]) for k in order]
 
 
 def general_position(arr):

@@ -26,7 +26,7 @@ from .core import (
     forward_batch,
     forward_masks,
 )
-from .arrangement import Arrangement, count_regions_2d, enumerate_regions
+from .arrangement import DEFAULT_CAP, Arrangement, count_regions_2d, enumerate_regions
 from .bundles import BundleConfig
 from .ordering import distinguishable_order
 from .randmat import SphereSampler, rank_probability
@@ -464,7 +464,7 @@ def build_parser():
 
     s = add_parser("count-regions", help="arrangement region counting")
     s.add_argument("--arrangement", required=True)
-    s.add_argument("--cap", type=int, default=12)
+    s.add_argument("--cap", type=int, default=DEFAULT_CAP)
     s.add_argument("--csv", default=None)
     s.set_defaults(func=cmd_count_regions)
 

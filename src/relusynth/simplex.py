@@ -14,7 +14,7 @@ nearest the cut first, which takes about a third of the pivots of the
 input order.  Every LP runs through ``solve_lps``: one lockstep loop over
 an (L, rows, n) stack of LPs that share c, with the results each LP gives
 alone.  ``solve_lp`` is its batch of one, and ``enumerate_regions`` hands
-it all of its cell LPs as one stack.
+it the cell LPs of each hyperplane it adds as one stack.
 """
 
 from __future__ import annotations

@@ -132,18 +132,14 @@ def test_region_lps_off_the_origin_match_highs(monkeypatch):
         return solved[-1][1]
 
     monkeypatch.setattr(arrangement, "solve_lps", recording)
-    witnesses = arrangement._region_lps(arr, plus)
+    witnesses = arrangement._region_lps(W, b, plus)
     (rhs, results), = solved
     assert len(results) == len(plus) > 20
     for p, x, res, shifted in zip(plus, witnesses, results, rhs):
         t0 = 1.0 - shifted[-1]
         s = np.where(p, 1.0, -1.0)
-        ref = linprog([0.0] * n + [-1.0],
-                      A_ub=np.block([[-s[:, None] * W, np.ones((m, 1))],
-                                     [np.eye(n), np.zeros((n, 1))],
-                                     [-np.eye(n), np.zeros((n, 1))]]),
-                      b_ub=np.concatenate([s * b, np.full(2 * n, arrangement.BOX_BOUND)]),
-                      bounds=[(None, None)] * n + [(None, 1.0)], method="highs")
+        ref = linprog([0.0] * n + [-1.0], A_ub=np.column_stack([-s[:, None] * W, np.ones(m)]),
+                      b_ub=s * b, bounds=[(None, None)] * n + [(None, 1.0)], method="highs")
         assert t0 < 0 and ref.status == 0
         assert res.value + t0 == pytest.approx(-ref.fun, abs=1e-9)
         assert (x is None) == (-ref.fun <= arrangement.REGION_THRESHOLD)
@@ -151,10 +147,21 @@ def test_region_lps_off_the_origin_match_highs(monkeypatch):
             assert (s * (W @ x + b) > 0).all()
 
 
+def test_region_lps_fail_loudly_on_an_unbounded_lp(monkeypatch):
+    # t <= 1 bounds every region LP, so an unbounded one is a numerical
+    # fault, not an empty cell to drop from the count
+    def unbounded(c, A, b):
+        return [simplex.LPResult(simplex.UNBOUNDED, None, None)] * len(A)
+
+    monkeypatch.setattr(arrangement, "solve_lps", unbounded)
+    with pytest.raises(RuntimeError, match="region LP ended with status unbounded"):
+        enumerate_regions(three_generic_lines())
+
+
 def test_region_lps_in_slices_equal_one_stack_bit_for_bit(monkeypatch):
-    # a triangle of side 1e-3 at the origin, which no sample hits, and
-    # seven random lines; every cell the samples miss is one LP of a single
-    # solve_lps stack, which 2000 entries split into slices of three LPs
+    # a triangle of side 1e-3 at the origin and seven random lines; each
+    # hyperplane's cell LPs are one solve_lps stack, and 2000 entries run
+    # the last, of 11-row LPs, in slices of five
     r = np.random.default_rng(7)
     arr = Arrangement(2, [H([1, 0], 0), H([0, 1], 0), H([1, 1], -1e-3)]
                       + [H(w, c) for w, c in zip(r.normal(size=(7, 2)), r.normal(size=7) * 2)])
@@ -169,7 +176,7 @@ def test_region_lps_in_slices_equal_one_stack_bit_for_bit(monkeypatch):
     whole = enumerate_regions(arr, cap=10)
     monkeypatch.setattr(simplex, "_STACK_ENTRIES", 2000)
     sliced = enumerate_regions(arr, cap=10)
-    assert len(stacks) == 2 and stacks[0] == stacks[1] > 2 ** 10 - len(whole)
+    assert len(stacks) == 2 * 10 and stacks[:10] == stacks[10:] and stacks[9] > 5
     assert len(whole) == count_regions_2d(arr)
     assert any(np.abs(rg.witness).max() < 1e-3 for rg in whole)
     assert ([(rg.sign_vector, rg.witness.tobytes()) for rg in sliced]
@@ -253,6 +260,36 @@ def test_enumeration_matches_formula_on_integer_lines():
         degenerate += count < 1 + m + m * (m - 1) // 2
         assert len(enumerate_regions(arr)) == count
     assert degenerate >= 10
+
+
+def far_line_arrangements():
+    """Six random lines and two lines 1e2 to 3e5 from the origin, whose far
+    cells a box or samples near the origin miss."""
+    for off in (1e2, 1e3, 1e4, 1e5, 3e5):
+        for seed in range(5):
+            r = np.random.default_rng(seed)
+            yield Arrangement(2, [H(w, c) for w, c in zip(r.normal(size=(6, 2)), r.normal(size=6))]
+                              + [H([1.0, 0.3], -off), H([0.2, 1.0], off / 2)])
+
+
+def test_enumeration_finds_the_cells_of_far_lines():
+    counts = [(len(enumerate_regions(arr)), count_regions_2d(arr)) for arr in far_line_arrangements()]
+    assert len(counts) == 25 and counts[17] == (37, 37)
+    assert all(found == count for found, count in counts)
+
+
+def test_enumeration_past_eighteen_lines():
+    # the sign vectors of 40 lines would number 2**40
+    r = np.random.default_rng(40)
+    arr = Arrangement(2, [H(w, c) for w, c in zip(r.normal(size=(40, 2)), r.normal(size=40))])
+    regions = enumerate_regions(arr, cap=40)
+    assert len(regions) == count_regions_bound(2, 40) == 821
+    W = np.array([h.w for h in arr.hyperplanes])
+    b = np.array([h.b for h in arr.hyperplanes])
+    codes = [int(sum(1 << i for i, s in enumerate(rg.sign_vector) if s == "+")) for rg in regions]
+    assert codes == sorted(set(codes))
+    assert all(tuple(np.where(W @ rg.witness + b > 0, "+", "0")) == rg.sign_vector
+               for rg in regions)
 
 
 def test_region_witnesses_reproduce_sign_vectors(rng):

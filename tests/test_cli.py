@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from relusynth import arrangement, cli
+from relusynth import cli
 from relusynth.cli import InputError, main, verify_network
 from relusynth.core import (
     AffineMap,
@@ -119,15 +119,20 @@ def test_count_regions_over_the_cap_never_counts_by_formula(tmp_path, capsys, mo
         "input error: 13 hyperplanes exceed the enumeration cap 12\n")
 
 
-def test_count_regions_over_the_enumeration_limit_exits_2(tmp_path, capsys, monkeypatch):
-    # 25 lines would take 2**25 cells; a larger --cap does not lift the limit
-    monkeypatch.setattr(arrangement, "solve_lps", None)  # no LP may run
+def test_count_regions_of_25_concurrent_lines_under_a_larger_cap(tmp_path, capsys):
+    # 25 lines through (0, -7): 50 wedges, with 2**25 sign vectors
     arr = tmp_path / "arr25.json"
     arr.write_text(json.dumps({"dim": 2, "hyperplanes": [
         {"w": [1.0, k / 7], "b": float(k)} for k in range(25)]}))
-    assert main(["count-regions", "--arrangement", str(arr), "--cap", "64"]) == 2
-    assert capsys.readouterr().err == (
-        "input error: 25 hyperplanes exceed the enumeration cap 18\n")
+    csv_path = tmp_path / "regions.csv"
+    assert main(["count-regions", "--arrangement", str(arr), "--cap", "64",
+                 "--csv", str(csv_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count_formula"] == payload["count_enumerated"] == 50
+    k = np.arange(25)
+    for row in csv_path.read_text().splitlines()[1:]:
+        _, signs, x0, x1 = row.split(",")
+        assert "".join(np.where(float(x0) + k / 7 * float(x1) + k > 0, "+", "0")) == signs
 
 
 def test_order_command(workdir, capsys):
