@@ -10,7 +10,6 @@ its report, when it made one, still goes to ``--report``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -22,9 +21,12 @@ from .core import (
     VERIFY_TOL,
     AffineMap,
     DiscretePWL,
+    JSONDecodeError,
     Network,
+    dumps,
     forward_batch,
     forward_masks,
+    loads,
 )
 from .arrangement import DEFAULT_CAP, Arrangement, count_regions_2d, enumerate_regions
 from .bundles import BundleConfig
@@ -47,9 +49,9 @@ class InputError(ValueError):
 
 def _load_json(path, what):
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return loads(fh.read())
+    except (OSError, JSONDecodeError) as exc:
         raise InputError(f"cannot read {what} from {path}: {exc}") from exc
 
 
@@ -63,16 +65,24 @@ def _load_points(path, what="points"):
     return pts
 
 
-# json.dumps, unlike json.dump, runs the C encoder; it writes the same bytes
 def _write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((dumps(obj) + "\n").encode())
 
 
 def _emit(obj, summary=None):
-    sys.stdout.write(json.dumps(obj) + "\n")
+    sys.stdout.write(dumps(obj) + "\n")
     if summary:
         print(summary, file=sys.stderr)
+
+
+def _seed(seed):
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    # reports and results carry the seed, and JSON integers stop at 2^64 - 1
+    if seed > 2**64 - 1:
+        raise InputError(f"seed must be at most 2^64 - 1, got {seed}")
+    return seed
 
 
 def _config(args):
@@ -82,9 +92,7 @@ def _config(args):
     unknown = sorted(set(cfg) - {"seed", "margin"})
     if unknown:
         raise InputError(f"unknown config keys {unknown}; known: seed, margin")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _seed(args.seed if args.seed is not None else cfg.get("seed", 0))
     return seed, BundleConfig(margin=cfg.get("margin", MARGIN))
 
 
@@ -151,9 +159,8 @@ def cmd_verify(args):
 
 
 def _write_report(path, report):
-    with open(path, "w") as fh:
-        fh.write(report.to_json(indent=2))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write((report.to_json(indent=2) + "\n").encode())
 
 
 def _finish_synthesis(args, build):
@@ -268,7 +275,7 @@ def cmd_count_regions(args):
 
 def cmd_rank_prob(args):
     stats = rank_probability(
-        SphereSampler(args.n, seed=args.seed or 0), args.m,
+        SphereSampler(args.n, seed=_seed(args.seed or 0)), args.m,
         trials=args.trials, tol=args.tol,
     )
     _emit(stats,
@@ -354,7 +361,7 @@ def _fixture_decoder(seed):
 def cmd_demo(args):
     import os
 
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args.seed if args.seed is not None else 0)
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
     name = args.fixture

@@ -6,11 +6,11 @@ share between threads, no interior mutation after construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+import orjson
 
 # The numerical contract's tolerances.  A ReLU preactivation in
 # (0, ACTIVATION_TOL] is treated as zero; constructions place preactivations
@@ -27,6 +27,22 @@ Activation = Literal["relu", "linear"]
 
 PLUS = "+"
 ZERO = "0"
+
+
+def dumps(obj, indent=None):
+    """The package's JSON text: compact, or indented by 2 spaces for
+    reports.  numpy scalars are written as numbers and non-finite floats as
+    ``null`` (RFC 8259 has no NaN or Infinity)."""
+    if indent not in (None, 2):
+        raise ValueError(f"indent must be None or 2, got {indent!r}")
+    option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent == 2 else 0)
+    return orjson.dumps(obj, option=option).decode()
+
+
+# parses str or UTF-8 bytes; NaN and Infinity tokens raise JSONDecodeError,
+# a subclass of json.JSONDecodeError and so of ValueError
+loads = orjson.loads
+JSONDecodeError = orjson.JSONDecodeError
 
 
 class DimensionMismatch(ValueError):
@@ -214,7 +230,7 @@ class Network:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict())
+        return dumps(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(d):
@@ -231,7 +247,7 @@ class Network:
 
     @staticmethod
     def from_json(text):
-        return Network.from_json_dict(json.loads(text))
+        return Network.from_json_dict(loads(text))
 
 
 def point_key(X):
@@ -316,7 +332,7 @@ class DiscretePWL:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict())
+        return dumps(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(d):
@@ -332,7 +348,7 @@ class DiscretePWL:
 
     @staticmethod
     def from_json(text):
-        return DiscretePWL.from_json_dict(json.loads(text))
+        return DiscretePWL.from_json_dict(loads(text))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,9 @@ against the network and its target function must reproduce max_residual.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
-from .core import ACTIVATION_TOL, RANK_TOL, VERIFY_TOL
+from .core import ACTIVATION_TOL, RANK_TOL, VERIFY_TOL, dumps, loads
 
 
 class BuildFailure(RuntimeError):
@@ -40,20 +39,24 @@ class ConstructionReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent)
+        return dumps(self.to_json_dict(), indent=indent)
 
     @staticmethod
     def from_json_dict(d):
         """Missing keys take the defaults; keys it does not know, such as
-        those older reports carry, are ignored."""
+        those older reports carry, are ignored.  A ``null`` max_residual,
+        which is how a NaN one is written, reads as NaN."""
         if not isinstance(d, dict):
             raise ValueError("malformed report JSON: not a JSON object")
-        return ConstructionReport(**{f.name: d[f.name] for f in fields(ConstructionReport)
-                                     if f.name in d})
+        report = ConstructionReport(**{f.name: d[f.name] for f in fields(ConstructionReport)
+                                       if f.name in d})
+        if report.max_residual is None:
+            report.max_residual = float("nan")
+        return report
 
     @staticmethod
     def from_json(text):
-        return ConstructionReport.from_json_dict(json.loads(text))
+        return ConstructionReport.from_json_dict(loads(text))
 
 
 def build_tolerances(margin):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,14 @@ else:
     settings.register_profile("relusynth", derandomize=True, deadline=None,
                               database=None, max_examples=150)
     settings.load_profile("relusynth")
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects the NaN and Infinity tokens RFC 8259
+    leaves out."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def det_cofactor(M):

@@ -11,6 +11,7 @@ from relusynth.core import (
     Hyperplane,
     Layer,
     Network,
+    dumps,
     forward_batch,
     forward_traced,
 )
@@ -19,6 +20,8 @@ from relusynth.deep import deep_build
 from relusynth.ordering import check_distinguishable
 from relusynth.report import BuildFailure, ConstructionReport
 from relusynth.shallow import classifier_build, multi_output_build
+
+from conftest import strict_loads
 
 
 @pytest.fixture
@@ -534,18 +537,52 @@ def test_failed_widen_keeps_the_plan_it_read(workdir, capsys, monkeypatch):
     ("[1, 2]", "config must be a JSON object"),
     ('{"seed": "abc"}', "seed must be a non-negative integer, got 'abc'"),
     ('{"seed": 1.5}', "seed must be a non-negative integer, got 1.5"),
-    # json reads NaN; a NaN margin would pass every margin test
-    ('{"margin": NaN}', "margin must be a finite positive number, got nan"),
+    # NaN is not JSON (RFC 8259), so the file fails to parse before any
+    # margin check; BundleConfig still rejects a NaN margin given in code
+    ('{"margin": NaN}', "cannot read config from {cfg}: unexpected character: "
+                        "line 1 column 12 (char 11)"),
     # a misspelled key must not fall back to the default silently
     ('{"margn": 0.5}', "unknown config keys ['margn']; known: seed, margin"),
+    # above 2^64 - 1 the JSON reader gives a float
+    ('{"seed": 18446744073709551616}',
+     "seed must be a non-negative integer, got 1.8446744073709552e+19"),
 ])
 def test_bad_config_is_an_input_error(workdir, capsys, config, message):
     cfg, net = workdir / "c.json", workdir / "net.json"
     cfg.write_text(config)
     assert main(["synth3", "--pwl", str(workdir / "pwl.json"), "--out", str(net),
                  "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert capsys.readouterr().err == f"input error: {message.format(cfg=cfg)}\n"
     assert not net.exists()
+
+
+@pytest.mark.parametrize("command", ["synth3", "synthdeep"])
+def test_seed_above_the_json_integer_range_is_an_input_error(workdir, capsys, monkeypatch,
+                                                              command):
+    # the seed is written into the report, and JSON integers stop at 2^64 - 1
+    monkeypatch.setattr(cli, "multi_output_build", _failing("must not build", None))
+    monkeypatch.setattr(cli, "deep_build", _failing("must not build", None))
+    net, rep = workdir / "net.json", workdir / "rep.json"
+    argv = [command, "--pwl", str(workdir / "pwl.json"), "--out", str(net),
+            "--report", str(rep), "--seed"]
+    assert main(argv + [str(2**64)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: seed must be at most 2^64 - 1, got 18446744073709551616\n")
+    assert not net.exists() and not rep.exists()
+    monkeypatch.undo()
+    assert main(argv + [str(2**64 - 1)]) == 0
+    assert ConstructionReport.from_json(rep.read_text()).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("command", ["demo", "rank-prob"])
+def test_demo_and_rank_prob_check_the_seed_too(tmp_path, capsys, command):
+    out = tmp_path / "demo"
+    argv = {"demo": ["demo", "fig9", "--outdir", str(out)],
+            "rank-prob": ["rank-prob", "--n", "2", "--m", "2", "--trials", "10"]}[command]
+    assert main(argv + ["--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: seed must be at most 2^64 - 1, got 18446744073709551616\n")
+    assert not out.exists()
 
 
 def test_inseparable_subdomains_are_an_input_error(tmp_path, capsys):
@@ -621,12 +658,15 @@ def test_synth3_classify_rejects_extra_units(tmp_path, capsys):
     assert not net.exists()
 
 
-def test_json_writers_write_what_json_dumps_gives(tmp_path, capsys, rng):
+def test_json_writers_write_what_core_dumps_gives(tmp_path, capsys, rng):
     obj = {"w": rng.normal(size=(3, 4)).tolist(), "s": "é",
            "b": [0.1, -0.0, 1e-300, float("inf"), float("nan"), None, True]}
     path = tmp_path / "out.json"
     cli._write_json(path, obj)
     cli._emit(obj)
-    expected = json.dumps(obj) + "\n"
-    assert path.read_bytes() == expected.encode()
+    expected = dumps(obj) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
     assert capsys.readouterr().out == expected
+    assert '"s":"é"' in expected and '1e-300,null,null,null,true]' in expected
+    back = strict_loads(path.read_bytes())
+    assert back["w"] == obj["w"] and back["b"] == [0.1, -0.0, 1e-300, None, None, None, True]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from relusynth.core import (
     activation_pattern,
     affine_fit,
     distinct_points,
+    dumps,
     forward,
     forward_batch,
     forward_masks,
     forward_traced,
+    loads,
     numeric_rank,
     match,
     shifted_systems,
@@ -209,6 +213,55 @@ def test_network_json_roundtrip_bit_exact(rng):
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.biases.tobytes() == b.biases.tobytes()
         assert a.activation == b.activation
+
+
+def _assert_same_bits(net, back):
+    assert len(back.layers) == len(net.layers)
+    for a, b in zip(net.layers, back.layers):
+        assert np.array_equal(a.weights.view(np.int64), b.weights.view(np.int64))
+        assert np.array_equal(a.biases.view(np.int64), b.biases.view(np.int64))
+        assert a.activation == b.activation
+
+
+def _seeded_builds():
+    from relusynth.deep import deep_build
+    from relusynth.shallow import multi_output_build
+
+    rng = np.random.default_rng([7, 1])
+    pwl = DiscretePWL.singletons(rng.normal(size=(12, 2)) * 3, rng.normal(size=(12, 1)))
+    return [multi_output_build(pwl, seed=1).network, deep_build(pwl, seed=1).network]
+
+
+def test_built_networks_json_roundtrip_bit_exact():
+    for net in _seeded_builds():
+        _assert_same_bits(net, Network.from_json(net.to_json()))
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               0.1, 1e-5, 1e16]
+
+
+def test_edge_floats_json_roundtrip_bit_exact():
+    v = np.array(EDGE_FLOATS)
+    net = Network(len(v), (Layer(np.vstack([v, -v]), v[:2], "linear"),))
+    _assert_same_bits(net, Network.from_json(net.to_json()))
+    # the stdlib reads what the codec writes, and the other way round
+    assert np.array_equal(np.array(json.loads(dumps(EDGE_FLOATS))).view(np.int64),
+                          v.view(np.int64))
+    assert np.array_equal(np.array(loads(json.dumps(EDGE_FLOATS))).view(np.int64),
+                          v.view(np.int64))
+
+
+def test_network_files_written_by_json_dumps_still_load_bit_exact():
+    for net in _seeded_builds():
+        _assert_same_bits(net, Network.from_json(json.dumps(net.to_json_dict())))
+
+
+def test_indented_json_holds_the_compact_values():
+    net = _seeded_builds()[1]
+    assert loads(dumps(net.to_json_dict(), indent=2)) == loads(net.to_json())
+    with pytest.raises(ValueError, match="indent must be None or 2, got 4"):
+        dumps({}, indent=4)
 
 
 def test_pwl_json_roundtrip_bit_exact(rng):
