@@ -4,10 +4,8 @@ The partition tree splits each group by its most balanced direction cut,
 certified by a max-margin LP that also sets the separator: k - 1 LPs for k
 subdomains, and depth ceil(log2 k) when every group has a cut into halves.
 Groups that no cut separates are refined to singletons.  The tree is grown
-topology first: each round takes every group's first cut without an LP,
-a round that refines solves none unless a cut is thin enough for an LP to
-reject it, and the last round's cuts are certified one batch of LPs per
-tree level.
+depth first; a cut too wide for an LP to reject waits, and the wide cuts
+are certified one batch of LPs per tree level once the tree is whole.
 
 Each tree level becomes one hidden layer: groups being split get a pair of
 reversed-side bundles, groups already isolated get pass-through blocks,
@@ -36,7 +34,6 @@ bytes as a group-by-group loop.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,7 +53,7 @@ from .core import (
     shifted_systems,
 )
 from .bundles import BundleConfig, anchored_base, families
-from .ordering import SEPARABLE_THRESHOLD, separate_many
+from .ordering import SEPARABLE_THRESHOLD, separate, separate_many
 from .affine import interference_avoiding_weights
 from .report import BuildFailure, ConstructionReport, build_tolerances, check_exact
 
@@ -120,83 +117,59 @@ class PartitionTree:
     origin: list              # final index -> original subdomain index
 
 
-@dataclass
-class _Split:
-    """A group of two or more sets in a round's tree: its index in the
-    tree's preorder, which picks its block of random directions, its
-    remaining candidate cuts, the cut it holds (None once none is left),
-    its children (a set index for a leaf) and, once certified, the
-    separator."""
-
-    group: tuple
-    pre: int
-    cuts: Iterator | None = None
-    cut: tuple | None = None
-    a: "_Split | int | None" = None
-    b: "_Split | int | None" = None
-    separator: Hyperplane | None = None
-
-
-def _grow(sets, blocks, root, wide):
-    """Grow the tree under ``root`` in preorder, solving no LP: each group
-    takes its first candidate cut when it is reached, and child a of group
-    p is group p + 1 and child b group p + |a|, as in a depth-first build.
-    Groups grown before keep their cuts.  Growth does not go below an
-    uncertified cut with a gap of at most ``wide``, which an LP may
-    reject.  Returns the first group with no cut, which is the
-    lowest-preorder failure, or None, and those thin cuts' groups before
-    it."""
-    stack, thin = [root], []
+def _grow(sets, rng, wide):
+    """Grow one round's tree depth first, in preorder.  Each group draws
+    its block of random directions from ``rng`` when the walk reaches it
+    and takes its first candidate cut.  A cut with a gap wider than
+    ``wide`` is recorded as (node, left, right, gap) under its level for
+    ``_certify_levels``; a thinner one, which an LP may reject, has its LP
+    solved at once, and a rejected cut gives way to the group's next
+    candidate.  Returns the root, the recorded cuts by level and the first
+    group with no cut, or None."""
+    n = sets[0].shape[1]
+    root = TreeNode()
+    wide_cuts = {}          # preorder meets the levels in ascending order
+    stack = [(tuple(range(len(sets))), root, 0)]
     while stack:
-        s = stack.pop()
-        if s.cuts is None:
-            s.cuts = _candidate_direction_cuts(sets, s.group, blocks[s.pre])
-            s.cut = next(s.cuts, None)
-        if s.cut is None:
-            return s, thin
-        if s.separator is None and s.cut[2] <= wide:
-            thin.append(s)
+        group, node, level = stack.pop()
+        if len(group) == 1:
+            node.leaf = group[0]
             continue
-        if s.a is None:
-            left, right, _ = s.cut
-            s.a, s.b = (_Split(side, s.pre + skip) if len(side) > 1 else side[0]
-                        for side, skip in ((left, 1), (right, len(left))))
-        stack.extend(c for c in (s.b, s.a) if isinstance(c, _Split))
-    return None, thin
-
-
-def _certify(sets, splits):
-    """Certify the groups' cuts by their max-margin LPs, solved together
-    by ``separate_many``.  A rejected cut gives way to its group's next
-    candidate and drops its subtree, to be regrown.  Returns whether
-    every cut passed."""
-    results = separate_many([
-        tuple(np.vstack([sets[i] for i in side]) for side in s.cut[:2])
-        for s in splits])
-    for s, res in zip(splits, results):
-        if res.separable:
-            s.separator = res.hyperplane
+        block = rng.normal(size=(DIRECTION_TRIES, n))
+        for left, right, gap in _candidate_direction_cuts(sets, group, block):
+            if gap > wide:
+                wide_cuts.setdefault(level, []).append((node, left, right, gap))
+                break
+            res = separate(*_sides(sets, left, right))
+            if res.separable:
+                node.separator = res.hyperplane
+                break
         else:
-            s.cut, s.a, s.b = next(s.cuts, None), None, None
-    return all(res.separable for res in results)
+            return root, wide_cuts, group
+        node.a, node.b = TreeNode(), TreeNode()
+        stack += [(right, node.b, level + 1), (left, node.a, level + 1)]
+    return root, wide_cuts, None
 
 
-def _certify_levels(sets, root):
-    """Certify every uncertified cut of the tree, one batch per level, so
-    no LP is padded to a shallower level's rows; stops after the first
-    level with a rejection.  Returns whether every cut passed."""
-    level = [root]
-    while level:
-        if not _certify(sets, [s for s in level if s.separator is None]):
-            return False
-        level = [c for s in level for c in (s.a, s.b) if isinstance(c, _Split)]
-    return True
+def _sides(sets, left, right):
+    return np.vstack([sets[i] for i in left]), np.vstack([sets[i] for i in right])
 
 
-def _tree_node(x):
-    if not isinstance(x, _Split):
-        return TreeNode(leaf=x)
-    return TreeNode(a=_tree_node(x.a), b=_tree_node(x.b), separator=x.separator)
+def _certify_levels(sets, origin, wide_cuts, wide):
+    """Solve the wide cuts' LPs, one ``separate_many`` batch per tree
+    level, so no LP is padded to a shallower level's rows, and set each
+    node's separator.  A wide cut's LP optimum is at least ten times the
+    separation threshold, so a rejection is a solver fault."""
+    for cuts in wide_cuts.values():
+        results = separate_many([_sides(sets, left, right) for _, left, right, _ in cuts])
+        for (node, left, right, gap), res in zip(cuts, results):
+            if not res.separable:
+                raise RuntimeError(
+                    "separation LP rejected the cut of subdomains "
+                    f"{sorted({origin[i] for i in left})} from "
+                    f"{sorted({origin[i] for i in right})}: its gap {gap:.3g} "
+                    f"exceeds the thin-cut bound {wide:.3g}")
+            node.separator = res.hyperplane
 
 
 def _candidate_direction_cuts(sets, group, directions):
@@ -247,69 +220,47 @@ def build_partition_tree(subdomains, seed=0):
     """Recursively bipartition subdomains into linearly separable groups.
 
     Each group is split by its most balanced LP-certified direction cut.
-    A round grows the tree from every group's first candidate cut, in
-    preorder and without LPs, up to the first group with no cut.  If there
-    is one, its multi-point subdomains are split into single points and
-    the next round starts; distinct points always separate eventually.
-    Otherwise every cut is certified, one batch of separation LPs per tree
-    level.  A group whose cut an LP rejects moves to its next candidate
-    and regrows its subtree; a cut thin enough for that is certified
-    before anything grows below it.  Group p of the preorder takes block
-    p of the round's random directions, so the tree is the one drawn by a
-    depth-first build that certifies each cut when it reaches it.
+    A round grows the tree depth first from one seeded generator, each
+    group drawing its random directions when it is reached, up to the
+    first group with no cut.  If there is one, its multi-point subdomains
+    are split into single points and the next round starts, the draws
+    going on from there; distinct points always separate eventually.
+    Otherwise the wide cuts, which no LP rejects, are certified one batch
+    of separation LPs per tree level; a thin cut was certified when it was
+    reached.  So the tree is the one a depth-first build that certifies
+    each cut when it reaches it would draw, for k - 1 LPs.
     """
     sets = [np.atleast_2d(np.asarray(s, dtype=float)) for s in subdomains]
     origin = list(range(len(sets)))
     pts_all = np.vstack(sets)
     if len(np.unique(point_key(pts_all), axis=0)) != pts_all.shape[0]:
         raise ValueError("duplicate points across subdomains")
-    if len(sets) == 1:
-        return PartitionTree(TreeNode(leaf=0), sets, origin)
     # a cut with gap g along unit d is held apart by w = d / |d|_inf, so
     # its LP optimum is at least g / 2; the simplex stops at most about
     # 1e-13 short of it (measured against HiGHS on the trees of 64-512
     # 2-D clusters and the benchmark's LPs), so its LP passes every wider cut
     wide = 20 * SEPARABLE_THRESHOLD * (1.0 + np.abs(pts_all).max())
     rng = np.random.default_rng(seed)
-    n = pts_all.shape[1]
-    # one (DIRECTION_TRIES, n) block per group, in preorder; one draw of
-    # several blocks gives the same numbers as one draw per block
-    blocks = rng.normal(size=(len(sets) - 1, DIRECTION_TRIES, n))
-
     while True:
-        root = _Split(tuple(range(len(sets))), 0)
-        while True:
-            failed, thin = _grow(sets, blocks, root, wide)
-            if thin:
-                _certify(sets, thin)
-            elif failed is not None or _certify_levels(sets, root):
-                break
+        root, wide_cuts, failed = _grow(sets, rng, wide)
         if failed is None:
-            return PartitionTree(_tree_node(root), sets, origin)
-        refinable = [i for i in failed.group if sets[i].shape[0] > 1]
+            _certify_levels(sets, origin, wide_cuts, wide)
+            return PartitionTree(root, sets, origin)
+        refinable = [i for i in failed if sets[i].shape[0] > 1]
         if not refinable:
-            P = np.vstack([sets[i] for i in failed.group])
+            P = np.vstack([sets[i] for i in failed])
             closest = min(np.linalg.norm(P[i + 1:] - P[i], axis=1).min()
                           for i in range(len(P) - 1))
             raise PartitionError(
                 "no separable bipartition of subdomains "
-                f"{sorted({origin[i] for i in failed.group})}, even as single "
+                f"{sorted({origin[i] for i in failed})}, even as single "
                 f"points; their closest points are {closest:.3g} apart")
         new_sets, new_origin = [], []
         for i, s in enumerate(sets):
-            if i in refinable:
-                for p in s:
-                    new_sets.append(p[None, :])
-                    new_origin.append(origin[i])
-            else:
-                new_sets.append(s)
-                new_origin.append(origin[i])
+            parts = [p[None, :] for p in s] if i in refinable else [s]
+            new_sets += parts
+            new_origin += [origin[i]] * len(parts)
         sets, origin = new_sets, new_origin
-        # the next round's draws follow the failed group's block
-        blocks = blocks[failed.pre + 1:]
-        if len(blocks) < len(sets) - 1:
-            blocks = np.concatenate([blocks, rng.normal(
-                size=(len(sets) - 1 - len(blocks), DIRECTION_TRIES, n))])
 
 
 @dataclass

@@ -73,6 +73,21 @@ def lp_calls(monkeypatch):
 
 
 @pytest.fixture
+def lp_batches(monkeypatch):
+    """The size of every ``solve_lps`` batch the ordering module solves,
+    one entry per batch."""
+    sizes = []
+    solve_many = ordering.solve_lps
+
+    def counting(c, A, b):
+        sizes.append(len(A))
+        return solve_many(c, A, b)
+
+    monkeypatch.setattr(ordering, "solve_lps", counting)
+    return sizes
+
+
+@pytest.fixture
 def pivot_calls(monkeypatch):
     """Every simplex pivot step: one entry per lockstep ``_pivot`` call,
     however many LPs it pivots."""

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -150,12 +151,14 @@ def _depth(node):
 
 
 @pytest.mark.parametrize("nx, ny", [(4, 4), (8, 4), (8, 8)])
-def test_balanced_tree_on_jittered_grids(lp_calls, nx, ny):
-    # every group has a cut into halves, and each cut takes one LP
+def test_balanced_tree_on_jittered_grids(lp_calls, lp_batches, nx, ny):
+    # every group has a cut into halves, and each cut takes one LP, in
+    # one batch per tree level
     k = nx * ny
     pwl = _jittered_grid(np.random.default_rng(0), nx, ny)
     tree = build_partition_tree([pts for pts, _ in pwl.subdomains])
     assert len(lp_calls) == k - 1
+    assert lp_batches == [2 ** d for d in range(int(np.log2(k)))]
     assert len(tree.subdomains) == k
     assert _depth(tree.root) == int(np.ceil(np.log2(k)))
 
@@ -181,11 +184,12 @@ def test_partition_tree_duplicate_points_rejected():
 
 
 def reference_tree(subdomains, seed=0):
-    """The depth-first build that the topology-first rounds replaced: a
-    group draws its block of random directions when it is reached and
-    tries its cuts one separation LP at a time.  A group with no separable
-    cut refines its multi-point sets and the whole tree is rebuilt, the
-    draws going on from there.  Also returns how many LPs rejected a cut."""
+    """The eager depth-first build, which certifies each cut when it
+    reaches it: a group draws its block of random directions when it is
+    reached and tries its cuts one separation LP at a time.  A group with
+    no separable cut refines its multi-point sets and the whole tree is
+    rebuilt, the draws going on from there.  Also returns how many LPs
+    rejected a cut."""
     sets = [np.atleast_2d(np.asarray(s, dtype=float)) for s in subdomains]
     origin = list(range(len(sets)))
     rng = np.random.default_rng(seed)
@@ -249,7 +253,7 @@ def _sweep_sets(s):
     return [P[labels == i] for i in np.unique(labels)]
 
 
-def test_topology_first_tree_equals_the_depth_first_build_byte_for_byte():
+def test_tree_equals_the_eager_depth_first_build_byte_for_byte():
     refined = rejected = failed = 0
     for s in range(128):
         sets, seed = _sweep_sets(s), s % 7
@@ -264,7 +268,7 @@ def test_topology_first_tree_equals_the_depth_first_build_byte_for_byte():
         assert _tree_bytes(build_partition_tree(sets, seed)) == _tree_bytes(ref), s
         refined += len(ref.subdomains) > len(sets)
         rejected += lps_rejected
-    # every path of the rounds ran: refinement, rejected cuts and failure
+    # every path of the build ran: refinement, rejected thin cuts and failure
     assert refined and rejected and failed
 
 
@@ -286,15 +290,28 @@ def test_thin_cuts_are_certified_before_a_refinement(s):
     assert _tree_bytes(build_partition_tree(sets)) == _tree_bytes(ref)
 
 
-@pytest.mark.parametrize("s", [20, 51])
-def test_a_rejected_cut_regrows_its_subtree(monkeypatch, s):
-    # with no cut counted thin, the LP rejects cuts whose subtrees are
-    # already grown; each group moves to its next candidate and regrows
+@pytest.mark.parametrize("s, sides, gap", [
+    pytest.param(20, "[1, 2, 4, 5] from [0, 3, 6, 7]", "2.11e-08", id="20"),
+    pytest.param(51, "[0, 3] from [1, 2]", "1.11e-07", id="51"),
+])
+def test_a_rejected_wide_cut_fails_loudly(monkeypatch, tmp_path, capsys, s, sides, gap):
+    # with every cut counted wide, the LPs of the tree's cuts wait until it
+    # is whole, and an LP rejects one of them: a wide cut's LP cannot do
+    # that, so the build names the cut instead of growing another tree
     monkeypatch.setattr(deep_module, "SEPARABLE_THRESHOLD", -1.0)
     sets = _tiny_clusters(s)
-    ref, rejected = reference_tree(sets)
-    assert rejected and len(ref.subdomains) == len(sets)
-    assert _tree_bytes(build_partition_tree(sets)) == _tree_bytes(ref)
+    expected = (f"separation LP rejected the cut of subdomains {sides}: its gap "
+                f"{gap} exceeds the thin-cut bound -20")
+    with pytest.raises(RuntimeError, match=re.escape(expected) + "$"):
+        build_partition_tree(sets)
+    pwl = tmp_path / "pwl.json"
+    pwl.write_text(json.dumps({"dim": 2, "output_dim": 1, "subdomains": [
+        {"points": P.tolist(), "W": [[0.0, 0.0]], "b": [float(i)]}
+        for i, P in enumerate(sets)]}))
+    net = tmp_path / "net.json"
+    assert cli_main(["synthdeep", "--pwl", str(pwl), "--out", str(net)]) == 3
+    assert capsys.readouterr().err == f"build failed: {expected}\n"
+    assert not net.exists()
 
 
 def test_tree_lp_count_is_leaves_minus_one_after_refinement(lp_calls):
