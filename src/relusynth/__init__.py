@@ -47,10 +47,10 @@ from .ordering import (
     separate,
 )
 from .shallow import (
-    synth_classifier,
-    synth_interpolate,
-    synth_multi_output,
-    synth_two_subdomains,
+    classifier_build,
+    interpolation_build,
+    multi_output_build,
+    two_subdomain_build,
 )
 from .affine import (
     EmbeddingDecomposition,
@@ -65,8 +65,8 @@ from .affine import (
 from .deep import (
     PartitionTree,
     build_partition_tree,
-    synth_decoder,
-    synth_deep,
+    decoder_build,
+    deep_build,
 )
 from .randmat import SphereSampler, rank_probability, sample_matrix
 from .report import BuildFailure, ConstructionReport

@@ -37,7 +37,7 @@ from .shallow import (
     classifier_build,
     multi_output_build,
     rebuild_from_plan,
-    synth_two_subdomains,
+    two_subdomain_build,
 )
 from .deep import decoder_build, deep_build, rebuild_deep_from_plan
 from .affine import interference_avoiding_weights, widen_network
@@ -309,7 +309,7 @@ def _fixture_fig2(seed):
         (D1, AffineMap([[1.0, 2.0]], [0.5])),
         (D2, AffineMap([[-1.0, 0.3]], [2.0])),
     ))
-    net = synth_two_subdomains(pwl, seed=seed)
+    net = two_subdomain_build(pwl, seed=seed).network
     return pwl, net
 
 

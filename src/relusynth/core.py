@@ -169,9 +169,6 @@ class Layer:
         x = np.asarray(x, dtype=float)
         return x @ self.weights.T + self.biases
 
-    def hyperplane(self, unit):
-        return Hyperplane(self.weights[unit], self.biases[unit])
-
 
 @dataclass(frozen=True, eq=False)
 class Network:

@@ -62,8 +62,6 @@ __all__ = [
     "TreeNode",
     "DeepBuild",
     "build_partition_tree",
-    "synth_deep",
-    "synth_decoder",
     "deep_build",
     "decoder_build",
 ]
@@ -484,7 +482,7 @@ def _audit_layer(layer, layer_no, A, groups, X, cfg, report, fail):
     return _activate(layer, Z)[0]
 
 
-def _synth_deep_impl(pwl, tree, cfg=None, seed=0, extras=None):
+def _build_from_tree(pwl, tree, cfg=None, seed=0, extras=None):
     t_start = time.monotonic()
     cfg = cfg or BundleConfig()
     n = pwl.dim
@@ -592,32 +590,24 @@ def _final_pwl(pwl, tree):
 
 
 def deep_build(pwl, cfg=None, seed=0):
-    tree = build_partition_tree([pts for pts, _ in pwl.subdomains], seed)
-    return _synth_deep_impl(_final_pwl(pwl, tree), tree, cfg, seed)
-
-
-def synth_deep(pwl, cfg=None, seed=0):
     """Region-dividing deep synthesis; exact on every training point."""
-    return deep_build(pwl, cfg, seed).network
+    tree = build_partition_tree([pts for pts, _ in pwl.subdomains], seed)
+    return _build_from_tree(_final_pwl(pwl, tree), tree, cfg, seed)
 
 
 def decoder_build(codes, targets, cfg=None, seed=0):
-    codes = np.atleast_2d(np.asarray(codes, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if codes.shape[0] != targets.shape[0]:
-        raise ValueError("need one target per code")
-    codes, targets = distinct_points(codes, targets)
-    return deep_build(DiscretePWL.singletons(codes, targets), cfg, seed)
-
-
-def synth_decoder(codes, targets, cfg=None, seed=0):
     """Map low-dimensional codes back to their high-dimensional points.
 
     Each code becomes a singleton subdomain with a constant vector target;
     the resulting architecture has non-decreasing hidden widths from the
     code dimension up to the target dimension's output layer.
     """
-    return decoder_build(codes, targets, cfg, seed).network
+    codes = np.atleast_2d(np.asarray(codes, dtype=float))
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if codes.shape[0] != targets.shape[0]:
+        raise ValueError("need one target per code")
+    codes, targets = distinct_points(codes, targets)
+    return deep_build(DiscretePWL.singletons(codes, targets), cfg, seed)
 
 
 def _plan_tree(plan):
@@ -643,4 +633,4 @@ def rebuild_deep_from_plan(plan, cfg=None, extras=None):
     pwl, tree = _plan_tree(plan)
     if extras is None:
         extras = plan.get("extras")
-    return _synth_deep_impl(pwl, tree, cfg, plan.get("seed", 0), extras=extras)
+    return _build_from_tree(pwl, tree, cfg, plan.get("seed", 0), extras=extras)

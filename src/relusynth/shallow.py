@@ -314,32 +314,37 @@ def _singleton_decomposition(pwl):
         amap.apply(p) for pts, amap in pwl.subdomains for p in pts])
 
 
-def synth_two_subdomains(pwl, cfg=None, seed=0):
+def two_subdomain_build(pwl, cfg=None, seed=0):
     """Two subdomains, one strictly separable from the other.
 
     The first subdomain's bundle keeps everything on its plus side; the
     second bundle activates only on the second subdomain, so its solve
     cannot disturb the first.  Hidden width is exactly 2 (dim + 1).
     """
-    cfg = cfg or BundleConfig()
     if len(pwl.subdomains) != 2:
         raise ValueError("expected exactly two subdomains")
     if pwl.output_dim != 1:
-        raise ValueError("single-output route; use synth_multi_output")
+        raise ValueError("single-output route; use multi_output_build")
     D1, D2 = pwl.subdomains[0][0], pwl.subdomains[1][0]
     res = separate(D2, D1)
     if not res.separable:
         raise GeometryError(
             "subdomains are not strictly separable; decompose into points "
-            "and use synth_interpolate instead"
+            "and use interpolation_build instead"
         )
     l2 = res.hyperplane
     l1 = supporting_hyperplane(np.vstack([D1, D2]), direction=l2.w)
     order = DistinguishableOrder((0, 1), (l1, l2))
-    return build_staircase(pwl, order=order, cfg=cfg, seed=seed).network
+    return build_staircase(pwl, order=order, cfg=cfg, seed=seed)
 
 
 def interpolation_build(points, values, cfg=None, seed=0, extra_units=0):
+    """Exact interpolation of distinct points.
+
+    Values are (k,) or (k, mu).  Decomposes into singleton subdomains with
+    constant targets; the hidden width is point count times (dim + 1) plus
+    any extra redundant units.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if values.ndim == 1:
@@ -351,30 +356,21 @@ def interpolation_build(points, values, cfg=None, seed=0, extra_units=0):
                            extra_units=extra_units)
 
 
-def synth_interpolate(points, values, cfg=None, seed=0, extra_units=0):
-    """Exact scalar interpolation of distinct points.
-
-    Decomposes into singleton subdomains with constant targets; the hidden
-    width is point count times (dim + 1) plus any extra redundant units.
-    """
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if values.ndim != 1:
-        raise ValueError("synth_interpolate takes scalar values")
-    return interpolation_build(points, values, cfg, seed, extra_units).network
-
-
 def multi_output_build(pwl, cfg=None, seed=0, extra_units=0):
+    """Vector-valued synthesis: one shared hidden layer, independent output
+    units solved per coordinate."""
     return build_staircase(_singleton_decomposition(pwl), cfg=cfg, seed=seed,
                            extra_units=extra_units)
 
 
-def synth_multi_output(pwl, cfg=None, seed=0):
-    """Vector-valued synthesis: one shared hidden layer, independent output
-    units solved per coordinate."""
-    return multi_output_build(pwl, cfg, seed).network
-
-
 def classifier_build(points, labels, cfg=None, seed=0):
+    """Multi-category classifier with ReLU output units.
+
+    Labels are 0, 1, ..., max label, each with at least one point.  Each
+    output unit's preactivation is driven to +1 on its own category and -1
+    elsewhere, so outputs are strictly positive exactly on the category and
+    clamp to zero everywhere else.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = np.asarray(labels, dtype=int)
     if labels.shape[0] != points.shape[0]:
@@ -388,17 +384,6 @@ def classifier_build(points, labels, cfg=None, seed=0):
     targets = np.where(labels[:, None] == np.arange(mu)[None, :], 1.0, -1.0)
     return build_staircase(DiscretePWL.singletons(points, targets), cfg=cfg, seed=seed,
                            relu_output=True)
-
-
-def synth_classifier(points, labels, cfg=None, seed=0):
-    """Multi-category classifier with ReLU output units.
-
-    Labels are 0, 1, ..., max label, each with at least one point.  Each
-    output unit's preactivation is driven to +1 on its own category and -1
-    elsewhere, so outputs are strictly positive exactly on the category and
-    clamp to zero everywhere else.
-    """
-    return classifier_build(points, labels, cfg, seed).network
 
 
 def resolve_output_unit(build, unit, new_targets):

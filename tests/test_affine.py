@@ -20,7 +20,7 @@ from relusynth.affine import (
     transform_hyperplane,
     widen_network,
 )
-from relusynth.shallow import interpolation_build, multi_output_build
+from relusynth.shallow import interpolation_build, multi_output_build, two_subdomain_build
 from relusynth.bundles import common_point_bundle
 from relusynth.deep import deep_build
 
@@ -398,6 +398,24 @@ def test_widen_multi_output_per_coordinate(rng):
     wide = widen_network(build, uniform=20)
     diff = forward_batch(wide.network, pts) - forward_batch(build.network, pts)
     assert np.abs(diff).max() <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("extra", [1, 3])
+def test_widen_two_subdomain_build(rng, n, extra):
+    # a staircase plan with multi-point subdomains, rebuilt with extra units
+    D1 = rng.normal(size=(6, n))
+    D2 = rng.normal(size=(6, n)) + 6.0
+    pwl = DiscretePWL(n, 1, tuple(
+        (D, AffineMap(rng.normal(size=(1, n)), rng.normal(size=1))) for D in (D1, D2)))
+    build = two_subdomain_build(pwl)
+    units = build.network.layers[0].units
+    assert units == 2 * (n + 1)
+    wide = widen_network(build, uniform=units + extra)
+    assert wide.network.layers[0].units == units + extra
+    assert wide.report.plan["extra_units"] == extra
+    X = pwl.all_points()
+    assert np.abs(forward_batch(wide.network, X) - pwl.all_targets()).max() <= 1e-8
 
 
 def test_widen_below_existing_rejected(rng):

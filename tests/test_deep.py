@@ -35,8 +35,6 @@ from relusynth.deep import (
     decoder_build,
     deep_build,
     rebuild_deep_from_plan,
-    synth_decoder,
-    synth_deep,
 )
 from relusynth.cli import fig7_fixture, main as cli_main
 from conftest import nudge_bias, repeat_base
@@ -347,7 +345,7 @@ def test_deep_two_singletons_architecture():
         (np.array([[0.0, 0.0]]), AffineMap.constant([1.0], 2)),
         (np.array([[3.0, 1.0]]), AffineMap.constant([-2.0], 2)),
     ))
-    net = synth_deep(pwl)
+    net = deep_build(pwl).network
     assert net.architecture() == "2(1)4(1)6(1)1'(1)"
     out = forward_batch(net, pwl.all_points())
     assert np.abs(out - pwl.all_targets()).max() <= 1e-8
@@ -385,7 +383,7 @@ def test_deep_multi_output_per_coordinate(rng):
         for pts, _ in base.subdomains
     )
     pwl = DiscretePWL(2, 3, subs)
-    net = synth_deep(pwl)
+    net = deep_build(pwl).network
     out = forward_batch(net, pwl.all_points())
     assert np.abs(out - pwl.all_targets()).max() <= 1e-8
 
@@ -410,7 +408,7 @@ def test_deep_multi_output_rows_solved_independently(rng):
 
 
 def test_decoder_single_code():
-    net = synth_decoder(np.array([[0.5, 0.5]]), np.array([[1.0, 2.0, 3.0]]))
+    net = decoder_build(np.array([[0.5, 0.5]]), np.array([[1.0, 2.0, 3.0]])).network
     out = forward_batch(net, np.array([[0.5, 0.5]]))
     assert out[0] == pytest.approx([1.0, 2.0, 3.0], abs=1e-8)
 
@@ -430,7 +428,7 @@ def test_decoder_five_codes(rng):
 def test_decoder_zigzag_patterns(rng):
     codes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     patterns = rng.uniform(size=(3, 9))  # flattened 3x3 gray images
-    net = synth_decoder(codes, patterns)
+    net = decoder_build(codes, patterns).network
     out = forward_batch(net, codes)
     assert np.abs(out - patterns).max() <= 1e-8
 
@@ -439,9 +437,9 @@ def test_decoder_rejects_conflicting_duplicate_codes():
     codes = np.array([[0.0, 0.0], [0.0, 0.0]])
     targets = np.array([[1.0], [2.0]])
     with pytest.raises(ValueError, match="bijective"):
-        synth_decoder(codes, targets)
+        decoder_build(codes, targets)
     # consistent duplicates collapse
-    net = synth_decoder(codes, np.array([[1.0], [1.0]]))
+    net = decoder_build(codes, np.array([[1.0], [1.0]])).network
     assert forward_batch(net, codes[:1])[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 

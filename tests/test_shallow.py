@@ -27,10 +27,7 @@ from relusynth.shallow import (
     multi_output_build,
     rebuild_from_plan,
     resolve_output_unit,
-    synth_classifier,
-    synth_interpolate,
-    synth_multi_output,
-    synth_two_subdomains,
+    two_subdomain_build,
 )
 
 
@@ -48,14 +45,14 @@ def test_two_subdomains_singleton_constants():
         (np.array([[0.0]]), AffineMap.constant([2.0], 1)),
         (np.array([[5.0]]), AffineMap.constant([-1.0], 1)),
     ))
-    net = synth_two_subdomains(pwl)
+    net = two_subdomain_build(pwl).network
     assert forward(net, np.array([0.0]))[0] == pytest.approx(2.0, abs=1e-8)
     assert forward(net, np.array([5.0]))[0] == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_two_subdomains_architecture_and_exactness(rng):
     pwl = two_cluster_pwl(rng)
-    net = synth_two_subdomains(pwl)
+    net = two_subdomain_build(pwl).network
     assert net.architecture() == "2(1)6(1)1'(1)"
     resid = np.abs(forward_batch(net, pwl.all_points()) - pwl.all_targets()).max()
     assert resid <= 1e-8
@@ -63,7 +60,7 @@ def test_two_subdomains_architecture_and_exactness(rng):
 
 def test_two_subdomains_3d(rng):
     pwl = two_cluster_pwl(rng, n=3, per_side=5)
-    net = synth_two_subdomains(pwl)
+    net = two_subdomain_build(pwl).network
     assert net.architecture() == "3(1)8(1)1'(1)"
     resid = np.abs(forward_batch(net, pwl.all_points()) - pwl.all_targets()).max()
     assert resid <= 1e-8
@@ -74,8 +71,8 @@ def test_two_subdomains_inseparable_suggests_interpolation():
         (np.array([[0.0, 0.0], [2.0, 0.0]]), AffineMap.constant([1.0], 2)),
         (np.array([[1.0, 0.0], [3.0, 0.0]]), AffineMap.constant([0.0], 2)),
     ))
-    with pytest.raises(GeometryError, match="synth_interpolate"):
-        synth_two_subdomains(pwl)
+    with pytest.raises(GeometryError, match="interpolation_build"):
+        two_subdomain_build(pwl).network
 
 
 def test_staircase_single_stage():
@@ -116,7 +113,7 @@ def test_staircase_stage_appends_do_not_change_earlier_outputs(rng):
 def test_interpolate_ten_points_r3(rng):
     pts = rng.normal(size=(10, 3))
     vals = rng.normal(size=10)
-    net = synth_interpolate(pts, vals)
+    net = interpolation_build(pts, vals).network
     assert net.layers[0].units == 40
     for p, v in zip(pts, vals):
         assert forward(net, p)[0] == pytest.approx(v, abs=1e-8)
@@ -124,16 +121,16 @@ def test_interpolate_ten_points_r3(rng):
 
 def test_interpolate_all_zero_targets(rng):
     pts = rng.normal(size=(6, 2))
-    net = synth_interpolate(pts, np.zeros(6))
+    net = interpolation_build(pts, np.zeros(6)).network
     assert np.abs(forward_batch(net, pts)).max() <= 1e-8
 
 
 def test_interpolate_duplicate_x_conflicting_y():
     pts = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="conflicting"):
-        synth_interpolate(pts, [0.0, 1.0])
+        interpolation_build(pts, [0.0, 1.0])
     # equal duplicates collapse
-    net = synth_interpolate(pts, [2.0, 2.0])
+    net = interpolation_build(pts, [2.0, 2.0]).network
     assert forward(net, pts[0])[0] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -153,7 +150,7 @@ def test_negative_extra_units_rejected(rng):
 def test_interpolate_extra_units_widen_first_stage(rng):
     pts = rng.normal(size=(4, 2))
     vals = rng.normal(size=4)
-    net = synth_interpolate(pts, vals, extra_units=3)
+    net = interpolation_build(pts, vals, extra_units=3).network
     assert net.layers[0].units == 4 * 3 + 3
     for p, v in zip(pts, vals):
         assert forward(net, p)[0] == pytest.approx(v, abs=1e-8)
@@ -194,7 +191,7 @@ def test_multi_output_mu_one_matches_interpolation(rng):
     pts = rng.normal(size=(5, 2))
     vals = rng.normal(size=(5, 1))
     subs = tuple((p[None, :], AffineMap.constant(v, 2)) for p, v in zip(pts, vals))
-    net = synth_multi_output(DiscretePWL(2, 1, subs))
+    net = multi_output_build(DiscretePWL(2, 1, subs)).network
     for p, v in zip(pts, vals):
         assert forward(net, p)[0] == pytest.approx(v[0], abs=1e-8)
 
@@ -206,7 +203,7 @@ def test_classifier_three_categories(rng):
         rng.normal(size=(3, 2)) + [0.0, 6.0],
     ])
     labels = np.repeat([0, 1, 2], 3)
-    net = synth_classifier(pts, labels)
+    net = classifier_build(pts, labels).network
     assert net.layers[-1].activation == "relu"
     out = forward_batch(net, pts)
     for i, c in enumerate(labels):
@@ -220,20 +217,20 @@ def test_classifier_three_categories(rng):
 def test_classifier_binary(rng):
     pts = rng.normal(size=(6, 2))
     labels = np.array([0, 1, 0, 1, 0, 1])
-    out = forward_batch(synth_classifier(pts, labels), pts)
+    out = forward_batch(classifier_build(pts, labels).network, pts)
     assert (out.argmax(axis=1) == labels).all()
 
 
 def test_classifier_single_category_always_positive(rng):
     pts = rng.normal(size=(4, 2))
-    out = forward_batch(synth_classifier(pts, np.zeros(4, dtype=int)), pts)
+    out = forward_batch(classifier_build(pts, np.zeros(4, dtype=int)).network, pts)
     assert (out[:, 0] > 0).all()
 
 
 def test_classifier_missing_category_rejected():
     # labels 0 and 2 leave category 1 without points
     with pytest.raises(ValueError, match="category 1 has no points"):
-        synth_classifier(np.array([[0.0, 0.0], [1.0, 1.0]]), [0, 2])
+        classifier_build(np.array([[0.0, 0.0], [1.0, 1.0]]), [0, 2])
 
 
 def test_report_contents(rng):
